@@ -68,6 +68,7 @@ from .potentials import (
     u_named,
     u_pc_direct,
     u_row,
+    u_terms,
     u_unified,
 )
 from .quad import (
@@ -115,7 +116,7 @@ __all__ = [
     "integrate_interval", "integrate_halfline", "integrate_pv",
     # potentials
     "ComponentLabel", "LABEL_TUPLES", "ROW_SPECS", "ROW_NAMES",
-    "PotentialCurve", "u_unified", "u_named", "u_row",
+    "PotentialCurve", "u_terms", "u_unified", "u_named", "u_row",
     "u_ec_direct", "u_mc_direct", "u_pc_direct", "u_dc_direct",
     "u_cc_direct", "u_free_fast", "u_cc_isotropic",
     "resolve_component", "compute_curve",

@@ -21,8 +21,8 @@ the bundled example pair, and ``verify`` runs the identity-check suite.
 Exit codes: 0 on success, 1 for input errors (bad flags, malformed
 molecule files, mismatched units), 2 when results carry a numerical
 warning (unconverged quadrature, power-law fit impossible).  ``verify``
-returns the number of failed checks, and ``table1`` returns 1 when any
-cell disagrees with its reference entry.
+returns 2 when any identity check fails, and ``table1`` returns 1 when
+any cell disagrees with its reference entry.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ from .molfiles import (
     length_to_internal,
     load_molecule,
 )
+from .green import Separation
 from .potentials import ROW_NAMES, PotentialCurve, compute_curve, \
-    resolve_component
+    resolve_component, u_row
 from .response import Molecule
 from .verify import run_suite
 
@@ -247,11 +248,14 @@ def cmd_powerlaw(args) -> int:
 
 def _table_cell(mol_a: Molecule, mol_b: Molecule, row: str, regime: str,
                 n_points: int):
+    # the two-sided row, not the named component some rows share a name with
     r_values = _window_grid(regime, mol_a, mol_b, n_points)
-    curve = compute_curve(mol_a, mol_b, (0.0, 0.0, 1.0), r_values, row)
-    converged = bool(np.all(curve.converged))
+    origin = np.zeros(3)
+    results = [u_row(mol_a, mol_b, Separation((0.0, 0.0, R), origin), row)
+               for R in r_values]
+    converged = all(res.converged for res in results)
     try:
-        fit = fit_power_law(curve.r_values, curve.u_values)
+        fit = fit_power_law(r_values, [res.value for res in results])
     except ValueError:
         fit = None
     return fit, converged
@@ -333,7 +337,7 @@ def cmd_verify(args) -> int:
         raise CliError("--points must be at least 1")
     report = run_suite(seed=args.seed, sweep_points=args.points)
     _emit(args.output, report.render())
-    return len(report.failures)
+    return EXIT_NUMERICAL if report.failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ its ten rows sums every tuple whose response characters match (e.g. row
 A-paramagnetic/B-electric orderings), and the ten rows add up to TOTAL
 exactly.
 
+Every request is one vector-valued quadrature over its list of
+``(tuple, beta_mode_a, beta_mode_b)`` terms (``u_terms``): all terms share
+the frequency nodes, the response tensors and provider blocks are computed
+once per node batch, and each term is converged to the relative tolerance
+on its own.  The ``evals`` of a multi-term result therefore counts shared
+nodes; a one-term request (a raw tuple, EE) runs exactly as a scalar
+quadrature.
+
 Besides the general provider path there are closed free-space forms
 (`u_free_fast`, `u_cc_isotropic`) in which the frequency integral has been
 reduced analytically to a single exponentially damped radial integral.
@@ -59,6 +67,7 @@ __all__ = [
     "ROW_SPECS",
     "ROW_NAMES",
     "PotentialCurve",
+    "u_terms",
     "u_unified",
     "u_named",
     "u_row",
@@ -143,6 +152,8 @@ ROW_SPECS = {
 }
 
 ROW_NAMES: Tuple[str, ...] = tuple(ROW_SPECS)
+
+_BETA_MODES = ("full", "para", "dia")
 
 _SLOT_INDEX = {("e", "e"): 0, ("m", "m"): 1, ("e", "m"): 2, ("m", "e"): 3}
 
@@ -233,31 +244,105 @@ def _provider_blocks(provider, lam: str, lamp: str, r: np.ndarray,
     return out
 
 
-def _tuple_integrand(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                     tup: str, provider, beta_mode_a: str, beta_mode_b: str,
+def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
+               duality: Optional[float]) -> dict:
+    """Response arrays of ``mol`` per beta mode, from one transition sum.
+
+    Without a duality rotation the para, dia and full magnetisabilities
+    share one ``response_arrays`` call; a rotation mixes beta into every
+    block, so it is applied once per mode.
+    """
+    if duality is not None:
+        return {mode: rotate_molecule_tensors(mol, duality, xis, mode)
+                for mode in modes}
+    alpha, beta_para, chi_em, chi_me = response_arrays(mol, xis, "para")
+    betas = {"para": beta_para,
+             "dia": np.broadcast_to(mol.beta_dia, beta_para.shape),
+             "full": beta_para + mol.beta_dia[None, :, :]}
+    return {mode: (alpha, betas[mode], chi_em, chi_me) for mode in modes}
+
+
+def _terms_integrand(mol_a: Molecule, mol_b: Molecule, sep: Separation,
+                     terms: Sequence[Tuple[str, str, str]], provider,
                      duality: Optional[float]) -> Callable:
-    l1, l2, l3, l4 = tup
+    """Integrand returning the traces of all ``terms`` on shared nodes.
+
+    Each term ``(tuple, beta_mode_a, beta_mode_b)`` contributes the column
+    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}] of the
+    (n, K) output.  Per node batch every response set and every distinct
+    provider block is computed once, and each trace is taken from the two
+    shared half products (A_a B_{l2 l3}) and (A_b B_{l4 l1}).
+    """
     r_a, r_b = sep.r_a, sep.r_b
-    ia = _SLOT_INDEX[(l1, l2)]
-    ib = _SLOT_INDEX[(l3, l4)]
+    modes_a = sorted({mode_a for _, mode_a, _ in terms})
+    modes_b = sorted({mode_b for _, _, mode_b in terms})
+    lefts, rights = [], []
+    for tup, mode_a, mode_b in terms:
+        l1, l2, l3, l4 = tup
+        lefts.append((mode_a, _SLOT_INDEX[(l1, l2)], l2, l3))
+        rights.append((mode_b, _SLOT_INDEX[(l3, l4)], l4, l1))
+    left_keys = sorted(set(lefts))
+    right_keys = sorted(set(rights))
+    left_idx = [left_keys.index(key) for key in lefts]
+    right_idx = [right_keys.index(key) for key in rights]
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        if duality is None:
-            ta = response_arrays(mol_a, xis, beta_mode_a)
-            tb = response_arrays(mol_b, xis, beta_mode_b)
-        else:
-            ta = rotate_molecule_tensors(mol_a, duality, xis, beta_mode_a)
-            tb = rotate_molecule_tensors(mol_b, duality, xis, beta_mode_b)
-        A1 = ta[ia]
-        A2 = tb[ib]
-        B12 = _provider_blocks(provider, l2, l3, r_a, r_b, xis)
-        B21 = _provider_blocks(provider, l4, l1, r_b, r_a, xis)
-        return -(0.5 / _PI) * kernels.trace4(
-            np.ascontiguousarray(A1), np.ascontiguousarray(B12),
-            np.ascontiguousarray(A2), np.ascontiguousarray(B21))
+        ta = _responses(mol_a, xis, modes_a, duality)
+        tb = _responses(mol_b, xis, modes_b, duality)
+        blocks = {}
+
+        def block(lam, lamp, r, rp, key):
+            if key not in blocks:
+                blocks[key] = _provider_blocks(provider, lam, lamp, r, rp,
+                                               xis)
+            return blocks[key]
+
+        left = np.stack([
+            ta[mode][slot] @ block(lam, lamp, r_a, r_b, ("ab", lam, lamp))
+            for mode, slot, lam, lamp in left_keys])
+        right = np.stack([
+            tb[mode][slot] @ block(lam, lamp, r_b, r_a, ("ba", lam, lamp))
+            for mode, slot, lam, lamp in right_keys])
+        traces = np.einsum("knij,knji->nk", left[left_idx], right[right_idx])
+        return -(0.5 / _PI) * traces
 
     return integrand
+
+
+def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
+            terms: Iterable, provider=None, spec: Optional[QuadSpec] = None,
+            duality: Optional[float] = None) -> QuadResult:
+    """Several response terms in one shared-node quadrature.
+
+    ``terms`` lists ``(tuple, beta_mode_a, beta_mode_b)`` triples, as in
+    ``ROW_SPECS``.  All terms are integrated in one adaptive pass; the
+    result's ``value`` and ``error_estimate`` are arrays with one entry per
+    term, each converged to the requested relative tolerance on its own,
+    ``evals`` counts the shared nodes and ``converged`` holds only if every
+    term converged.
+    """
+    terms = [(_validate_tuple(tup), mode_a, mode_b)
+             for tup, mode_a, mode_b in terms]
+    if not terms:
+        raise ValueError("terms must not be empty")
+    unknown = {m for _, a, b in terms for m in (a, b)} - set(_BETA_MODES)
+    if unknown:
+        raise ValueError(f"unknown beta_mode {', '.join(map(repr, unknown))}")
+    if provider is None:
+        provider = free_space_provider()
+    if spec is None:
+        spec = _default_spec(sep.R)
+    integrand = _terms_integrand(mol_a, mol_b, sep, terms, provider, duality)
+    breaks = _default_breakpoints(mol_a, mol_b, sep.R)
+    return integrate_halfline(integrand, spec, breakpoints=breaks)
+
+
+def _summed(res: QuadResult) -> QuadResult:
+    """The sum of a multi-term result's components."""
+    return QuadResult(float(np.sum(res.value)),
+                      float(np.sum(res.error_estimate)), res.evals,
+                      res.converged)
 
 
 def u_unified(mol_a: Molecule, mol_b: Molecule, sep: Separation, tup,
@@ -271,33 +356,28 @@ def u_unified(mol_a: Molecule, mol_b: Molecule, sep: Separation, tup,
     (override via the VDW_QUAD_RTOL environment variable) with the
     frequency decay scale set by the separation.
     """
-    tup = _validate_tuple(tup)
-    if provider is None:
-        provider = free_space_provider()
-    if spec is None:
-        spec = _default_spec(sep.R)
-    integrand = _tuple_integrand(mol_a, mol_b, sep, tup, provider,
-                                 beta_mode_a, beta_mode_b, duality)
-    breaks = _default_breakpoints(mol_a, mol_b, sep.R)
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
+    term = (tup, beta_mode_a, beta_mode_b)
+    return _summed(u_terms(mol_a, mol_b, sep, [term], provider=provider,
+                           spec=spec, duality=duality))
 
 
 def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
             provider=None, spec: Optional[QuadSpec] = None,
             duality: Optional[float] = None) -> QuadResult:
-    """A named component of the pair potential (sum of its tuples)."""
+    """A named component of the pair potential (sum of its tuples).
+
+    The tuples share one quadrature; each is converged on its own and
+    ``evals`` counts the shared nodes.
+    """
     label = ComponentLabel(label)
     beta_mode_a = _LABEL_BETA_MODE_A.get(label, "full")
     if duality is not None and label in _LABEL_BETA_MODE_A:
         raise ValueError(
             "duality rotation is undefined for para/dia-restricted "
             "components")
-    total = QuadResult(0.0, 0.0, 0, True)
-    for tup in LABEL_TUPLES[label]:
-        total = total + u_unified(
-            mol_a, mol_b, sep, tup, provider=provider, spec=spec,
-            beta_mode_a=beta_mode_a, duality=duality)
-    return total
+    terms = [(tup, beta_mode_a, "full") for tup in LABEL_TUPLES[label]]
+    return _summed(u_terms(mol_a, mol_b, sep, terms, provider=provider,
+                           spec=spec, duality=duality))
 
 
 def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
@@ -305,17 +385,14 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
     """One two-sided tabulation row (see ROW_SPECS).
 
     The ten rows partition the sixteen tuples with the magnetic responses
-    split into para/dia parts, so summing them reproduces TOTAL.
+    split into para/dia parts, so summing them reproduces TOTAL.  The
+    row's terms share one quadrature, as in ``u_named``.
     """
     row = str(row).upper()
     if row not in ROW_SPECS:
         raise ValueError(f"unknown row {row!r}; expected one of {ROW_NAMES}")
-    total = QuadResult(0.0, 0.0, 0, True)
-    for tup, mode_a, mode_b in ROW_SPECS[row]:
-        total = total + u_unified(
-            mol_a, mol_b, sep, tup, provider=provider, spec=spec,
-            beta_mode_a=mode_a, beta_mode_b=mode_b)
-    return total
+    return _summed(u_terms(mol_a, mol_b, sep, ROW_SPECS[row],
+                           provider=provider, spec=spec))
 
 
 # ---------------------------------------------------------------------------

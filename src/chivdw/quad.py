@@ -14,8 +14,12 @@ Gauss-Kronrod core:
 * ``integrate_interval`` exposes the finite-interval core directly.
 
 Integrands may be vectorised (ndarray -> ndarray) or plain scalar functions;
-the engine probes once and wraps scalar callables automatically.  All engines
-are stateless and safe for concurrent use.
+the engine probes once and wraps scalar callables automatically.  A
+vectorised integrand may also return shape (n, K): K integrals then share
+one adaptive pass and its nodes, each component is held to its own
+tolerance, and the result carries (K,) arrays with ``evals`` counting the
+shared nodes.  A scalar integrand is the K = 1 case of the same core.  All
+engines are stateless and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ _W7[7] = _WG[3]
 _W7[[9, 11, 13]] = _WG[2::-1]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,12 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, error estimate, evaluation count and convergence flag."""
+    """Value, error estimate, evaluation count and convergence flag.
+
+    For a vector-valued integrand ``value`` and ``error_estimate`` are
+    arrays with one entry per component, ``evals`` counts the shared
+    nodes and ``converged`` holds only if every component converged.
+    """
 
     value: float
     error_estimate: float
@@ -121,42 +131,59 @@ class QuadResult:
 
 
 class _VectorisedCall:
-    """Call an integrand on node arrays, wrapping scalar-only callables."""
+    """Call an integrand on node arrays, returning values of shape (n, K).
+
+    An integrand returning shape (n,) is the K = 1 case; one returning
+    (n, K) is vector-valued (``vector`` is set after the first call).
+    Scalar-only callables are wrapped and called per node.
+    """
 
     def __init__(self, f: Callable):
         self._f = f
         self._scalar_only = False
         self._probed = False
+        self.vector = False
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
+        n = xs.shape[0]
         if not self._probed:
             self._probed = True
             try:
                 out = np.asarray(self._f(xs), dtype=float)
-                if out.shape == xs.shape:
-                    return out
+                if out.ndim in (1, 2) and out.shape[0] == n:
+                    self.vector = out.ndim == 2
+                    return out.reshape(n, -1)
             except Exception:
                 pass
             self._scalar_only = True
         if self._scalar_only:
-            return np.array([float(self._f(x)) for x in xs], dtype=float)
-        return np.asarray(self._f(xs), dtype=float)
+            return np.array([float(self._f(x)) for x in xs])[:, None]
+        return np.asarray(self._f(xs), dtype=float).reshape(n, -1)
+
+
+def _shaped(res: QuadResult, fv: _VectorisedCall) -> QuadResult:
+    """Per-component arrays for a vector integrand, floats otherwise."""
+    if fv.vector:
+        return res
+    return QuadResult(float(res.value[0]), float(res.error_estimate[0]),
+                      res.evals, res.converged)
 
 
 def _panel_sums(fvals: np.ndarray, half: np.ndarray):
     """Kronrod value and error estimate for a batch of panels.
 
-    ``fvals`` has shape (m, 15); ``half`` the panel half-widths (m,).
-    Returns (values, errors) per panel using the classic Kronrod error
-    heuristic: the raw |K15 - G7| difference is damped through the panel's
-    total variation scale so smooth panels are not over-refined.
+    ``fvals`` has shape (m, 15, K); ``half`` the panel half-widths (m,).
+    Returns (values, errors) of shape (m, K) using the classic Kronrod
+    error heuristic: the raw |K15 - G7| difference is damped through the
+    panel's total variation scale so smooth panels are not over-refined.
     """
-    fk = fvals @ _W15
-    fg = fvals @ _W7
+    half = half[:, None]
+    fk = _W15 @ fvals
+    fg = _W7 @ fvals
     value = half * fk
-    resabs = half * (np.abs(fvals) @ _W15)
+    resabs = half * (_W15 @ np.abs(fvals))
     reskh = 0.5 * fk
-    resasc = half * (np.abs(fvals - reskh[:, None]) @ _W15)
+    resasc = half * (_W15 @ np.abs(fvals - reskh[:, None, :]))
     raw = half * np.abs(fk - fg)
     err = raw.copy()
     mask = (resasc != 0.0) & (raw != 0.0)
@@ -166,58 +193,68 @@ def _panel_sums(fvals: np.ndarray, half: np.ndarray):
     return value, err
 
 
-def _adaptive(fvec: _VectorisedCall, edges: Sequence[float],
+def _adaptive(f: Callable, edges: Sequence[float],
               spec: QuadSpec) -> QuadResult:
-    """Globally adaptive bisection over an initial set of panels."""
+    """Globally adaptive bisection over an initial set of panels.
+
+    ``f`` maps a node array (n,) to values of shape (n, K), all K
+    components sharing the nodes.  Component k is converged when its
+    summed panel error is within max(rel_tol |value_k|, abs_tol); a panel
+    is split when its error in any component exceeds that component's
+    equidistributed share.  Value and error estimate are
+    returned as (K,) arrays and ``evals`` counts shared nodes.
+    """
     los = np.array(edges[:-1], dtype=float)
     his = np.array(edges[1:], dtype=float)
     keep = his > los
-    los, his = los[keep], his[keep]
-    if los.size == 0:
+    pend_lo, pend_hi = los[keep], his[keep]
+    if pend_lo.size == 0:
         return QuadResult(0.0, 0.0, 0, True)
 
     evals = 0
-    vals = np.empty(0)
-    errs = np.empty(0)
+    vals = errs = None
     all_lo = np.empty(0)
     all_hi = np.empty(0)
-    pend_lo, pend_hi = los, his
 
     while True:
         mid = 0.5 * (pend_lo + pend_hi)
         half = 0.5 * (pend_hi - pend_lo)
         nodes = mid[:, None] + half[:, None] * _NODES[None, :]
         flat = nodes.reshape(-1)
-        fv = fvec(flat)
-        if not np.all(np.isfinite(fv)):
-            bad = flat[~np.isfinite(fv)][0]
+        fv = f(flat)
+        if not np.isfinite(fv).all():
+            bad = flat[~np.isfinite(fv).all(axis=1)][0]
             raise ValueError(
                 f"integrand returned a non-finite value at x={bad!r}")
         evals += flat.size
-        v, e = _panel_sums(fv.reshape(nodes.shape), half)
+        v, e = _panel_sums(fv.reshape(nodes.shape + (-1,)), half)
+        if vals is None:
+            vals = errs = np.empty((0, v.shape[1]))
         all_lo = np.concatenate([all_lo, pend_lo])
         all_hi = np.concatenate([all_hi, pend_hi])
         vals = np.concatenate([vals, v])
         errs = np.concatenate([errs, e])
 
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
-        if total_err <= tol:
+        total = vals.sum(axis=0)
+        total_err = errs.sum(axis=0)
+        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
+        if np.all(total_err <= tol):
             return QuadResult(total, total_err, evals, True)
         if evals >= spec.max_evals:
             return QuadResult(total, total_err, evals, False)
 
-        # split every panel holding more than its equidistributed share
-        share = tol / max(len(errs), 1)
-        split = np.flatnonzero(errs > share)
-        if split.size == 0:
-            split = np.array([int(np.argmax(errs))])
+        # split every panel holding more than its equidistributed share of
+        # some component's tolerance
+        split = np.flatnonzero((errs > tol / len(errs)).any(axis=1))
         # respect the remaining budget: each split costs 30 evaluations
         budget = max((spec.max_evals - evals) // 30, 1)
-        if split.size > budget:
-            order = np.argsort(errs[split])[::-1]
-            split = split[order[:budget]]
+        if split.size == 0 or split.size > budget:
+            excess = (errs / np.maximum(tol, _TINY)).max(axis=1)
+            if split.size == 0:
+                split = np.array([int(np.argmax(excess))])
+            else:
+                order = np.argsort(excess[split])[::-1]
+                split = split[order[:budget]]
 
         s_lo, s_hi = all_lo[split], all_hi[split]
         s_mid = 0.5 * (s_lo + s_hi)
@@ -242,7 +279,8 @@ def integrate_interval(f: Callable, a: float, b: float, spec: QuadSpec,
         raise ValueError("integrate_interval requires finite endpoints")
     if b <= a:
         raise ValueError("requires a < b")
-    return _adaptive(_VectorisedCall(f), _edge_list(a, b, breakpoints), spec)
+    fv = _VectorisedCall(f)
+    return _shaped(_adaptive(fv, _edge_list(a, b, breakpoints), spec), fv)
 
 
 def integrate_halfline(f: Callable, spec: QuadSpec,
@@ -255,32 +293,34 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
     kappa.  With kappa = 0 the algebraic map x = t/(1-t) is used instead.
     ``breakpoints`` are abscissae in the original variable where the
     integrand changes scale (e.g. resonance frequencies); they seed the
-    initial panel layout.
+    initial panel layout.  A breakpoint whose mapped u falls below the
+    normal float range is dropped: Kronrod nodes inside a subnormal panel
+    round to u = 0, i.e. x = inf.
+
+    ``f`` may return shape (n,) or, for K integrals on shared nodes,
+    (n, K); the latter gives per-component arrays (see ``_adaptive``).
     """
     kappa = spec.decay_rate
     fv = _VectorisedCall(f)
     if kappa > 0.0:
         def transformed(us: np.ndarray) -> np.ndarray:
             xs = -np.log(us) / kappa
-            return fv(xs) / (kappa * us)
+            return fv(xs) / (kappa * us)[:, None]
 
         interior = [math.exp(-kappa * float(p)) for p in breakpoints
                     if float(p) > 0.0]
+        interior = [u for u in interior if u >= _TINY]
         interior += [0.1, 0.5]
-        edges = _edge_list(0.0, 1.0, interior)
     else:
         def transformed(ts: np.ndarray) -> np.ndarray:
             xs = ts / (1.0 - ts)
-            return fv(xs) / (1.0 - ts) ** 2
+            return fv(xs) / ((1.0 - ts) ** 2)[:, None]
 
         interior = [float(p) / (1.0 + float(p)) for p in breakpoints
                     if float(p) > 0.0]
         interior += [0.5, 0.9, 0.99]
-        edges = _edge_list(0.0, 1.0, interior)
-
-    inner = _VectorisedCall(transformed)
-    inner._probed = True  # transformed is vectorised by construction
-    return _adaptive(inner, edges, spec)
+    return _shaped(_adaptive(transformed, _edge_list(0.0, 1.0, interior),
+                             spec), fv)
 
 
 def integrate_pv(f: Callable, pole: float, a: float, b: float,
@@ -295,26 +335,21 @@ def integrate_pv(f: Callable, pole: float, a: float, b: float,
         raise ValueError("pole must lie strictly inside (a, b)")
     fv = _VectorisedCall(f)
     delta = min(pole - a, b - pole)
-    # Offsets are snapped to exact multiples of the pole's ulp so that
-    # pole+t and pole-t are exactly symmetric machine numbers.  Naive
-    # evaluation lets the rounding of pole+t grow like 1/t^2 in the folded
-    # integrand near the pole, and adaptive refinement then chases that
-    # noise; with snapped offsets the cancellation is exact.
-    quantum = math.ulp(abs(pole)) if pole != 0.0 else 0.0
+    # Each offset is snapped to t' = fl(pole + t) - pole, at least one ulp
+    # of the pole, so that pole + t' and pole - t' are exact mirror images
+    # even where pole + t crosses into the next binade.  Naive evaluation
+    # lets the rounding of pole+t grow like 1/t^2 in the folded integrand
+    # near the pole, and adaptive refinement then chases that noise; with
+    # snapped offsets the cancellation is exact.
+    quantum = math.ulp(pole)
 
     def symmetric(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if quantum:
-            ts = np.maximum(np.round(ts / quantum), 1.0) * quantum
+        ts = (pole + np.maximum(ts, quantum)) - pole
         return fv(pole + ts) + fv(pole - ts)
 
-    sym = _VectorisedCall(symmetric)
-    sym._probed = True
-    core = _adaptive(sym, _edge_list(0.0, delta, [delta * 0.1]), spec)
-
-    rest = QuadResult(0.0, 0.0, 0, True)
+    core = _adaptive(symmetric, _edge_list(0.0, delta, [delta * 0.1]), spec)
     if pole - a > delta:
-        rest = rest + _adaptive(fv, _edge_list(a, pole - delta, []), spec)
+        core = core + _adaptive(fv, _edge_list(a, pole - delta, []), spec)
     if b - pole > delta:
-        rest = rest + _adaptive(fv, _edge_list(pole + delta, b, []), spec)
-    return core + rest
+        core = core + _adaptive(fv, _edge_list(pole + delta, b, []), spec)
+    return _shaped(core, fv)

@@ -321,6 +321,25 @@ def test_table1_rows_subset(capsys):
     assert all(row[6] == "ok" for row in rows)
 
 
+def test_table1_fits_the_two_sided_pc_row(capsys):
+    # named PC holds two of the row's four tuples and has the other sign:
+    # at R = 2 along z the row is +4.227e-7 and named PC is -1.006e-7
+    from chivdw.green import Separation
+    from chivdw.potentials import u_named, u_row
+
+    mol_a, mol_b = bundled_pair()
+    sep = Separation(np.array([0.0, 0.0, 2.0]), np.zeros(3))
+    assert u_row(mol_a, mol_b, sep, "PC").value == pytest.approx(
+        4.227e-7, rel=1e-3)
+    assert u_named(mol_a, mol_b, sep, "PC").value < 0.0
+    code = main(["table1", "--rows", "PC"])
+    assert code == 0
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert [(row[0], row[1]) for row in rows] == [("PC", "retarded"),
+                                                  ("PC", "nonretarded")]
+    assert all(row[4] == "+" for row in rows)
+
+
 def test_table1_unknown_row_is_input_error(capsys):
     assert main(["table1", "--rows", "EE,XX"]) == 1
     assert "unknown row" in capsys.readouterr().err
@@ -368,6 +387,22 @@ def test_verify_exit_code_counts_failures(capsys, monkeypatch):
         bad = IdentityCheck("x", 1.0, 2.0, 0.5, False, 1e-12)
         good = IdentityCheck("y", 1.0, 1.0, 0.0, True, 1e-12)
         return VerificationReport(checks=(bad, good, bad), seed=seed)
+
+    monkeypatch.setattr(cli_module, "run_suite", fake_suite)
+    assert main(["verify"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_failed", [1, 256])
+def test_verify_any_failed_check_exits_numerical(capsys, monkeypatch,
+                                                 n_failed):
+    # one failure used to exit 1 (the bad-input code) and 256 wrapped to 0
+    import chivdw.cli as cli_module
+    from chivdw.verify import IdentityCheck, VerificationReport
+
+    def fake_suite(seed=0, sweep_points=1000):
+        bad = IdentityCheck("x", 1.0, 2.0, 0.5, False, 1e-12)
+        return VerificationReport(checks=(bad,) * n_failed, seed=seed)
 
     monkeypatch.setattr(cli_module, "run_suite", fake_suite)
     assert main(["verify"]) == 2

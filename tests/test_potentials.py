@@ -1,16 +1,20 @@
 """Tests for the pair-potential assembly."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from chivdw import potentials
 from chivdw.green import FreeSpaceProvider, Separation
+from chivdw.molfiles import bundled_pair
 from chivdw.potentials import (
     ComponentLabel,
     LABEL_TUPLES,
     ROW_NAMES,
+    ROW_SPECS,
     PotentialCurve,
     compute_curve,
     resolve_component,
@@ -23,10 +27,12 @@ from chivdw.potentials import (
     u_named,
     u_pc_direct,
     u_row,
+    u_terms,
     u_unified,
 )
 from chivdw.quad import QuadSpec
 from chivdw.response import Molecule, Transition
+from chivdw.verify import _random_pair
 
 EYE = np.eye(3)
 
@@ -330,3 +336,140 @@ class TestProviderContract:
         one = u_named(*pair, sep, "TOTAL")
         four = u_named(*pair, sep, "TOTAL", provider=Doubled())
         assert four.value == pytest.approx(4.0 * one.value, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# One shared-node quadrature per request against one quadrature per term
+# ---------------------------------------------------------------------------
+
+_GATE_PAIRS = {
+    "bundled": bundled_pair(),
+    "random-3": _random_pair(np.random.default_rng(3)),
+    "random-11": _random_pair(np.random.default_rng(11)),
+}
+_GATE_RS = (1e-5, 1e-2, 1.0, 1e2, 1e5)
+_GATE_DIRECTION = np.array([2.0, -1.0, 2.0]) / 3.0
+_ALL16 = LABEL_TUPLES[ComponentLabel.TOTAL]
+
+
+def _gate_sep(R):
+    return Separation(R * _GATE_DIRECTION, np.zeros(3))
+
+
+@functools.lru_cache(maxsize=None)
+def _one_term(name, R, tup, mode_a, mode_b, duality):
+    """One term integrated on its own (value, error, converged)."""
+    a, b = _GATE_PAIRS[name]
+    res = u_unified(a, b, _gate_sep(R), tup, beta_mode_a=mode_a,
+                    beta_mode_b=mode_b, duality=duality)
+    return res.value, res.error_estimate, res.converged
+
+
+@functools.lru_cache(maxsize=None)
+def _fused_total(name, R):
+    """All sixteen tuples in one shared-node pass (what TOTAL sums)."""
+    a, b = _GATE_PAIRS[name]
+    return u_terms(a, b, _gate_sep(R),
+                   [(tup, "full", "full") for tup in _ALL16])
+
+
+def _one_term_sum(name, R, terms, duality=None):
+    parts = [_one_term(name, R, tup, mode_a, mode_b, duality)
+             for tup, mode_a, mode_b in terms]
+    return (sum(p[0] for p in parts), sum(p[1] for p in parts),
+            all(p[2] for p in parts))
+
+
+def _assert_agree(fused, fused_err, single, single_err, what):
+    """1e-10 relative, or within the combined error estimates."""
+    gap = abs(fused - single)
+    tol = max(1e-10 * max(abs(fused), abs(single)), fused_err + single_err)
+    assert gap <= tol, (what, fused, single, gap, tol)
+
+
+@pytest.mark.parametrize("R", _GATE_RS)
+@pytest.mark.parametrize("name", sorted(_GATE_PAIRS))
+class TestFusedMatchesOneTermRuns:
+    def test_sixteen_tuples(self, name, R):
+        a, b = _GATE_PAIRS[name]
+        fused = _fused_total(name, R)
+        assert fused.converged
+        assert fused.value.shape == fused.error_estimate.shape == (16,)
+        # converged means every tuple met the tolerance on its own
+        assert np.all(fused.error_estimate
+                      <= np.maximum(1e-10 * np.abs(fused.value), 1e-300))
+        for k, tup in enumerate(_ALL16):
+            value, err, conv = _one_term(name, R, tup, "full", "full", None)
+            assert conv
+            _assert_agree(fused.value[k], fused.error_estimate[k], value,
+                          err, tup)
+
+    def test_ten_rows_and_their_sum(self, name, R):
+        a, b = _GATE_PAIRS[name]
+        sep = _gate_sep(R)
+        rows = {row: u_row(a, b, sep, row) for row in ROW_NAMES}
+        for row, res in rows.items():
+            assert res.converged, row
+            value, err, conv = _one_term_sum(name, R, ROW_SPECS[row])
+            assert conv, row
+            _assert_agree(res.value, res.error_estimate, value, err, row)
+        total = _fused_total(name, R)
+        _assert_agree(sum(r.value for r in rows.values()),
+                      sum(r.error_estimate for r in rows.values()),
+                      total.value.sum(), total.error_estimate.sum(),
+                      "rows vs TOTAL")
+
+    @pytest.mark.parametrize("duality", [None, math.pi / 4])
+    def test_named_components(self, name, R, duality):
+        a, b = _GATE_PAIRS[name]
+        sep = _gate_sep(R)
+        for label in ComponentLabel:
+            mode_a = {"PC": "para", "DC": "dia"}.get(label.value, "full")
+            if duality is not None and mode_a != "full":
+                continue
+            res = u_named(a, b, sep, label, duality=duality)
+            assert res.converged, label
+            terms = [(tup, mode_a, "full") for tup in LABEL_TUPLES[label]]
+            value, err, conv = _one_term_sum(name, R, terms, duality)
+            assert conv, label
+            _assert_agree(res.value, res.error_estimate, value, err,
+                          label.value)
+
+
+class TestFusedContract:
+    def test_one_term_request_is_the_scalar_case(self, pair, sep):
+        one = u_terms(*pair, sep, [("eeme", "full", "full")])
+        plain = u_unified(*pair, sep, "eeme")
+        assert one.value.shape == (1,)
+        assert plain.value == one.value[0]
+        assert plain.evals == one.evals
+
+    def test_evals_count_shared_nodes(self, pair, sep):
+        total = u_named(*pair, sep, "TOTAL")
+        per_tuple = sum(u_unified(*pair, sep, tup).evals for tup in _ALL16)
+        assert total.evals < per_tuple
+        assert total.evals % 15 == 0
+
+    def test_bad_terms_rejected(self, pair, sep):
+        with pytest.raises(ValueError, match="empty"):
+            u_terms(*pair, sep, [])
+        with pytest.raises(ValueError, match="beta_mode"):
+            u_terms(*pair, sep, [("eeee", "full", "bogus")])
+        with pytest.raises(ValueError):
+            u_terms(*pair, sep, [("eexe", "full", "full")])
+
+
+def test_tail_breakpoint_in_subnormal_band_is_dropped():
+    # R * omega_max = 18.564 puts the tail breakpoint 20 * omega_max at
+    # u = exp(-2 R tail) ~ 1e-322, a subnormal; Kronrod nodes of the panel
+    # [0, u] then rounded to u = 0, i.e. xi = inf, and the call raised
+    a, b = bundled_pair()
+    sep = Separation(np.array([0.0, 0.0, 14.28]), np.zeros(3))
+    res = u_named(a, b, sep, "EE")
+    assert res.converged
+    integrand = potentials._terms_integrand(
+        a, b, sep, [("eeee", "full", "full")], FreeSpaceProvider(), None)
+    points = sorted(set(a.omegas) | set(b.omegas))
+    reference = oracles.scipy_halfline(
+        lambda x: float(integrand(np.array([x]))[0, 0]), points)
+    assert res.value == pytest.approx(reference, rel=1e-9)
