@@ -40,7 +40,6 @@ from .green import (
     g0_curl_left,
     g0_scaled,
 )
-from .kernels import backend_name
 from .molfiles import (
     CODATA2018,
     MoleculeFileError,
@@ -132,6 +131,4 @@ __all__ = [
     "MoleculeFileError", "CODATA2018", "conversion_factors",
     "load_molecule", "dump_molecule", "bundled_pair",
     "length_to_internal", "length_from_internal",
-    # kernels
-    "backend_name",
 ]

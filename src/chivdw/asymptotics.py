@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from chivdw.green import Separation
+from chivdw.kernels import LEVI_CIVITA
 from chivdw.response import Molecule, static_limits
 
 __all__ = [
@@ -49,9 +50,6 @@ __all__ = [
     "NONRETARDED_LABELS",
 ]
 
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 _PI = math.pi
 
@@ -158,7 +156,8 @@ def _ret_ec_mc(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     tensor_a = beta0_a if magnetic else alpha0_a
     weight = 5.0 * np.eye(3) - 9.0 * np.outer(rhat, rhat)
     sig = "ipq,q,ij,pr,jr->" if magnetic else "ipq,q,ij,rp,jr->"
-    contraction = np.einsum(sig, _EPS, rhat, tensor_a, chi_prime_b, weight)
+    contraction = np.einsum(sig, LEVI_CIVITA, rhat, tensor_a, chi_prime_b,
+                            weight)
     return float(7.0 / (128.0 * _PI**3 * R**8) * contraction)
 
 
@@ -172,8 +171,8 @@ def _ret_cc(mol_a: Molecule, mol_b: Molecule, sep: Separation) -> float:
                - 171.0 * np.einsum("jq,ip->jqip", eye, proj)
                - 171.0 * np.einsum("ip,jq->jqip", eye, proj)
                + 297.0 * np.einsum("jq,ip->jqip", proj, proj)
-               + 81.0 * np.einsum("jrp,qsi,r,s->jqip", _EPS, _EPS, rhat,
-                                  rhat))
+               + 81.0 * np.einsum("jrp,qsi,r,s->jqip", LEVI_CIVITA,
+                                  LEVI_CIVITA, rhat, rhat))
     contraction = np.einsum("ij,pq,jqip->", chi_prime_a, chi_prime_b,
                             angular)
     return float(contraction / (128.0 * _PI**3 * R**9))
@@ -208,8 +207,8 @@ def _nr_ec_pc(mol_a: Molecule, mol_b: Molecule, sep: Separation,
         for tb in mol_b.transitions:
             cross_b = np.outer(tb.d, tb.m_tilde)
             frac = ta.omega / (ta.omega + tb.omega)
-            total += frac * np.einsum(sig, _EPS, rhat, outer_a, cross_b,
-                                      weight)
+            total += frac * np.einsum(sig, LEVI_CIVITA, rhat, outer_a,
+                                      cross_b, weight)
     return float(total / (8.0 * _PI**2 * R**5))
 
 
@@ -219,8 +218,8 @@ def _nr_dc(mol_a: Molecule, mol_b: Molecule, sep: Separation) -> float:
     cross_b = np.zeros((3, 3))
     for tb in mol_b.transitions:
         cross_b += np.outer(tb.d, tb.m_tilde)
-    contraction = np.einsum("ipq,q,ij,pr,jr->", _EPS, rhat, mol_a.beta_dia,
-                            cross_b, weight)
+    contraction = np.einsum("ipq,q,ij,pr,jr->", LEVI_CIVITA, rhat,
+                            mol_a.beta_dia, cross_b, weight)
     return float(5.0 / (64.0 * _PI**3 * R**6) * contraction)
 
 

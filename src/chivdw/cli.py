@@ -19,17 +19,18 @@ near- and far-zone exponents and signs of all ten tabulation rows for
 the bundled example pair, and ``verify`` runs the identity-check suite.
 
 Exit codes: 0 on success, 1 for input errors (bad flags, malformed
-molecule files, mismatched units), 2 when results carry a numerical
-warning (unconverged quadrature, power-law fit impossible).  ``verify``
-returns 2 when any identity check fails, and ``table1`` returns 1 when
-any cell disagrees with its reference entry.
+molecule files, mismatched units), 2 for numerical failures (unconverged
+quadrature, a non-finite integrand, power-law fit impossible).  ``verify``
+returns 2 when any identity check fails.  ``table1`` returns 2 when any
+cell is ``unconverged`` or ``fit-failed``, and otherwise 1 when any cell
+disagrees with its reference entry (``mismatch``).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +53,7 @@ from .molfiles import (
 from .green import Separation
 from .potentials import ROW_NAMES, PotentialCurve, compute_curve, \
     resolve_component, u_row
+from .quad import NonFiniteIntegrandError
 from .response import Molecule
 from .verify import run_suite
 
@@ -130,27 +132,6 @@ def _radius_grid(args, units: str) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
-def _curve_with_jobs(mol_a: Molecule, mol_b: Molecule,
-                     orientation: np.ndarray, r_values: np.ndarray,
-                     component: str, jobs: int) -> PotentialCurve:
-    if jobs <= 1 or r_values.size <= 1:
-        return compute_curve(mol_a, mol_b, orientation, r_values, component)
-
-    def one(r: float) -> PotentialCurve:
-        return compute_curve(mol_a, mol_b, orientation, np.array([r]),
-                             component)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pieces = list(pool.map(one, r_values.tolist()))
-    return PotentialCurve(
-        component=pieces[0].component,
-        r_values=r_values,
-        u_values=np.array([p.u_values[0] for p in pieces]),
-        error_estimates=np.array([p.error_estimates[0] for p in pieces]),
-        converged=np.array([p.converged[0] for p in pieces]),
-    )
-
-
 def _emit(output: Optional[str], text: str) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -186,8 +167,8 @@ def cmd_curve(args) -> int:
         raise CliError(str(exc)) from None
     orientation = _parse_orientation(args.orientation)
     r_values = _radius_grid(args, units)
-    curve = _curve_with_jobs(mol_a, mol_b, orientation, r_values,
-                             args.component, args.jobs)
+    curve = compute_curve(mol_a, mol_b, orientation, r_values,
+                          args.component)
     _emit(args.output, _curve_csv(curve))
     if not bool(np.all(curve.converged)):
         print("warning: quadrature did not converge at every separation",
@@ -224,8 +205,8 @@ def cmd_powerlaw(args) -> int:
         r_values = np.geomspace(lo, hi, args.points)
     else:
         raise CliError("powerlaw needs --window or both --rmin and --rmax")
-    curve = _curve_with_jobs(mol_a, mol_b, orientation, r_values,
-                             args.component, args.jobs)
+    curve = compute_curve(mol_a, mol_b, orientation, r_values,
+                          args.component)
     code = EXIT_OK
     if not bool(np.all(curve.converged)):
         print("warning: quadrature did not converge at every separation",
@@ -284,22 +265,11 @@ def cmd_table1(args) -> int:
     if args.points < 5:
         raise CliError("a power-law fit needs --points of at least 5")
 
-    cells = [(row, regime) for row in rows for regime in regimes]
-
-    def work(cell):
-        row, regime = cell
-        return _table_cell(mol_a, mol_b, row, regime, args.points)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(cell) for cell in cells]
-
     lines = ["row,regime,fitted_exponent,reference_exponent,fitted_sign,"
              "reference_sign,status,note"]
-    failures = 0
-    for (row, regime), (fit, converged) in zip(cells, outcomes):
+    statuses = set()
+    for row, regime in itertools.product(rows, regimes):
+        fit, converged = _table_cell(mol_a, mol_b, row, regime, args.points)
         reference = (REFERENCE_RETARDED if regime == "retarded"
                      else REFERENCE_NONRETARDED)[row]
         ref_sign = REFERENCE_SIGNS[row]
@@ -322,14 +292,15 @@ def cmd_table1(args) -> int:
                 status = "ok"
             else:
                 status = "mismatch"
-        if status != "ok":
-            failures += 1
+        statuses.add(status)
         lines.append(",".join([
             row, regime, fitted_exponent, str(reference),
             fitted_sign, ref_sign, status, note.replace(",", ";"),
         ]))
     _emit(args.output, "\n".join(lines) + "\n")
-    return EXIT_INPUT if failures else EXIT_OK
+    if statuses & {"unconverged", "fit-failed"}:
+        return EXIT_NUMERICAL
+    return EXIT_INPUT if "mismatch" in statuses else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -355,8 +326,6 @@ def _add_common_options(sub) -> None:
     sub.add_argument("--orientation", default="0,0,1",
                      help="direction from the second molecule to the first "
                           "as 'x,y,z' (default 0,0,1)")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads (default 1)")
     sub.add_argument("--output", default=None,
                      help="write to this file instead of stdout")
 
@@ -441,13 +410,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except NonFiniteIntegrandError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MoleculeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+        return EXIT_NUMERICAL
+    except (CliError, MoleculeFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,10 +23,13 @@ The em/me blocks obey the reciprocity relation
 ``block('e','m', r, r')^T = -block('m','e', r', r)`` while ee/mm transpose
 plainly under argument exchange.
 
-A Green-tensor provider is any object with this module's ``block``
-signature; ``FreeSpaceProvider`` is the bundled vacuum implementation and
-the potential integrators accept any structural look-alike (e.g. a cavity
-or surface-dressed provider).
+A Green-tensor provider is any object with a method
+``block(lam, lamp, r, rp, xis)`` that, for a frequency array ``xis`` of
+shape (n,), returns the (n, 3, 3) stack of blocks.  The potential
+integrators call it once per block and node batch, raise ``ValueError``
+on any other shape and let the provider's own errors propagate.
+``FreeSpaceProvider`` is the bundled vacuum implementation; any structural
+look-alike (e.g. a cavity or surface-dressed provider) is accepted.
 """
 
 from __future__ import annotations
@@ -44,21 +47,12 @@ __all__ = [
     "g0",
     "g0_scaled",
     "g0_curl_left",
-    "g0_curl_both",
     "FreeSpaceProvider",
     "free_space_provider",
     "fd_curl_left",
 ]
 
 _FOUR_PI = 4.0 * math.pi
-
-
-def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
 
 
 @dataclass(frozen=True)
@@ -159,16 +153,8 @@ def g0_curl_left(r: np.ndarray, rp: np.ndarray, xi) -> np.ndarray:
     if s <= 0.0:
         raise ValueError("points must be distinct")
     pref = _curl_prefactor(s, xis)
-    out = pref[:, None, None] * _cross_matrix(diff)[None, :, :]
+    out = pref[:, None, None] * kernels.cross_matrix(diff)[None, :, :]
     return _maybe_squeeze(out, scalar)
-
-
-def g0_curl_both(sep: Separation, xi) -> np.ndarray:
-    """Double curl (one in each argument) of the Green tensor.
-
-    On the imaginary axis this equals xi^2 G, i.e. ``g0_scaled``.
-    """
-    return g0_scaled(sep, xi)
 
 
 class FreeSpaceProvider:
@@ -240,7 +226,4 @@ def fd_curl_left(field: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     fine = derivative_matrix(0.5 * h)
     partials = (4.0 * fine - coarse) / 3.0
     # (curl F)_{ij} = eps_{ipq} d_p F_{qj}
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    return np.einsum('ipq,pqj->ij', eps, partials)
+    return np.einsum('ipq,pqj->ij', kernels.LEVI_CIVITA, partials)

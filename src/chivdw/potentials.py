@@ -82,10 +82,6 @@ __all__ = [
     "resolve_component",
 ]
 
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-
 _PI = math.pi
 
 
@@ -225,22 +221,18 @@ def _validate_tuple(tup: str) -> str:
 
 def _provider_blocks(provider, lam: str, lamp: str, r: np.ndarray,
                      rp: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Evaluate a provider block over an array of frequencies.
+    """One provider block over the frequency array ``xis`` of shape (n,).
 
-    Providers that understand array frequencies are called once; scalar-only
-    providers are called per node.
+    The provider contract: ``provider.block(lam, lamp, r, rp, xis)``
+    returns the (n, 3, 3) stack of blocks.  Any other shape raises
+    ``ValueError``; an error raised by the provider propagates.
     """
     n = xis.shape[0]
-    try:
-        out = np.asarray(provider.block(lam, lamp, r, rp, xis), dtype=float)
-        if out.shape == (n, 3, 3):
-            return out
-    except Exception:
-        pass
-    out = np.empty((n, 3, 3))
-    for i in range(n):
-        out[i] = np.asarray(provider.block(lam, lamp, r, rp, float(xis[i])),
-                            dtype=float)
+    out = np.asarray(provider.block(lam, lamp, r, rp, xis), dtype=float)
+    if out.shape != (n, 3, 3):
+        raise ValueError(
+            f"provider block ({lam!r}, {lamp!r}) returned shape {out.shape} "
+            f"for {n} frequencies; expected ({n}, 3, 3)")
     return out
 
 
@@ -514,9 +506,9 @@ def _free_fast_ec_mc(mol_a: Molecule, mol_b: Molecule, sep: Separation,
         alpha_a, beta_a, _, _ = response_arrays(mol_a, ks)
         _, _, chi_b, _ = response_arrays(mol_b, ks)
         tensor_a = beta_a if magnetic else alpha_a
-        e1 = np.einsum(sig, _EPS, rhat, tensor_a, chi_b, m1)
-        e2 = np.einsum(sig, _EPS, rhat, tensor_a, chi_b, m2)
-        e3 = np.einsum(sig, _EPS, rhat, tensor_a, chi_b, m3)
+        e1 = np.einsum(sig, kernels.LEVI_CIVITA, rhat, tensor_a, chi_b, m1)
+        e2 = np.einsum(sig, kernels.LEVI_CIVITA, rhat, tensor_a, chi_b, m2)
+        e3 = np.einsum(sig, kernels.LEVI_CIVITA, rhat, tensor_a, chi_b, m3)
         radial = (ks**4 / R**2 * e1 + 2.0 * ks**3 / R**3 * e2
                   + (2.0 * ks**2 / R**4 + ks / R**5) * e3)
         return pref * np.exp(-2.0 * ks * R) * radial
@@ -534,7 +526,8 @@ def _cc_angular_tensors(rhat: np.ndarray):
     d_rr = (np.einsum("jq,ip->jqip", eye, proj)
             + np.einsum("jq,ip->jqip", proj, eye))
     rrrr = np.einsum("jq,ip->jqip", proj, proj)
-    epseps = np.einsum("jrp,qsi,r,s->jqip", _EPS, _EPS, rhat, rhat)
+    eps = kernels.LEVI_CIVITA
+    epseps = np.einsum("jrp,qsi,r,s->jqip", eps, eps, rhat, rhat)
     t2 = 3.0 * dd - 7.0 * d_rr + 15.0 * rrrr + epseps
     t3 = 2.0 * dd - 4.0 * d_rr + 6.0 * rrrr + 2.0 * epseps
     t4 = dd - d_rr + rrrr + epseps

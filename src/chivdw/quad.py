@@ -13,13 +13,14 @@ Gauss-Kronrod core:
   leftover one-sided segment normally.
 * ``integrate_interval`` exposes the finite-interval core directly.
 
-Integrands may be vectorised (ndarray -> ndarray) or plain scalar functions;
-the engine probes once and wraps scalar callables automatically.  A
-vectorised integrand may also return shape (n, K): K integrals then share
-one adaptive pass and its nodes, each component is held to its own
-tolerance, and the result carries (K,) arrays with ``evals`` counting the
-shared nodes.  A scalar integrand is the K = 1 case of the same core.  All
-engines are stateless and safe for concurrent use.
+An integrand is called on an array of n nodes, shape (n,), and returns
+shape (n,) or (n, K).  With (n, K), K integrals share one adaptive pass
+and its nodes, each component is held to its own tolerance, and the result
+carries (K,) arrays with ``evals`` counting the shared nodes; (n,) is the
+K = 1 case of the same core.  Any other shape raises ``ValueError``, an
+error raised by the integrand propagates unchanged, and a non-finite value
+raises ``NonFiniteIntegrandError``.  All engines are stateless and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "NonFiniteIntegrandError",
     "QuadSpec",
     "QuadResult",
     "integrate_halfline",
@@ -130,35 +132,32 @@ class QuadResult:
         )
 
 
+class NonFiniteIntegrandError(ValueError):
+    """The integrand returned NaN or an infinity; the message names the
+    abscissa."""
+
+
 class _VectorisedCall:
-    """Call an integrand on node arrays, returning values of shape (n, K).
+    """Call an integrand on a node array (n,), returning values (n, K).
 
     An integrand returning shape (n,) is the K = 1 case; one returning
-    (n, K) is vector-valued (``vector`` is set after the first call).
-    Scalar-only callables are wrapped and called per node.
+    (n, K) is vector-valued (``vector`` records which).  Any other shape
+    raises ``ValueError``.
     """
 
     def __init__(self, f: Callable):
         self._f = f
-        self._scalar_only = False
-        self._probed = False
         self.vector = False
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         n = xs.shape[0]
-        if not self._probed:
-            self._probed = True
-            try:
-                out = np.asarray(self._f(xs), dtype=float)
-                if out.ndim in (1, 2) and out.shape[0] == n:
-                    self.vector = out.ndim == 2
-                    return out.reshape(n, -1)
-            except Exception:
-                pass
-            self._scalar_only = True
-        if self._scalar_only:
-            return np.array([float(self._f(x)) for x in xs])[:, None]
-        return np.asarray(self._f(xs), dtype=float).reshape(n, -1)
+        out = np.asarray(self._f(xs), dtype=float)
+        if out.ndim not in (1, 2) or out.shape[0] != n:
+            raise ValueError(
+                f"integrand returned shape {out.shape} for {n} nodes; "
+                f"expected ({n},) or ({n}, K)")
+        self.vector = out.ndim == 2
+        return out.reshape(n, -1)
 
 
 def _shaped(res: QuadResult, fv: _VectorisedCall) -> QuadResult:
@@ -224,7 +223,7 @@ def _adaptive(f: Callable, edges: Sequence[float],
         fv = f(flat)
         if not np.isfinite(fv).all():
             bad = flat[~np.isfinite(fv).all(axis=1)][0]
-            raise ValueError(
+            raise NonFiniteIntegrandError(
                 f"integrand returned a non-finite value at x={bad!r}")
         evals += flat.size
         v, e = _panel_sums(fv.reshape(nodes.shape + (-1,)), half)

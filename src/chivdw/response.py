@@ -281,6 +281,21 @@ def _cos_sin(theta: float):
     return c, s
 
 
+def _rotate_blocks(theta, alpha, beta, chi_em, chi_me):
+    """D(theta) A D(theta)^T for the block matrix A = [[alpha, chi_em],
+    [chi_me, beta]], with D = [[cos, sin], [-sin, cos]] acting on the
+    electric-magnetic block indices.  The blocks may be (3, 3) tensors or
+    (n, 3, 3) stacks; returns the rotated (alpha, beta, chi_em, chi_me).
+    """
+    if isinstance(theta, DualityAngle):
+        theta = theta.theta
+    c, s = _cos_sin(theta)
+    D = np.array([[c, s], [-s, c]])
+    blk = np.array([[alpha, chi_em], [chi_me, beta]])
+    rot = np.einsum('ai,bj,ij...->ab...', D, D, blk)
+    return rot[0, 0], rot[1, 1], rot[0, 1], rot[1, 0]
+
+
 def duality_rotate(rs: ResponseSet, theta) -> ResponseSet:
     """Rotate the 2x2 block matrix of dual polarisabilities by ``theta``.
 
@@ -294,21 +309,10 @@ def duality_rotate(rs: ResponseSet, theta) -> ResponseSet:
     (check with ``ResponseSet.satisfies_lloyd``); such sets are still valid
     inputs to every potential formula.
     """
-    if isinstance(theta, DualityAngle):
-        theta = theta.theta
-    c, s = _cos_sin(theta)
-    D = np.array([[c, s], [-s, c]])
-    blocks = [[rs.alpha, rs.chi_em], [rs.chi_me, rs.beta]]
-    rotated = [[np.zeros((3, 3)) for _ in range(2)] for _ in range(2)]
-    for a in range(2):
-        for b in range(2):
-            acc = np.zeros((3, 3))
-            for i in range(2):
-                for j in range(2):
-                    acc += D[a, i] * blocks[i][j] * D[b, j]
-            rotated[a][b] = acc
-    return ResponseSet(xi=rs.xi, alpha=rotated[0][0], beta=rotated[1][1],
-                       chi_em=rotated[0][1], chi_me=rotated[1][0])
+    alpha, beta, chi_em, chi_me = _rotate_blocks(
+        theta, rs.alpha, rs.beta, rs.chi_em, rs.chi_me)
+    return ResponseSet(xi=rs.xi, alpha=alpha, beta=beta, chi_em=chi_em,
+                       chi_me=chi_me)
 
 
 def rotate_molecule_tensors(mol: Molecule, theta, xis: np.ndarray,
@@ -320,13 +324,4 @@ def rotate_molecule_tensors(mol: Molecule, theta, xis: np.ndarray,
     potential assembly to test duality invariance without materialising one
     ResponseSet per quadrature node.
     """
-    if isinstance(theta, DualityAngle):
-        theta = theta.theta
-    alpha, beta, chi_em, chi_me = response_arrays(mol, xis, beta_mode)
-    c, s = _cos_sin(theta)
-    D = np.array([[c, s], [-s, c]])
-    blk = np.empty((2, 2) + alpha.shape)
-    blk[0, 0], blk[0, 1] = alpha, chi_em
-    blk[1, 0], blk[1, 1] = chi_me, beta
-    rot = np.einsum('ai,bj,ijnpq->abnpq', D, D, blk)
-    return rot[0, 0], rot[1, 1], rot[0, 1], rot[1, 0]
+    return _rotate_blocks(theta, *response_arrays(mol, xis, beta_mode))

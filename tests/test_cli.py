@@ -70,7 +70,7 @@ def test_curve_log_spacing_and_output_file(pair_files, tmp_path, capsys):
     assert r_values == pytest.approx([2.0, 4.0, 8.0])
 
 
-def test_curve_is_deterministic_and_jobs_invariant(pair_files, capsys):
+def test_curve_is_deterministic(pair_files, capsys):
     a, b = pair_files
     argv = ["curve", "--mol-a", a, "--mol-b", b, "--component", "EP",
             "--rmin", "2", "--rmax", "6", "--points", "4"]
@@ -78,9 +78,22 @@ def test_curve_is_deterministic_and_jobs_invariant(pair_files, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     second = capsys.readouterr().out
-    assert main(argv + ["--jobs", "3"]) == 0
-    third = capsys.readouterr().out
-    assert first == second == third
+    assert first == second
+
+
+def test_curve_non_finite_provider_exits_numerical(pair_files, capsys,
+                                                   monkeypatch):
+    from chivdw.green import FreeSpaceProvider
+
+    def nan_block(self, lam, lamp, r, rp, xi):
+        return np.full((np.size(xi), 3, 3), np.nan)
+
+    monkeypatch.setattr(FreeSpaceProvider, "block", nan_block)
+    a, b = pair_files
+    code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "EE",
+                 "--rmin", "2", "--rmax", "2", "--points", "1"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_curve_accepts_rows_and_tuples(pair_files, capsys):
@@ -279,7 +292,7 @@ def test_powerlaw_fit_failure_is_numerical_warning(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_table1_full_summary(capsys):
-    code = main(["table1", "--jobs", "4"])
+    code = main(["table1"])
     out = capsys.readouterr().out
     header, rows = _parse_csv(out)
     assert header == ["row", "regime", "fitted_exponent",
@@ -302,7 +315,7 @@ def test_table1_full_summary(capsys):
 
 
 def test_table1_only_retarded_passes(capsys):
-    code = main(["table1", "--only", "retarded", "--jobs", "4"])
+    code = main(["table1", "--only", "retarded"])
     assert code == 0
     _, rows = _parse_csv(capsys.readouterr().out)
     assert len(rows) == 10
@@ -357,9 +370,23 @@ def test_table1_zero_pair_reports_fit_failures(tmp_path, capsys):
     dump_molecule(zero, path)
     code = main(["table1", "--mol-a", str(path), "--mol-b", str(path),
                  "--rows", "EE", "--only", "retarded"])
-    assert code == 1
+    assert code == 2
     _, rows = _parse_csv(capsys.readouterr().out)
     assert rows[0][6] == "fit-failed"
+
+
+def test_table1_unconverged_cell_exits_numerical(capsys, monkeypatch):
+    import chivdw.cli as cli_module
+    from chivdw.quad import QuadResult
+
+    def unconverged_row(mol_a, mol_b, sep, row):
+        return QuadResult(-sep.R ** -7, 0.0, 15, False)
+
+    monkeypatch.setattr(cli_module, "u_row", unconverged_row)
+    code = main(["table1", "--rows", "EE", "--only", "retarded"])
+    assert code == 2
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert rows[0][6] == "unconverged"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from chivdw.green import (
     fd_curl_left,
     free_space_provider,
     g0,
-    g0_curl_both,
     g0_curl_left,
     g0_scaled,
 )
@@ -116,11 +115,6 @@ class TestCurls:
         fd = fd_curl_left(field, r, rp, xi)
         analytic = g0_curl_left(r, rp, xi)
         np.testing.assert_allclose(fd, analytic, rtol=1e-8, atol=1e-10)
-
-    def test_double_curl_equals_scaled_green(self):
-        sep = Separation(r_a=[0.9, 0.2, 0.1], r_b=[0.0, -0.4, 0.6])
-        np.testing.assert_allclose(
-            g0_curl_both(sep, 1.3), g0_scaled(sep, 1.3), atol=1e-300)
 
     def test_double_curl_by_finite_difference(self):
         # curl (in the first argument) of the single-curl field taken in the

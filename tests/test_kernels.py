@@ -1,14 +1,9 @@
-"""Backend selection and python/compiled kernel parity."""
-
-import os
-import subprocess
-import sys
+"""The numpy hot kernels: response sums, free-space blocks, trace."""
 
 import numpy as np
 import pytest
 
 from chivdw import kernels
-from chivdw import _pykern
 
 
 def random_inputs(seed=0, n_trans=4, n_xi=7):
@@ -27,7 +22,7 @@ def random_inputs(seed=0, n_trans=4, n_xi=7):
 class TestPythonBackend:
     def test_response_shapes(self):
         omegas, ds, mts, xis, _ = random_inputs()
-        alpha, beta_para, chi_em = _pykern.response_tensors(omegas, ds, mts, xis)
+        alpha, beta_para, chi_em = kernels.response_tensors(omegas, ds, mts, xis)
         assert alpha.shape == beta_para.shape == chi_em.shape == (7, 3, 3)
 
     def test_response_closed_form_single(self):
@@ -35,7 +30,7 @@ class TestPythonBackend:
         ds = np.array([[1.0, 0.0, 0.0]])
         mts = np.array([[0.0, 1.0, 0.0]])
         xis = np.array([3.0])
-        alpha, beta_para, chi_em = _pykern.response_tensors(omegas, ds, mts, xis)
+        alpha, beta_para, chi_em = kernels.response_tensors(omegas, ds, mts, xis)
         denom = 4.0 + 9.0
         assert alpha[0, 0, 0] == pytest.approx(2 * 2.0 / denom, rel=1e-15)
         assert beta_para[0, 1, 1] == pytest.approx(2 * 2.0 / denom, rel=1e-15)
@@ -45,85 +40,23 @@ class TestPythonBackend:
         rng = np.random.default_rng(1)
         a, b, c, d = (rng.normal(size=(5, 3, 3)) for _ in range(4))
         expected = np.einsum('nij,njk,nkl,nli->n', a, b, c, d)
-        np.testing.assert_allclose(_pykern.trace4(a, b, c, d), expected,
+        np.testing.assert_allclose(kernels.trace4(a, b, c, d), expected,
                                    rtol=1e-13)
 
     def test_free_blocks_zero_frequency(self):
         rvec = np.array([0.0, 0.0, 2.0])
-        S, X = _pykern.free_blocks(rvec, np.array([0.0]))
+        S, X = kernels.free_blocks(rvec, np.array([0.0]))
         R = 2.0
         expected = (np.eye(3) - 3 * np.diag([0, 0, 1.0])) / (4 * np.pi * R**3)
         np.testing.assert_allclose(S[0], expected, rtol=1e-14)
         np.testing.assert_allclose(X[0], 0.0, atol=1e-300)
 
-
-@pytest.mark.skipif(kernels.compiled_backend() is None,
-                    reason="compiled extension not built")
-class TestCompiledParity:
-    def test_response_parity(self):
-        ck = kernels.compiled_backend()
-        omegas, ds, mts, xis, _ = random_inputs(seed=2)
-        py = _pykern.response_tensors(omegas, ds, mts, xis)
-        cc = ck.response_tensors(omegas, ds, mts, xis)
-        for p, c in zip(py, cc):
-            np.testing.assert_allclose(c, p, rtol=1e-14, atol=1e-16)
-
-    def test_free_blocks_parity(self):
-        ck = kernels.compiled_backend()
-        _, _, _, xis, rvec = random_inputs(seed=3)
-        pS, pX = _pykern.free_blocks(rvec, xis)
-        cS, cX = ck.free_blocks(rvec, xis)
-        np.testing.assert_allclose(cS, pS, rtol=1e-14, atol=1e-18)
-        np.testing.assert_allclose(cX, pX, rtol=1e-14, atol=1e-18)
-
-    def test_trace4_parity(self):
-        ck = kernels.compiled_backend()
-        rng = np.random.default_rng(4)
-        arrs = [np.ascontiguousarray(rng.normal(size=(9, 3, 3)))
-                for _ in range(4)]
-        np.testing.assert_allclose(ck.trace4(*arrs), _pykern.trace4(*arrs),
-                                   rtol=1e-13)
-
-    def test_empty_transitions_parity(self):
-        ck = kernels.compiled_backend()
-        empty = (np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
-        xis = np.array([0.0, 1.0])
-        py = _pykern.response_tensors(*empty, xis)
-        cc = ck.response_tensors(*empty, xis)
-        for p, c in zip(py, cc):
-            np.testing.assert_allclose(c, p, atol=1e-300)
-
-
-class TestSelection:
-    def test_backend_name_valid(self):
-        assert kernels.backend_name() in ("python", "compiled")
-
-    def test_active_functions_match_backend(self):
-        if kernels.backend_name() == "python":
-            assert kernels.response_tensors is _pykern.response_tensors
-        else:
-            ck = kernels.compiled_backend()
-            assert kernels.response_tensors is ck.response_tensors
-
-    def test_force_python_env(self):
-        env = dict(os.environ)
-        env["CHIVDW_FORCE_PYTHON"] = "1"
-        code = ("from chivdw import kernels; "
-                "print(kernels.backend_name())")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "python"
-
-    def test_force_python_zero_means_off(self):
-        env = dict(os.environ)
-        env["CHIVDW_FORCE_PYTHON"] = "0"
-        code = ("from chivdw import kernels; "
-                "print(kernels.backend_name())")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        # with the override disabled the compiled backend is used when built
-        expected = "compiled" if kernels.compiled_backend() else "python"
-        assert out.stdout.strip() == expected
-
-    def test_python_backend_accessor(self):
-        assert kernels.python_backend() is _pykern
+    def test_cross_matrix_and_levi_civita_give_the_cross_product(self):
+        rng = np.random.default_rng(5)
+        v, u = rng.normal(size=3), rng.normal(size=3)
+        expected = np.cross(v, u)
+        np.testing.assert_allclose(kernels.cross_matrix(v) @ u, expected,
+                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            np.einsum('ijk,j,k->i', kernels.LEVI_CIVITA, v, u), expected,
+            rtol=1e-14)

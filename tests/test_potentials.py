@@ -313,7 +313,7 @@ class TestCurves:
 
 
 class TestProviderContract:
-    def test_scalar_only_provider_supported(self, pair, sep):
+    def test_scalar_only_provider_error_propagates(self, pair, sep):
         base = FreeSpaceProvider()
 
         class ScalarOnly:
@@ -322,9 +322,18 @@ class TestProviderContract:
                     raise TypeError("scalar frequencies only")
                 return base.block(lam, lamp, r, rp, float(xi))
 
-        fast = u_named(*pair, sep, "EC")
-        slow = u_named(*pair, sep, "EC", provider=ScalarOnly())
-        assert slow.value == pytest.approx(fast.value, rel=1e-12)
+        with pytest.raises(TypeError, match="scalar frequencies only"):
+            u_named(*pair, sep, "EC", provider=ScalarOnly())
+
+    def test_provider_block_of_wrong_shape_raises_naming_it(self, pair, sep):
+        base = FreeSpaceProvider()
+
+        class FirstNodeOnly:
+            def block(self, lam, lamp, r, rp, xi):
+                return base.block(lam, lamp, r, rp, float(xi[0]))
+
+        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+            u_named(*pair, sep, "EC", provider=FirstNodeOnly())
 
     def test_rescaled_provider_rescales_quadratically(self, pair, sep):
         base = FreeSpaceProvider()

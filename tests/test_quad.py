@@ -109,12 +109,16 @@ class TestHalfline:
         assert not res.converged
         assert res.evals <= 45 + 30 * 15
 
-    def test_scalar_only_integrand_wrapped(self):
+    def test_scalar_only_integrand_raises_its_own_error(self):
         def f(x):
             return math.exp(-2.0 * x)  # rejects arrays
 
-        res = integrate_halfline(f, SPEC)
-        assert res.value == pytest.approx(0.5, rel=1e-12)
+        with pytest.raises(TypeError):
+            integrate_halfline(f, SPEC)
+
+    def test_integrand_of_wrong_shape_raises_naming_it(self):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            integrate_halfline(lambda x: 1.0, SPEC)
 
     def test_nan_raises_with_abscissa(self):
         def f(x):

@@ -202,6 +202,23 @@ class TestDuality:
         np.testing.assert_allclose(rot.chi_em, -rs.chi_me, atol=1e-15)
         np.testing.assert_allclose(rot.chi_me, -rs.chi_em, atol=1e-15)
 
+    def test_rotation_matches_written_out_blocks(self):
+        # A' = D A D^T with D = [[c, s], [-s, c]], block by block
+        rs = eval_response(generic_molecule(seed=16), 0.7)
+        theta = 0.53
+        c, s = math.cos(theta), math.sin(theta)
+        al, be, ce, cm = rs.alpha, rs.beta, rs.chi_em, rs.chi_me
+        expected = {
+            "alpha": c * c * al + c * s * (ce + cm) + s * s * be,
+            "beta": s * s * al - c * s * (ce + cm) + c * c * be,
+            "chi_em": -c * s * al + c * c * ce - s * s * cm + c * s * be,
+            "chi_me": -c * s * al - s * s * ce + c * c * cm + c * s * be,
+        }
+        rot = duality_rotate(rs, theta)
+        for name, value in expected.items():
+            np.testing.assert_allclose(getattr(rot, name), value,
+                                       rtol=1e-13, atol=1e-14)
+
     def test_rotation_roundtrip(self):
         rs = eval_response(generic_molecule(seed=12), 0.6)
         theta = 0.37
