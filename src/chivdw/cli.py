@@ -228,11 +228,11 @@ def cmd_powerlaw(args) -> int:
 
 
 def _table_cell(mol_a: Molecule, mol_b: Molecule, row: str, regime: str,
-                n_points: int):
+                n_points: int, direction: np.ndarray):
     # the two-sided row, not the named component some rows share a name with
     r_values = _window_grid(regime, mol_a, mol_b, n_points)
     origin = np.zeros(3)
-    results = [u_row(mol_a, mol_b, Separation((0.0, 0.0, R), origin), row)
+    results = [u_row(mol_a, mol_b, Separation(R * direction, origin), row)
                for R in r_values]
     converged = all(res.converged for res in results)
     try:
@@ -264,12 +264,15 @@ def cmd_table1(args) -> int:
     regimes = list(_REGIMES) if args.only is None else [args.only]
     if args.points < 5:
         raise CliError("a power-law fit needs --points of at least 5")
+    orientation = _parse_orientation(args.orientation)
+    direction = orientation / np.linalg.norm(orientation)
 
     lines = ["row,regime,fitted_exponent,reference_exponent,fitted_sign,"
              "reference_sign,status,note"]
     statuses = set()
     for row, regime in itertools.product(rows, regimes):
-        fit, converged = _table_cell(mol_a, mol_b, row, regime, args.points)
+        fit, converged = _table_cell(mol_a, mol_b, row, regime, args.points,
+                                     direction)
         reference = (REFERENCE_RETARDED if regime == "retarded"
                      else REFERENCE_NONRETARDED)[row]
         ref_sign = REFERENCE_SIGNS[row]

@@ -118,8 +118,7 @@ def g0(sep: Separation, xi) -> np.ndarray:
     """Scattering Green tensor between the two points at frequency xi > 0."""
     xis, scalar = _prepare_xi(xi, allow_zero=False)
     rvec = sep.r_a - sep.r_b
-    scaled, _ = kernels.free_blocks(rvec, xis)
-    out = scaled / (xis**2)[:, None, None]
+    out = kernels.free_scaled(rvec, xis) / (xis**2)[:, None, None]
     return _maybe_squeeze(out, scalar)
 
 
@@ -130,7 +129,7 @@ def g0_scaled(sep: Separation, xi) -> np.ndarray:
     (I - 3 rhat rhat^T) / (4 pi R^3).
     """
     xis, scalar = _prepare_xi(xi, allow_zero=True)
-    scaled, _ = kernels.free_blocks(sep.r_a - sep.r_b, xis)
+    scaled = kernels.free_scaled(sep.r_a - sep.r_b, xis)
     return _maybe_squeeze(scaled, scalar)
 
 
@@ -175,19 +174,16 @@ class FreeSpaceProvider:
         rvec = r - rp
         if not float(np.linalg.norm(rvec)) > 0.0:
             raise ValueError("points must be distinct")
-        scaled, cross = kernels.free_blocks(rvec, xis)
-        if lam == "e" and lamp == "e":
-            out = scaled
-        elif lam == "m" and lamp == "m":
-            out = scaled
-        elif lam == "e" and lamp == "m":
-            # xi * pref * cross(rp - r), i.e. xi times the first-argument curl
-            out = -cross
-        elif lam == "m" and lamp == "e":
-            # xi * pref * cross(r - rp), i.e. xi times the second-argument curl
-            out = cross
-        else:
+        if lam not in ("e", "m") or lamp not in ("e", "m"):
             raise ValueError(f"block labels must be 'e' or 'm', got {(lam, lamp)!r}")
+        if lam == lamp:
+            out = kernels.free_scaled(rvec, xis)
+        elif lam == "e":
+            # xi * pref * cross(rp - r), i.e. xi times the first-argument curl
+            out = -kernels.free_cross(rvec, xis)
+        else:
+            # xi * pref * cross(r - rp), i.e. xi times the second-argument curl
+            out = kernels.free_cross(rvec, xis)
         return _maybe_squeeze(out, scalar)
 
 

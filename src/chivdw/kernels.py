@@ -62,6 +62,34 @@ def response_tensors(omegas: np.ndarray, ds: np.ndarray, mts: np.ndarray,
     return alpha, beta_para, chi_em
 
 
+def _free_prefactor(rvec: np.ndarray, xis: np.ndarray):
+    rvec = np.asarray(rvec, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    R = float(np.sqrt(rvec @ rvec))
+    x = xis * R
+    expf = np.exp(-x) / (4.0 * np.pi * R**3)
+    return rvec, xis, R, x, expf
+
+
+def free_scaled(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """The S block of ``free_blocks`` alone."""
+    rvec, xis, R, x, expf = _free_prefactor(rvec, xis)
+    rhat = rvec / R
+    f = 1.0 + x + x * x
+    g = 3.0 + 3.0 * x + x * x
+    rr = np.outer(rhat, rhat)
+    eye = np.eye(3)
+    return expf[:, None, None] * (f[:, None, None] * eye
+                                  - g[:, None, None] * rr)
+
+
+def free_cross(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """The X block of ``free_blocks`` alone."""
+    rvec, xis, R, x, expf = _free_prefactor(rvec, xis)
+    pref = xis * expf * (1.0 + x)
+    return pref[:, None, None] * cross_matrix(rvec)
+
+
 def free_blocks(rvec: np.ndarray, xis: np.ndarray):
     """Batched free-space propagator building blocks.
 
@@ -74,23 +102,10 @@ def free_blocks(rvec: np.ndarray, xis: np.ndarray):
         X = xi e^{-xR}(1 + x)/(4 pi R^3) [rvec]_cross
     S is the doubly-reduced propagator (finite for xi >= 0); X is the
     frequency-weighted single-curl matrix from which all four duality blocks
-    are assembled by sign flips.
+    are assembled by sign flips.  ``free_scaled`` and ``free_cross`` compute
+    one of the two.
     """
-    rvec = np.asarray(rvec, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    R = float(np.sqrt(rvec @ rvec))
-    rhat = rvec / R
-    x = xis * R
-    expf = np.exp(-x) / (4.0 * np.pi * R**3)
-    f = 1.0 + x + x * x
-    g = 3.0 + 3.0 * x + x * x
-    rr = np.outer(rhat, rhat)
-    eye = np.eye(3)
-    S = expf[:, None, None] * (f[:, None, None] * eye
-                               - g[:, None, None] * rr)
-    pref = xis * expf * (1.0 + x)
-    X = pref[:, None, None] * cross_matrix(rvec)
-    return S, X
+    return free_scaled(rvec, xis), free_cross(rvec, xis)
 
 
 def trace4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):

@@ -36,9 +36,11 @@ Every request is one vector-valued quadrature over its list of
 ``(tuple, beta_mode_a, beta_mode_b)`` terms (``u_terms``): all terms share
 the frequency nodes, the response tensors and provider blocks are computed
 once per node batch, and each term is converged to the relative tolerance
-on its own.  The ``evals`` of a multi-term result therefore counts shared
-nodes; a one-term request (a raw tuple, EE) runs exactly as a scalar
-quadrature.
+on its own.  A summed request (a named component, a row) carries the sum
+of its terms as one more column, held to the tolerance in its own right,
+and reports that column.  The ``evals`` of a multi-term result therefore
+counts shared nodes; a one-term request (a raw tuple, EE) runs exactly as
+a scalar quadrature.
 
 Besides the general provider path there are closed free-space forms
 (`u_free_fast`, `u_cc_isotropic`) in which the frequency integral has been
@@ -193,19 +195,18 @@ def _env_rel_tol() -> float:
     return 1e-10
 
 
-def _default_spec(R: float) -> QuadSpec:
+def _default_spec() -> QuadSpec:
     return QuadSpec(rel_tol=_env_rel_tol(), abs_tol=1e-300,
-                    max_evals=20_000, decay_rate=2.0 * R)
+                    max_evals=20_000)
 
 
 def _default_breakpoints(mol_a: Molecule, mol_b: Molecule,
                          R: float) -> Tuple[float, ...]:
+    """The frequency scales of a pair's integrand: the transition
+    frequencies (resonances) and 1/R (the propagator cutoff)."""
     pts = set(float(w) for w in mol_a.omegas)
     pts.update(float(w) for w in mol_b.omegas)
-    tail = 40.0 / (2.0 * R)
-    if pts:
-        tail = max(tail, 20.0 * max(pts))
-    pts.add(tail)
+    pts.add(1.0 / R)
     return tuple(sorted(pts))
 
 
@@ -256,14 +257,16 @@ def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
 
 def _terms_integrand(mol_a: Molecule, mol_b: Molecule, sep: Separation,
                      terms: Sequence[Tuple[str, str, str]], provider,
-                     duality: Optional[float]) -> Callable:
+                     duality: Optional[float],
+                     sum_column: bool = False) -> Callable:
     """Integrand returning the traces of all ``terms`` on shared nodes.
 
     Each term ``(tuple, beta_mode_a, beta_mode_b)`` contributes the column
     -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}] of the
-    (n, K) output.  Per node batch every response set and every distinct
-    provider block is computed once, and each trace is taken from the two
-    shared half products (A_a B_{l2 l3}) and (A_b B_{l4 l1}).
+    (n, K) output; ``sum_column`` appends their sum as column K + 1.  Per
+    node batch every response set and every distinct provider block is
+    computed once, and each trace is taken from the two shared half
+    products (A_a B_{l2 l3}) and (A_b B_{l4 l1}).
     """
     r_a, r_b = sep.r_a, sep.r_b
     modes_a = sorted({mode_a for _, mode_a, _ in terms})
@@ -297,9 +300,32 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule, sep: Separation,
             tb[mode][slot] @ block(lam, lamp, r_b, r_a, ("ba", lam, lamp))
             for mode, slot, lam, lamp in right_keys])
         traces = np.einsum("knij,knji->nk", left[left_idx], right[right_idx])
-        return -(0.5 / _PI) * traces
+        out = -(0.5 / _PI) * traces
+        if sum_column:
+            out = np.concatenate([out, out.sum(axis=1, keepdims=True)],
+                                 axis=1)
+        return out
 
     return integrand
+
+
+def _terms_quadrature(mol_a: Molecule, mol_b: Molecule, sep: Separation,
+                      terms: Iterable, provider, spec: QuadSpec,
+                      duality: Optional[float],
+                      sum_column: bool) -> QuadResult:
+    terms = [(_validate_tuple(tup), mode_a, mode_b)
+             for tup, mode_a, mode_b in terms]
+    if not terms:
+        raise ValueError("terms must not be empty")
+    unknown = {m for _, a, b in terms for m in (a, b)} - set(_BETA_MODES)
+    if unknown:
+        raise ValueError(f"unknown beta_mode {', '.join(map(repr, unknown))}")
+    if provider is None:
+        provider = free_space_provider()
+    integrand = _terms_integrand(mol_a, mol_b, sep, terms, provider, duality,
+                                 sum_column)
+    breaks = _default_breakpoints(mol_a, mol_b, sep.R)
+    return integrate_halfline(integrand, spec, breakpoints=breaks)
 
 
 def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
@@ -314,27 +340,31 @@ def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     ``evals`` counts the shared nodes and ``converged`` holds only if every
     term converged.
     """
-    terms = [(_validate_tuple(tup), mode_a, mode_b)
-             for tup, mode_a, mode_b in terms]
-    if not terms:
-        raise ValueError("terms must not be empty")
-    unknown = {m for _, a, b in terms for m in (a, b)} - set(_BETA_MODES)
-    if unknown:
-        raise ValueError(f"unknown beta_mode {', '.join(map(repr, unknown))}")
-    if provider is None:
-        provider = free_space_provider()
     if spec is None:
-        spec = _default_spec(sep.R)
-    integrand = _terms_integrand(mol_a, mol_b, sep, terms, provider, duality)
-    breaks = _default_breakpoints(mol_a, mol_b, sep.R)
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
+        spec = _default_spec()
+    return _terms_quadrature(mol_a, mol_b, sep, terms, provider, spec,
+                             duality, sum_column=False)
 
 
-def _summed(res: QuadResult) -> QuadResult:
-    """The sum of a multi-term result's components."""
-    return QuadResult(float(np.sum(res.value)),
-                      float(np.sum(res.error_estimate)), res.evals,
-                      res.converged)
+def _summed(mol_a: Molecule, mol_b: Molecule, sep: Separation,
+            terms: Sequence, provider, spec: Optional[QuadSpec],
+            duality: Optional[float]) -> QuadResult:
+    """The sum of ``terms``, held to the tolerance on its own.
+
+    Several terms are integrated with their sum as one more column of the
+    same pass; that column must meet max(rel_tol |sum|, abs_tol), so a sum
+    that cancels is not reported converged on the strength of its terms.
+    The result's value, error estimate and ``converged`` are the sum
+    column's (for one term, the term's).
+    """
+    if spec is None:
+        spec = _default_spec()
+    res = _terms_quadrature(mol_a, mol_b, sep, terms, provider, spec,
+                            duality, sum_column=len(terms) > 1)
+    value = float(res.value[-1])
+    err = float(res.error_estimate[-1])
+    converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
+    return QuadResult(value, err, res.evals, converged)
 
 
 def u_unified(mol_a: Molecule, mol_b: Molecule, sep: Separation, tup,
@@ -345,12 +375,12 @@ def u_unified(mol_a: Molecule, mol_b: Molecule, sep: Separation, tup,
 
     ``tup`` is a four-label string such as ``'eeem'``.  ``provider``
     defaults to free space; ``spec`` to a relative tolerance of 1e-10
-    (override via the VDW_QUAD_RTOL environment variable) with the
-    frequency decay scale set by the separation.
+    (override via the VDW_QUAD_RTOL environment variable).  The frequency
+    panels are laid out in ln(xi) across the pair's scales, the
+    transition frequencies and 1/R (see ``integrate_halfline``).
     """
     term = (tup, beta_mode_a, beta_mode_b)
-    return _summed(u_terms(mol_a, mol_b, sep, [term], provider=provider,
-                           spec=spec, duality=duality))
+    return _summed(mol_a, mol_b, sep, [term], provider, spec, duality)
 
 
 def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
@@ -358,8 +388,9 @@ def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
             duality: Optional[float] = None) -> QuadResult:
     """A named component of the pair potential (sum of its tuples).
 
-    The tuples share one quadrature; each is converged on its own and
-    ``evals`` counts the shared nodes.
+    The tuples and their sum share one quadrature; each tuple and the sum
+    are converged on their own, the result is the sum's (value, error
+    estimate, ``converged``) and ``evals`` counts the shared nodes.
     """
     label = ComponentLabel(label)
     beta_mode_a = _LABEL_BETA_MODE_A.get(label, "full")
@@ -368,8 +399,7 @@ def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
             "duality rotation is undefined for para/dia-restricted "
             "components")
     terms = [(tup, beta_mode_a, "full") for tup in LABEL_TUPLES[label]]
-    return _summed(u_terms(mol_a, mol_b, sep, terms, provider=provider,
-                           spec=spec, duality=duality))
+    return _summed(mol_a, mol_b, sep, terms, provider, spec, duality)
 
 
 def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
@@ -378,13 +408,12 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
 
     The ten rows partition the sixteen tuples with the magnetic responses
     split into para/dia parts, so summing them reproduces TOTAL.  The
-    row's terms share one quadrature, as in ``u_named``.
+    row's terms and their sum share one quadrature, as in ``u_named``.
     """
     row = str(row).upper()
     if row not in ROW_SPECS:
         raise ValueError(f"unknown row {row!r}; expected one of {ROW_NAMES}")
-    return _summed(u_terms(mol_a, mol_b, sep, ROW_SPECS[row],
-                           provider=provider, spec=spec))
+    return _summed(mol_a, mol_b, sep, ROW_SPECS[row], provider, spec, None)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +426,7 @@ def _direct_quadrature(mol_a: Molecule, mol_b: Molecule, sep: Separation,
                        provider, spec: Optional[QuadSpec],
                        integrand: Callable) -> QuadResult:
     if spec is None:
-        spec = _default_spec(sep.R)
+        spec = _default_spec()
     breaks = _default_breakpoints(mol_a, mol_b, sep.R)
     return integrate_halfline(integrand, spec, breakpoints=breaks)
 
@@ -571,7 +600,7 @@ def u_free_fast(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
             f"closed free-space form exists for EC, MC, CC only, got "
             f"{label.value}")
     if spec is None:
-        spec = _default_spec(sep.R)
+        spec = _default_spec()
     if label is ComponentLabel.CC:
         return _free_fast_cc(mol_a, mol_b, sep, spec)
     return _free_fast_ec_mc(mol_a, mol_b, sep, spec,
@@ -605,7 +634,7 @@ def u_cc_isotropic(mol_a: Molecule, mol_b: Molecule, R: float,
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError("R must be positive and finite")
     if spec is None:
-        spec = _default_spec(R)
+        spec = _default_spec()
     pref = 1.0 / (8.0 * _PI**3 * R**6)
 
     def integrand(ks):

@@ -1,13 +1,15 @@
 """Adaptive quadrature engines.
 
 Two integral families drive this package: semi-infinite integrals of
-exponentially decaying response kernels, and Cauchy principal values with a
-simple pole on the path.  Both are served by a single vectorised adaptive
-Gauss-Kronrod core:
+response kernels over imaginary frequency, and Cauchy principal values with
+a simple pole on the path.  Both are served by a single vectorised adaptive
+Gauss-Kronrod core, whose error heuristic is QUADPACK's (Piessens et al.,
+1983):
 
-* ``integrate_halfline`` maps [0, inf) onto (0, 1] — logarithmically when an
-  exponential decay rate is supplied, algebraically otherwise — and then
-  subdivides adaptively.
+* ``integrate_halfline`` integrates in log-frequency: one up-front panel
+  layout, linear below the integrand's smallest scale, uniform in ln(xi)
+  across its scales and algebraically mapped beyond the largest, which
+  adaptive bisection then refines.
 * ``integrate_pv`` removes the pole by the symmetric combination
   f(pole+t) + f(pole-t), which is smooth at t = 0, and integrates the
   leftover one-sided segment normally.
@@ -85,16 +87,13 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 class QuadSpec:
     """Tolerances and budget for one quadrature run.
 
-    ``decay_rate`` is a hint: the expected exponential decay rate of a
-    half-line integrand (inverse argument units).  Positive values select the
-    logarithmic change of variables in :func:`integrate_halfline`; zero
-    selects the algebraic one.
+    Each component must reach max(``rel_tol`` |value|, ``abs_tol``) on
+    its summed error estimate; ``max_evals`` caps the integrand nodes.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-300
     max_evals: int = 20000
-    decay_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0):
@@ -103,8 +102,6 @@ class QuadSpec:
             raise ValueError("abs_tol must be non-negative")
         if not (self.max_evals > 0):
             raise ValueError("max_evals must be positive")
-        if not (self.decay_rate >= 0.0):
-            raise ValueError("decay_rate must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -284,42 +281,53 @@ def integrate_interval(f: Callable, a: float, b: float, spec: QuadSpec,
 
 def integrate_halfline(f: Callable, spec: QuadSpec,
                        breakpoints: Sequence[float] = ()) -> QuadResult:
-    """Integrate ``f`` over [0, inf).
+    """Integrate ``f`` over [0, inf) in log-frequency.
 
-    With ``spec.decay_rate`` = kappa > 0 the substitution u = exp(-kappa x)
-    maps the half-line onto (0, 1]; the transformed integrand
-    f(-ln(u)/kappa)/(kappa u) is bounded whenever f decays at least at rate
-    kappa.  With kappa = 0 the algebraic map x = t/(1-t) is used instead.
-    ``breakpoints`` are abscissae in the original variable where the
-    integrand changes scale (e.g. resonance frequencies); they seed the
-    initial panel layout.  A breakpoint whose mapped u falls below the
-    normal float range is dropped: Kronrod nodes inside a subnormal panel
-    round to u = 0, i.e. x = inf.
+    ``breakpoints`` are the scales of the integrand in the original
+    variable (e.g. resonance frequencies and an inverse distance); the
+    positive finite ones (1 when there are none) fix one panel layout
+    from xi_lo = min(scales)/100 to xi_hi = 40 max(scales).  One variable
+    t runs over [0, 2 + L], L = ln(xi_hi/xi_lo), in three pieces:
+
+    * head  t in [0, 1]: xi = xi_lo t, one panel;
+    * body  t in [1, 1 + L]: xi = xi_lo e^(t - 1), panels uniform in t at
+      two per decade of xi;
+    * tail  t in [1 + L, 2 + L): xi = xi_hi / (2 + L - t), one panel,
+      i.e. xi = xi_hi / (1 - tau).
+
+    The map and its first derivative are continuous at both joins.  In
+    ln(xi) a resonance or an exp(-2 R xi) cutoff is a feature of width
+    about one wherever it lies, so the first layout already resolves every
+    scale and adaptive bisection only refines it.  The integrand must be
+    integrable at infinity.
 
     ``f`` may return shape (n,) or, for K integrals on shared nodes,
     (n, K); the latter gives per-component arrays (see ``_adaptive``).
     """
-    kappa = spec.decay_rate
+    scales = [float(p) for p in breakpoints if 0.0 < float(p) < math.inf]
+    if not scales:
+        scales = [1.0]
+    xi_lo = min(scales) / 100.0
+    xi_hi = 40.0 * max(scales)
+    body = math.log(xi_hi / xi_lo)
+    n_body = math.ceil(2.0 * math.log10(xi_hi / xi_lo))
+    tail_start, end = 1.0 + body, 2.0 + body
+    edges = [0.0, *(1.0 + body * np.arange(n_body + 1) / n_body), end]
     fv = _VectorisedCall(f)
-    if kappa > 0.0:
-        def transformed(us: np.ndarray) -> np.ndarray:
-            xs = -np.log(us) / kappa
-            return fv(xs) / (kappa * us)[:, None]
 
-        interior = [math.exp(-kappa * float(p)) for p in breakpoints
-                    if float(p) > 0.0]
-        interior = [u for u in interior if u >= _TINY]
-        interior += [0.1, 0.5]
-    else:
-        def transformed(ts: np.ndarray) -> np.ndarray:
-            xs = ts / (1.0 - ts)
-            return fv(xs) / ((1.0 - ts) ** 2)[:, None]
+    def transformed(ts: np.ndarray) -> np.ndarray:
+        xs = xi_lo * np.exp(ts - 1.0)
+        jac = xs.copy()
+        head = ts < 1.0
+        xs[head] = xi_lo * ts[head]
+        jac[head] = xi_lo
+        tail = ts > tail_start
+        rest = end - ts[tail]
+        xs[tail] = xi_hi / rest
+        jac[tail] = xs[tail] / rest
+        return fv(xs) * jac[:, None]
 
-        interior = [float(p) / (1.0 + float(p)) for p in breakpoints
-                    if float(p) > 0.0]
-        interior += [0.5, 0.9, 0.99]
-    return _shaped(_adaptive(transformed, _edge_list(0.0, 1.0, interior),
-                             spec), fv)
+    return _shaped(_adaptive(transformed, edges, spec), fv)
 
 
 def integrate_pv(f: Callable, pole: float, a: float, b: float,

@@ -411,8 +411,7 @@ def _relative_check(name: str, first: QuadResult, second: QuadResult,
 
 
 def _cross_route_checks(rng: np.random.Generator) -> list:
-    spec = QuadSpec(rel_tol=1e-11, abs_tol=1e-300, max_evals=200_000,
-                    decay_rate=4.0)
+    spec = QuadSpec(rel_tol=1e-11, abs_tol=1e-300, max_evals=200_000)
     mol_a, mol_b = _random_pair(rng)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)

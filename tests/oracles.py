@@ -191,3 +191,64 @@ def scipy_halfline(f, points=None) -> float:
         val += _sint.quad(f, edges[-1], np.inf, limit=400)[0]
         return val
     return _sint.quad(f, 0.0, np.inf, limit=400)[0]
+
+
+# ----------------------------------------------------------------------------
+# The sixteen response tuples of a pair, re-derived from transition data.
+# ----------------------------------------------------------------------------
+
+def _response_blocks(omegas, ds, ms, beta_dia, xi: float) -> np.ndarray:
+    """(2, 2, 3, 3) blocks [[alpha, chi_em], [chi_me, beta]] at i xi, with
+    chi_me = -chi_em^T and beta = paramagnetic + diamagnetic."""
+    denom = omegas**2 + xi * xi
+    even = 2.0 * omegas / denom
+    odd = 2.0 * xi / denom
+    chi_em = (ds.T * odd) @ ms
+    return np.array([[(ds.T * even) @ ds, chi_em],
+                     [-chi_em.T, (ms.T * even) @ ms + beta_dia]])
+
+
+def _propagator_blocks(v: np.ndarray, xi: float) -> np.ndarray:
+    """(2, 2, 3, 3) vacuum blocks [[ee, em], [me, mm]] for v = r - r'."""
+    R = math.sqrt(float(v @ v))
+    vh = v / R
+    x = xi * R
+    damp = math.exp(-x) / (4.0 * math.pi * R**3)
+    s = damp * ((1.0 + x + x * x) * IDENTITY3
+                - (3.0 + 3.0 * x + x * x) * np.outer(vh, vh))
+    cross = xi * damp * (1.0 + x) * np.einsum("ijk,j->ik", EPS3, v)
+    return np.array([[s, -cross], [cross, s]])
+
+
+def sixteen_tuples_integrand(mol_a, mol_b, r_a, r_b):
+    """f(xi) -> (16,): the tuple integrands -(1/2 pi) tr[A_a B_ab A_b B_ba]
+    in the order of itertools.product('em', repeat=4), for molecules given
+    as (omegas, dipoles, magnetic dipoles, beta_dia)."""
+    v = np.asarray(r_a, dtype=float) - np.asarray(r_b, dtype=float)
+
+    def f(xi):
+        a = _response_blocks(*mol_a, xi)
+        b = _response_blocks(*mol_b, xi)
+        traces = np.einsum("pqij,qrjk,rskl,spli->pqrs", a,
+                           _propagator_blocks(v, xi), b,
+                           _propagator_blocks(-v, xi))
+        return -traces.reshape(16) / (2.0 * math.pi)
+
+    return f
+
+
+def quad_vec_geometric(f, lo: float, hi: float, scale) -> np.ndarray:
+    """Integral over [0, inf) of the vector integrand f with scipy
+    ``quad_vec`` on [0, lo], geometric pieces of one decade up to hi, and
+    [hi, inf).  Each component is divided by its entry of ``scale`` (an
+    estimate of its magnitude) inside the integral, so the max-norm
+    tolerance holds for every component relative to its own size; a piece
+    is done at 1e-13 of its own value or 1e-15 of the whole."""
+    scale = np.asarray(scale, dtype=float)
+    count = int(math.ceil(math.log10(hi / lo))) + 1
+    edges = [0.0, *np.geomspace(lo, hi, count), np.inf]
+    total = np.zeros_like(scale)
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += _sint.quad_vec(lambda x: f(x) / scale, a, b, epsrel=1e-13,
+                                epsabs=1e-15, norm="max")[0]
+    return total * scale

@@ -389,6 +389,26 @@ def test_table1_unconverged_cell_exits_numerical(capsys, monkeypatch):
     assert rows[0][6] == "unconverged"
 
 
+def test_table1_places_the_pair_along_orientation(capsys, monkeypatch):
+    import chivdw.cli as cli_module
+    from chivdw.quad import QuadResult
+
+    directions = []
+
+    def recording_row(mol_a, mol_b, sep, row):
+        directions.append(np.array(sep.r_hat))
+        return QuadResult(-sep.R ** -7, 0.0, 15, True)
+
+    monkeypatch.setattr(cli_module, "u_row", recording_row)
+    code = main(["table1", "--rows", "EE", "--only", "retarded",
+                 "--points", "5", "--orientation", "1,0,0"])
+    assert code == 0
+    capsys.readouterr()
+    assert len(directions) == 5
+    for r_hat in directions:
+        np.testing.assert_array_equal(r_hat, [1.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

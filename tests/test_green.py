@@ -219,3 +219,30 @@ class TestProviderBlocks:
         prov = FreeSpaceProvider()
         with pytest.raises(ValueError, match="distinct"):
             prov.block("e", "e", np.zeros(3), np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("xi", [0.7, np.array([0.0, 0.3, 2.0, 11.0])])
+def test_provider_block_computes_only_the_block_asked_for(xi, monkeypatch):
+    # each block is bit-identical to its part of kernels.free_blocks, and
+    # one request builds one of S and X, not both
+    from chivdw import kernels
+
+    r, rp = np.array([0.3, -1.1, 0.8]), np.array([-0.2, 0.4, 0.1])
+    xis = np.atleast_1d(xi)
+    S, X = kernels.free_blocks(r - rp, xis)
+    expected = {("e", "e"): S, ("m", "m"): S, ("e", "m"): -X, ("m", "e"): X}
+    built = []
+    for name in ("free_scaled", "free_cross"):
+        def counted(rvec, xs, _f=getattr(kernels, name), _name=name):
+            built.append(_name)
+            return _f(rvec, xs)
+        monkeypatch.setattr(kernels, name, counted)
+    provider = FreeSpaceProvider()
+    for (lam, lamp), block in expected.items():
+        built.clear()
+        out = provider.block(lam, lamp, r, rp, xi)
+        assert len(built) == 1, (lam, lamp, built)
+        if np.ndim(xi) == 0:
+            assert out.shape == (3, 3)
+            out = out[None]
+        assert np.array_equal(out, block), (lam, lamp)

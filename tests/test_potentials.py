@@ -300,16 +300,20 @@ class TestCurves:
             compute_curve(*pair, [0.0, 0.0, 1.0], [-1.0], "EE")
 
     def test_env_override_rel_tol(self, pair, monkeypatch):
-        monkeypatch.setenv("VDW_QUAD_RTOL", "1e-4")
+        # the default 1e-10 is met on the first panel layout; 1e-13 needs
+        # a round of refinement
         sep_local = Separation([0.0, 0.0, 1.3], np.zeros(3))
-        loose = u_named(*pair, sep_local, "EE")
+        monkeypatch.setenv("VDW_QUAD_RTOL", "1e-13")
+        tight = u_named(*pair, sep_local, "EE")
         monkeypatch.setenv("VDW_QUAD_RTOL", "not-a-number")
         with pytest.raises(ValueError, match="VDW_QUAD_RTOL"):
             u_named(*pair, sep_local, "EE")
         monkeypatch.delenv("VDW_QUAD_RTOL")
-        tight = u_named(*pair, sep_local, "EE")
-        assert loose.evals < tight.evals
-        assert loose.value == pytest.approx(tight.value, rel=1e-3)
+        default = u_named(*pair, sep_local, "EE")
+        assert tight.converged and default.converged
+        assert default.evals < tight.evals
+        assert tight.error_estimate <= 1e-13 * abs(tight.value)
+        assert default.value == pytest.approx(tight.value, rel=1e-10)
 
 
 class TestProviderContract:
@@ -468,10 +472,86 @@ class TestFusedContract:
             u_terms(*pair, sep, [("eexe", "full", "full")])
 
 
+# ---------------------------------------------------------------------------
+# The log-frequency layout of the half-line
+# ---------------------------------------------------------------------------
+
+def _oracle_data(mol):
+    """(omegas, dipoles, magnetic dipoles, beta_dia) for the oracles."""
+    return (np.array(mol.omegas),
+            np.array([t.d for t in mol.transitions]),
+            np.array([t.m_tilde for t in mol.transitions]), mol.beta_dia)
+
+
+def _wide_pair():
+    """Resonances spanning eight decades, 1e-4 to 1e4."""
+    rng = np.random.default_rng(7)
+
+    def build(name, omegas):
+        trs = tuple(Transition(w, rng.normal(size=3), rng.normal(size=3))
+                    for w in omegas)
+        m = rng.normal(size=(3, 3))
+        return Molecule(name, trs, beta_dia=-0.03 * (m @ m.T))
+
+    return build("wide-a", (1e-4, 1.0)), build("wide-b", (1e-2, 1e4))
+
+
+_WIDE_PAIR = _wide_pair()
+
+
+class TestLogFrequencyLayout:
+    @pytest.mark.parametrize("R", [1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e5])
+    def test_sixteen_tuples_against_quad_vec(self, R):
+        # with R omega from 1e-14 to 1e9 one of the two scales, the
+        # resonances or 1/R, sits at the edge of any map of the half-line
+        # onto a finite interval
+        a, b = _WIDE_PAIR
+        sep = Separation(R * _GATE_DIRECTION, np.zeros(3))
+        res = u_terms(a, b, sep, [(tup, "full", "full") for tup in _ALL16])
+        assert res.converged
+        scales = [*a.omegas, *b.omegas, 1.0 / R]
+        ref = oracles.quad_vec_geometric(
+            oracles.sixteen_tuples_integrand(_oracle_data(a), _oracle_data(b),
+                                             sep.r_a, sep.r_b),
+            min(scales) / 1e3, 200.0 * max(scales), res.value)
+        gap = np.abs(res.value - ref)
+        assert np.all(gap <= 1e-10 * np.abs(ref)), gap / np.abs(ref)
+        # the error estimates cover the actual errors
+        assert np.all(gap <= res.error_estimate), gap / res.error_estimate
+
+    def test_near_zone_ee_scales_as_r_minus_six(self):
+        # retardation corrections are O((R omega)^2) <= 1e-12 here
+        a, b = bundled_pair()
+        scaled = []
+        for R in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+            res = u_named(a, b, Separation(R * _GATE_DIRECTION, np.zeros(3)),
+                          "EE")
+            assert res.converged
+            scaled.append(R**6 * res.value)
+        np.testing.assert_allclose(scaled, scaled[0], rtol=1e-10, atol=0.0)
+
+    def test_total_at_a_sign_change_is_converged_only_when_accurate(self):
+        # the sixteen tuples cancel about 2e4-fold near this separation;
+        # each tuple meeting rel_tol does not make their sum meet it
+        a, b = bundled_pair()
+        direction = np.array([-0.8448, -0.4099, 0.3441])
+        direction /= np.linalg.norm(direction)
+        sep = Separation(4.2629525 * direction, np.zeros(3))
+        res = u_named(a, b, sep, "TOTAL")
+        tuples = oracles.sixteen_tuples_integrand(
+            _oracle_data(a), _oracle_data(b), sep.r_a, sep.r_b)
+        scales = [*a.omegas, *b.omegas, 1.0 / sep.R]
+        ref = oracles.quad_vec_geometric(
+            lambda x: tuples(x).sum(keepdims=True), min(scales) / 1e3,
+            200.0 * max(scales), [res.value])[0]
+        assert (not res.converged
+                or abs(res.value - ref) <= 1e-10 * abs(ref)), (res, ref)
+
+
 def test_tail_breakpoint_in_subnormal_band_is_dropped():
-    # R * omega_max = 18.564 puts the tail breakpoint 20 * omega_max at
-    # u = exp(-2 R tail) ~ 1e-322, a subnormal; Kronrod nodes of the panel
-    # [0, u] then rounded to u = 0, i.e. xi = inf, and the call raised
+    # R * omega_max = 18.564 put the former tail breakpoint 20 * omega_max
+    # at u = exp(-2 R tail) ~ 1e-322, a subnormal; Kronrod nodes of the
+    # panel [0, u] then rounded to u = 0, i.e. xi = inf, and the call raised
     a, b = bundled_pair()
     sep = Separation(np.array([0.0, 0.0, 14.28]), np.zeros(3))
     res = u_named(a, b, sep, "EE")

@@ -10,10 +10,8 @@ import oracles
 from chivdw.quad import (QuadResult, QuadSpec, integrate_halfline,
                          integrate_interval, integrate_pv)
 
-SPEC = QuadSpec(rel_tol=1e-12, abs_tol=1e-300, max_evals=100_000,
-                decay_rate=2.0)
-SPEC_ALG = QuadSpec(rel_tol=1e-12, abs_tol=1e-300, max_evals=100_000,
-                    decay_rate=0.0)
+SPEC = QuadSpec(rel_tol=1e-12, abs_tol=1e-300, max_evals=100_000)
+SPEC_ALG = SPEC
 
 
 class TestQuadSpec:
@@ -22,11 +20,10 @@ class TestQuadSpec:
         assert spec.rel_tol == 1e-10
         assert spec.abs_tol == 1e-300
         assert spec.max_evals == 20000
-        assert spec.decay_rate == 0.0
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-3}, {"max_evals": 0},
-        {"decay_rate": -1.0}, {"abs_tol": -1.0},
+        {"abs_tol": -1.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -67,8 +64,9 @@ class TestHalfline:
         assert res.value == pytest.approx(0.5, rel=1e-12)
 
     def test_breakpoint_mapping_to_subnormal_u_is_dropped(self):
-        # exp(-2 * 370) ~ 4e-322 is subnormal: Kronrod nodes of the panel
-        # [0, u] would round to u = 0, i.e. x = inf
+        # under the former map u = exp(-2x), exp(-2 * 370) ~ 4e-322 was
+        # subnormal and Kronrod nodes of the panel [0, u] rounded to u = 0,
+        # i.e. x = inf; a breakpoint far in the tail must stay harmless
         res = integrate_halfline(lambda x: np.exp(-2.0 * x), SPEC,
                                  breakpoints=[1.0, 370.0])
         assert res.converged
@@ -101,8 +99,7 @@ class TestHalfline:
             assert res.value[k] == pytest.approx(r.value, rel=1e-12)
 
     def test_vector_integrand_budget_exhaustion(self):
-        tiny = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_evals=45,
-                        decay_rate=1.0)
+        tiny = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_evals=45)
         res = integrate_halfline(
             lambda x: np.stack([np.exp(-x), np.exp(-x) * np.sin(x)**2], 1),
             tiny)
@@ -130,8 +127,7 @@ class TestHalfline:
             integrate_halfline(f, SPEC)
 
     def test_budget_exhaustion_flags_unconverged(self):
-        tiny = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_evals=45,
-                        decay_rate=1.0)
+        tiny = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_evals=45)
         res = integrate_halfline(lambda x: np.exp(-x) * np.sin(x)**2, tiny)
         assert not res.converged
         assert res.evals <= 45 + 30 * 15  # budget plus at most one round over
@@ -151,7 +147,7 @@ class TestHalfline:
             while rel >= 1e-12:
                 res = integrate_halfline(
                     f, QuadSpec(rel_tol=rel, abs_tol=1e-300,
-                                max_evals=200_000, decay_rate=1.0))
+                                max_evals=200_000))
                 assert res.converged
                 err = abs(res.value - oracle)
                 assert err <= rel * abs(oracle) + 1e-12
@@ -167,8 +163,7 @@ class TestHalfline:
         f = lambda x: np.exp(-2.0 * x)
         g = lambda x: x * np.exp(-1.5 * x)
         combo = lambda x: a * f(x) + b * g(x)
-        spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-16, max_evals=100_000,
-                        decay_rate=1.0)
+        spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-16, max_evals=100_000)
         rf = integrate_halfline(f, spec)
         rg = integrate_halfline(g, spec)
         rc = integrate_halfline(combo, spec)
