@@ -51,8 +51,8 @@ from .molfiles import (
     load_molecule,
 )
 from .green import Separation
-from .potentials import ROW_NAMES, PotentialCurve, compute_curve, \
-    resolve_component, u_row
+from .potentials import ROW_NAMES, ROW_SPECS, PotentialCurve, _summed, \
+    compute_curve, resolve_component
 from .quad import NonFiniteIntegrandError
 from .response import Molecule
 from .verify import run_suite
@@ -229,11 +229,12 @@ def cmd_powerlaw(args) -> int:
 
 def _table_cell(mol_a: Molecule, mol_b: Molecule, row: str, regime: str,
                 n_points: int, direction: np.ndarray):
-    # the two-sided row, not the named component some rows share a name with
+    # the two-sided row, not the named component some rows share a name
+    # with; the window's separations are integrated together
     r_values = _window_grid(regime, mol_a, mol_b, n_points)
     origin = np.zeros(3)
-    results = [u_row(mol_a, mol_b, Separation(R * direction, origin), row)
-               for R in r_values]
+    seps = [Separation(R * direction, origin) for R in r_values]
+    results = _summed(mol_a, mol_b, seps, ROW_SPECS[row])
     converged = all(res.converged for res in results)
     try:
         fit = fit_power_law(r_values, [res.value for res in results])

@@ -42,6 +42,16 @@ and reports that column.  The ``evals`` of a multi-term result therefore
 counts shared nodes; a one-term request (a raw tuple, EE) runs exactly as
 a scalar quadrature.
 
+A curve (``compute_curve``, and the CLI's ``curve``, ``powerlaw`` and
+``table1`` windows) integrates its separations together: the response
+tensors, which depend on the frequency only, are computed once per node
+batch for all of them, and every (separation, term) column is converged
+on its own.  The separations are grouped by where 1/R lies relative to
+the pair's transition band [omega_min, omega_max] (inside it, or the
+number of decades outside it), and each group is one pass whose panel
+layout spans its members' scales; a single value is the one-separation
+case of the same pass.
+
 Besides the general provider path there are closed free-space forms
 (`u_free_fast`, `u_cc_isotropic`) in which the frequency integral has been
 reduced analytically to a single exponentially damped radial integral.
@@ -201,13 +211,42 @@ def _default_spec() -> QuadSpec:
 
 
 def _default_breakpoints(mol_a: Molecule, mol_b: Molecule,
-                         R: float) -> Tuple[float, ...]:
+                         *rs: float) -> Tuple[float, ...]:
     """The frequency scales of a pair's integrand: the transition
-    frequencies (resonances) and 1/R (the propagator cutoff)."""
+    frequencies (resonances) and 1/R (the propagator cutoff) for each
+    separation R in ``rs``."""
     pts = set(float(w) for w in mol_a.omegas)
     pts.update(float(w) for w in mol_b.omegas)
-    pts.add(1.0 / R)
+    pts.update(1.0 / R for R in rs)
     return tuple(sorted(pts))
+
+
+def _layout_groups(mol_a: Molecule, mol_b: Molecule,
+                   rs: Sequence[float]) -> list:
+    """Indices of ``rs`` grouped by where 1/R lies relative to the pair's
+    transition band [omega_min, omega_max].
+
+    The key is 0 inside the band and otherwise +-ceil(log10 of the
+    distance outside it), so a group's scales span at most one decade more
+    than any of its members' and one shared panel layout serves them all.
+    A pair without transitions counts as the band [1, 1].
+    """
+    if len(rs) == 1:
+        return [[0]]
+    omegas = [*mol_a.omegas, *mol_b.omegas] or [1.0]
+    log_lo = math.log10(min(omegas))
+    log_hi = math.log10(max(omegas))
+    groups = {}
+    for i, R in enumerate(rs):
+        log_k = -math.log10(R)
+        if log_k > log_hi:
+            key = math.ceil(log_k - log_hi)
+        elif log_k < log_lo:
+            key = -math.ceil(log_lo - log_k)
+        else:
+            key = 0
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def _validate_tuple(tup: str) -> str:
@@ -255,20 +294,23 @@ def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
     return {mode: (alpha, betas[mode], chi_em, chi_me) for mode in modes}
 
 
-def _terms_integrand(mol_a: Molecule, mol_b: Molecule, sep: Separation,
+def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
+                     seps: Sequence[Separation],
                      terms: Sequence[Tuple[str, str, str]], provider,
                      duality: Optional[float],
                      sum_column: bool = False) -> Callable:
-    """Integrand returning the traces of all ``terms`` on shared nodes.
+    """Integrand returning the traces of all ``terms`` at every separation
+    in ``seps`` on shared nodes.
 
     Each term ``(tuple, beta_mode_a, beta_mode_b)`` contributes the column
-    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}] of the
-    (n, K) output; ``sum_column`` appends their sum as column K + 1.  Per
-    node batch every response set and every distinct provider block is
-    computed once, and each trace is taken from the two shared half
-    products (A_a B_{l2 l3}) and (A_b B_{l4 l1}).
+    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}];
+    ``sum_column`` appends their sum, so each separation owns K' = K or
+    K + 1 adjacent columns and the output is (n, P K') for P separations.
+    Per node batch every response set is computed once for all
+    separations and every distinct provider block once per separation,
+    and each trace is taken from the two shared half products
+    (A_a B_{l2 l3}) and (A_b B_{l4 l1}).
     """
-    r_a, r_b = sep.r_a, sep.r_b
     modes_a = sorted({mode_a for _, mode_a, _ in terms})
     modes_b = sorted({mode_b for _, _, mode_b in terms})
     lefts, rights = [], []
@@ -278,8 +320,12 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule, sep: Separation,
         rights.append((mode_b, _SLOT_INDEX[(l3, l4)], l4, l1))
     left_keys = sorted(set(lefts))
     right_keys = sorted(set(rights))
-    left_idx = [left_keys.index(key) for key in lefts]
-    right_idx = [right_keys.index(key) for key in rights]
+    # the half products are stacked separation by separation, so term k
+    # of separation p reads row p * len(keys) + keys.index(its key)
+    left_rows = [p * len(left_keys) + left_keys.index(key)
+                 for p in range(len(seps)) for key in lefts]
+    right_rows = [p * len(right_keys) + right_keys.index(key)
+                  for p in range(len(seps)) for key in rights]
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
@@ -294,25 +340,28 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule, sep: Separation,
             return blocks[key]
 
         left = np.stack([
-            ta[mode][slot] @ block(lam, lamp, r_a, r_b, ("ab", lam, lamp))
+            ta[mode][slot] @ block(lam, lamp, s.r_a, s.r_b,
+                                   (p, "ab", lam, lamp))
+            for p, s in enumerate(seps)
             for mode, slot, lam, lamp in left_keys])
         right = np.stack([
-            tb[mode][slot] @ block(lam, lamp, r_b, r_a, ("ba", lam, lamp))
+            tb[mode][slot] @ block(lam, lamp, s.r_b, s.r_a,
+                                   (p, "ba", lam, lamp))
+            for p, s in enumerate(seps)
             for mode, slot, lam, lamp in right_keys])
-        traces = np.einsum("knij,knji->nk", left[left_idx], right[right_idx])
+        traces = np.einsum("knij,knji->nk", left[left_rows],
+                           right[right_rows])
         out = -(0.5 / _PI) * traces
         if sum_column:
-            out = np.concatenate([out, out.sum(axis=1, keepdims=True)],
-                                 axis=1)
+            out = out.reshape(xis.shape[0], len(seps), -1)
+            out = np.concatenate([out, out.sum(axis=2, keepdims=True)],
+                                 axis=2).reshape(xis.shape[0], -1)
         return out
 
     return integrand
 
 
-def _terms_quadrature(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                      terms: Iterable, provider, spec: QuadSpec,
-                      duality: Optional[float],
-                      sum_column: bool) -> QuadResult:
+def _checked_terms(terms: Iterable) -> list:
     terms = [(_validate_tuple(tup), mode_a, mode_b)
              for tup, mode_a, mode_b in terms]
     if not terms:
@@ -320,11 +369,21 @@ def _terms_quadrature(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     unknown = {m for _, a, b in terms for m in (a, b)} - set(_BETA_MODES)
     if unknown:
         raise ValueError(f"unknown beta_mode {', '.join(map(repr, unknown))}")
+    return terms
+
+
+def _terms_quadrature(mol_a: Molecule, mol_b: Molecule,
+                      seps: Sequence[Separation], terms: list, provider,
+                      spec: QuadSpec, duality: Optional[float],
+                      sum_column: bool) -> QuadResult:
+    """One pass over the checked ``terms`` at every separation of ``seps``,
+    on the panel layout of their joint scales (see ``_terms_integrand``
+    for the column order)."""
     if provider is None:
         provider = free_space_provider()
-    integrand = _terms_integrand(mol_a, mol_b, sep, terms, provider, duality,
-                                 sum_column)
-    breaks = _default_breakpoints(mol_a, mol_b, sep.R)
+    integrand = _terms_integrand(mol_a, mol_b, seps, terms, provider,
+                                 duality, sum_column)
+    breaks = _default_breakpoints(mol_a, mol_b, *(s.R for s in seps))
     return integrate_halfline(integrand, spec, breakpoints=breaks)
 
 
@@ -342,29 +401,40 @@ def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     """
     if spec is None:
         spec = _default_spec()
-    return _terms_quadrature(mol_a, mol_b, sep, terms, provider, spec,
-                             duality, sum_column=False)
+    return _terms_quadrature(mol_a, mol_b, [sep], _checked_terms(terms),
+                             provider, spec, duality, sum_column=False)
 
 
-def _summed(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-            terms: Sequence, provider, spec: Optional[QuadSpec],
-            duality: Optional[float]) -> QuadResult:
-    """The sum of ``terms``, held to the tolerance on its own.
+def _summed(mol_a: Molecule, mol_b: Molecule, seps: Sequence[Separation],
+            terms: Iterable, provider=None, spec: Optional[QuadSpec] = None,
+            duality: Optional[float] = None) -> list:
+    """The sum of ``terms`` at each separation, held to the tolerance on
+    its own; one ``QuadResult`` per separation.
 
-    Several terms are integrated with their sum as one more column of the
-    same pass; that column must meet max(rel_tol |sum|, abs_tol), so a sum
-    that cancels is not reported converged on the strength of its terms.
-    The result's value, error estimate and ``converged`` are the sum
-    column's (for one term, the term's).
+    The separations are integrated together, one pass per group of
+    ``_layout_groups``.  Several terms carry their sum as one more column
+    of the pass; that column must meet max(rel_tol |sum|, abs_tol), so a
+    sum that cancels is not reported converged on the strength of its
+    terms.  Each result's value, error estimate and ``converged`` are its
+    separation's sum column (for one term, the term's); ``evals`` counts
+    the shared nodes of its group's pass.
     """
+    terms = _checked_terms(terms)
     if spec is None:
         spec = _default_spec()
-    res = _terms_quadrature(mol_a, mol_b, sep, terms, provider, spec,
-                            duality, sum_column=len(terms) > 1)
-    value = float(res.value[-1])
-    err = float(res.error_estimate[-1])
-    converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
-    return QuadResult(value, err, res.evals, converged)
+    sum_column = len(terms) > 1
+    width = len(terms) + sum_column
+    results = [None] * len(seps)
+    for group in _layout_groups(mol_a, mol_b, [s.R for s in seps]):
+        res = _terms_quadrature(mol_a, mol_b, [seps[i] for i in group],
+                                terms, provider, spec, duality, sum_column)
+        # each separation's last column is its sum (or its one term)
+        values = res.value[width - 1::width].tolist()
+        errs = res.error_estimate[width - 1::width].tolist()
+        for i, value, err in zip(group, values, errs):
+            converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
+            results[i] = QuadResult(value, err, res.evals, converged)
+    return results
 
 
 def u_unified(mol_a: Molecule, mol_b: Molecule, sep: Separation, tup,
@@ -380,7 +450,17 @@ def u_unified(mol_a: Molecule, mol_b: Molecule, sep: Separation, tup,
     transition frequencies and 1/R (see ``integrate_halfline``).
     """
     term = (tup, beta_mode_a, beta_mode_b)
-    return _summed(mol_a, mol_b, sep, [term], provider, spec, duality)
+    return _summed(mol_a, mol_b, [sep], [term], provider, spec, duality)[0]
+
+
+def _label_terms(label, duality: Optional[float]) -> list:
+    label = ComponentLabel(label)
+    beta_mode_a = _LABEL_BETA_MODE_A.get(label, "full")
+    if duality is not None and label in _LABEL_BETA_MODE_A:
+        raise ValueError(
+            "duality rotation is undefined for para/dia-restricted "
+            "components")
+    return [(tup, beta_mode_a, "full") for tup in LABEL_TUPLES[label]]
 
 
 def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
@@ -392,14 +472,8 @@ def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
     are converged on their own, the result is the sum's (value, error
     estimate, ``converged``) and ``evals`` counts the shared nodes.
     """
-    label = ComponentLabel(label)
-    beta_mode_a = _LABEL_BETA_MODE_A.get(label, "full")
-    if duality is not None and label in _LABEL_BETA_MODE_A:
-        raise ValueError(
-            "duality rotation is undefined for para/dia-restricted "
-            "components")
-    terms = [(tup, beta_mode_a, "full") for tup in LABEL_TUPLES[label]]
-    return _summed(mol_a, mol_b, sep, terms, provider, spec, duality)
+    terms = _label_terms(label, duality)
+    return _summed(mol_a, mol_b, [sep], terms, provider, spec, duality)[0]
 
 
 def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
@@ -413,7 +487,7 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
     row = str(row).upper()
     if row not in ROW_SPECS:
         raise ValueError(f"unknown row {row!r}; expected one of {ROW_NAMES}")
-    return _summed(mol_a, mol_b, sep, ROW_SPECS[row], provider, spec, None)
+    return _summed(mol_a, mol_b, [sep], ROW_SPECS[row], provider, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +761,12 @@ def compute_curve(mol_a: Molecule, mol_b: Molecule, orientation,
 
     Molecule B sits at the origin and molecule A at R times the normalised
     ``orientation`` vector for each R in ``r_values``.  ``component``
-    accepts a named component, a tabulation row, or a raw tuple.
+    accepts a named component, a tabulation row, or a raw tuple.  The
+    separations are integrated together, one shared-node pass per group
+    of separations whose 1/R lies in the same decade relative to the
+    pair's transition band; every point is converged on its own and its
+    value, error estimate and ``converged`` are those of a single-value
+    call (``u_named``, ``u_row`` or ``u_unified``) at that separation.
     """
     direction = np.asarray(orientation, dtype=float).reshape(-1)
     if direction.shape != (3,) or not np.all(np.isfinite(direction)):
@@ -704,22 +783,17 @@ def compute_curve(mol_a: Molecule, mol_b: Molecule, orientation,
         raise ValueError("r_values must be positive and finite")
 
     kind, key = resolve_component(component)
+    if kind == "label":
+        terms = _label_terms(key, None)
+    elif kind == "row":
+        terms = ROW_SPECS[key]
+    else:
+        terms = [(key, "full", "full")]
     origin = np.zeros(3)
-    us = np.empty_like(r_values)
-    errs = np.empty_like(r_values)
-    conv = np.empty(r_values.shape, dtype=bool)
-    for i, R in enumerate(r_values):
-        sep = Separation(R * direction, origin)
-        if kind == "label":
-            res = u_named(mol_a, mol_b, sep, key, provider=provider,
-                          spec=spec)
-        elif kind == "row":
-            res = u_row(mol_a, mol_b, sep, key, provider=provider, spec=spec)
-        else:
-            res = u_unified(mol_a, mol_b, sep, key, provider=provider,
-                            spec=spec)
-        us[i] = res.value
-        errs[i] = res.error_estimate
-        conv[i] = res.converged
-    return PotentialCurve(component=key, r_values=r_values, u_values=us,
-                          error_estimates=errs, converged=conv)
+    seps = [Separation(R * direction, origin) for R in r_values]
+    results = _summed(mol_a, mol_b, seps, terms, provider, spec)
+    return PotentialCurve(
+        component=key, r_values=r_values,
+        u_values=np.array([res.value for res in results]),
+        error_estimates=np.array([res.error_estimate for res in results]),
+        converged=np.array([res.converged for res in results]))

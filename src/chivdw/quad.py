@@ -166,17 +166,22 @@ def _shaped(res: QuadResult, fv: _VectorisedCall) -> QuadResult:
 
 
 def _panel_sums(fvals: np.ndarray, half: np.ndarray):
-    """Kronrod value and error estimate for a batch of panels.
+    """Kronrod value, error estimate and round-off floor for a batch of
+    panels.
 
     ``fvals`` has shape (m, 15, K); ``half`` the panel half-widths (m,).
-    Returns (values, errors) of shape (m, K) using the classic Kronrod
-    error heuristic: the raw |K15 - G7| difference is damped through the
-    panel's total variation scale so smooth panels are not over-refined.
+    Returns shape (3, m, K): the value, the error estimate and its floor
+    per panel and component.  The error follows the classic Kronrod
+    heuristic: the raw |K15 - G7| difference is damped through the
+    panel's total variation scale so smooth panels are not over-refined,
+    and never reported below the floor 50 eps resabs that round-off in the
+    panel's sum puts on it.
     """
+    out = np.empty((3, fvals.shape[0], fvals.shape[2]))
     half = half[:, None]
     fk = _W15 @ fvals
     fg = _W7 @ fvals
-    value = half * fk
+    out[0] = half * fk
     resabs = half * (_W15 @ np.abs(fvals))
     reskh = 0.5 * fk
     resasc = half * (_W15 @ np.abs(fvals - reskh[:, None, :]))
@@ -185,8 +190,9 @@ def _panel_sums(fvals: np.ndarray, half: np.ndarray):
     mask = (resasc != 0.0) & (raw != 0.0)
     scaled = np.minimum(1.0, (200.0 * raw[mask] / resasc[mask]) ** 1.5)
     err[mask] = resasc[mask] * scaled
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return value, err
+    out[2] = 50.0 * _EPS * resabs
+    out[1] = np.maximum(err, out[2])
+    return out
 
 
 def _adaptive(f: Callable, edges: Sequence[float],
@@ -197,8 +203,12 @@ def _adaptive(f: Callable, edges: Sequence[float],
     components sharing the nodes.  Component k is converged when its
     summed panel error is within max(rel_tol |value_k|, abs_tol); a panel
     is split when its error in any component exceeds that component's
-    equidistributed share.  Value and error estimate are
-    returned as (K,) arrays and ``evals`` counts shared nodes.
+    equidistributed share.  A component whose summed round-off floor
+    exceeds its tolerance while its error is within twice that floor is
+    held: splitting cannot lower the floor, so it no longer drives splits
+    or the stopping rule, and it leaves the result unconverged.  Value and
+    error estimate are returned as (K,) arrays and ``evals`` counts shared
+    nodes.
     """
     los = np.array(edges[:-1], dtype=float)
     his = np.array(edges[1:], dtype=float)
@@ -208,7 +218,7 @@ def _adaptive(f: Callable, edges: Sequence[float],
         return QuadResult(0.0, 0.0, 0, True)
 
     evals = 0
-    vals = errs = None
+    sums = None
     all_lo = np.empty(0)
     all_hi = np.empty(0)
 
@@ -223,24 +233,23 @@ def _adaptive(f: Callable, edges: Sequence[float],
             raise NonFiniteIntegrandError(
                 f"integrand returned a non-finite value at x={bad!r}")
         evals += flat.size
-        v, e = _panel_sums(fv.reshape(nodes.shape + (-1,)), half)
-        if vals is None:
-            vals = errs = np.empty((0, v.shape[1]))
+        new = _panel_sums(fv.reshape(nodes.shape + (-1,)), half)
+        sums = new if sums is None else np.concatenate([sums, new], axis=1)
         all_lo = np.concatenate([all_lo, pend_lo])
         all_hi = np.concatenate([all_hi, pend_hi])
-        vals = np.concatenate([vals, v])
-        errs = np.concatenate([errs, e])
 
-        total = vals.sum(axis=0)
-        total_err = errs.sum(axis=0)
+        total, total_err, total_floor = sums.sum(axis=1)
         tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
-        if np.all(total_err <= tol):
+        done = total_err <= tol
+        if done.all():
             return QuadResult(total, total_err, evals, True)
-        if evals >= spec.max_evals:
+        held = (total_floor > tol) & (total_err <= 2.0 * total_floor)
+        if (done | held).all() or evals >= spec.max_evals:
             return QuadResult(total, total_err, evals, False)
 
         # split every panel holding more than its equidistributed share of
-        # some component's tolerance
+        # some component's tolerance, held components aside
+        errs, tol = sums[1], np.where(held, np.inf, tol)
         split = np.flatnonzero((errs > tol / len(errs)).any(axis=1))
         # respect the remaining budget: each split costs 30 evaluations
         budget = max((spec.max_evals - evals) // 30, 1)
@@ -257,7 +266,7 @@ def _adaptive(f: Callable, edges: Sequence[float],
         keep_mask = np.ones(len(errs), dtype=bool)
         keep_mask[split] = False
         all_lo, all_hi = all_lo[keep_mask], all_hi[keep_mask]
-        vals, errs = vals[keep_mask], errs[keep_mask]
+        sums = sums[:, keep_mask]
         pend_lo = np.concatenate([s_lo, s_mid])
         pend_hi = np.concatenate([s_mid, s_hi])
 

@@ -379,10 +379,10 @@ def test_table1_unconverged_cell_exits_numerical(capsys, monkeypatch):
     import chivdw.cli as cli_module
     from chivdw.quad import QuadResult
 
-    def unconverged_row(mol_a, mol_b, sep, row):
-        return QuadResult(-sep.R ** -7, 0.0, 15, False)
+    def unconverged_rows(mol_a, mol_b, seps, terms):
+        return [QuadResult(-sep.R ** -7, 0.0, 15, False) for sep in seps]
 
-    monkeypatch.setattr(cli_module, "u_row", unconverged_row)
+    monkeypatch.setattr(cli_module, "_summed", unconverged_rows)
     code = main(["table1", "--rows", "EE", "--only", "retarded"])
     assert code == 2
     _, rows = _parse_csv(capsys.readouterr().out)
@@ -395,11 +395,11 @@ def test_table1_places_the_pair_along_orientation(capsys, monkeypatch):
 
     directions = []
 
-    def recording_row(mol_a, mol_b, sep, row):
-        directions.append(np.array(sep.r_hat))
-        return QuadResult(-sep.R ** -7, 0.0, 15, True)
+    def recording_rows(mol_a, mol_b, seps, terms):
+        directions.extend(np.array(sep.r_hat) for sep in seps)
+        return [QuadResult(-sep.R ** -7, 0.0, 15, True) for sep in seps]
 
-    monkeypatch.setattr(cli_module, "u_row", recording_row)
+    monkeypatch.setattr(cli_module, "_summed", recording_rows)
     code = main(["table1", "--rows", "EE", "--only", "retarded",
                  "--points", "5", "--orientation", "1,0,0"])
     assert code == 0

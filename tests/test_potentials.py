@@ -557,8 +557,151 @@ def test_tail_breakpoint_in_subnormal_band_is_dropped():
     res = u_named(a, b, sep, "EE")
     assert res.converged
     integrand = potentials._terms_integrand(
-        a, b, sep, [("eeee", "full", "full")], FreeSpaceProvider(), None)
+        a, b, [sep], [("eeee", "full", "full")], FreeSpaceProvider(), None)
     points = sorted(set(a.omegas) | set(b.omegas))
     reference = oracles.scipy_halfline(
         lambda x: float(integrand(np.array([x]))[0, 0]), points)
     assert res.value == pytest.approx(reference, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# A curve's separations integrated together against one run per separation
+# ---------------------------------------------------------------------------
+
+def _many_transition_pair(seed):
+    """A pair with 16-64 transitions each, log-uniform over [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+
+    def build(name):
+        count = int(rng.integers(16, 65))
+        scale = 1.0 / math.sqrt(count)
+        trs = tuple(
+            Transition(float(w), scale * rng.normal(size=3),
+                       scale * rng.normal(size=3))
+            for w in np.exp(rng.uniform(math.log(0.1), math.log(10.0),
+                                        count)))
+        m = rng.normal(size=(3, 3))
+        return Molecule(name, trs, beta_dia=-0.03 * (m @ m.T))
+
+    return build(f"many-{seed}a"), build(f"many-{seed}b")
+
+
+_CURVE_PAIRS = {"bundled": bundled_pair(), "many-5": _many_transition_pair(5)}
+_CURVE_GRIDS = {"near-band": np.geomspace(0.3, 3.0, 6),
+                "wide": np.geomspace(1e-6, 1e4, 12)}
+_CURVE_DIRECTION = np.array([1.0, -2.0, 2.0]) / 3.0
+
+
+def _band_decade(a, b, R):
+    """0 when 1/R lies in the pair's transition band, else +-the number of
+    decades (rounded up) that it lies above or below it."""
+    lo = min(*a.omegas, *b.omegas)
+    hi = max(*a.omegas, *b.omegas)
+    k = 1.0 / R
+    if k > hi:
+        return math.ceil(math.log10(k / hi))
+    if k < lo:
+        return -math.ceil(math.log10(lo / k))
+    return 0
+
+
+class _HalflineSpy:
+    """Records (evals, columns) of every ``integrate_halfline`` call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        inner = potentials.integrate_halfline
+
+        def spy(f, spec, breakpoints=()):
+            res = inner(f, spec, breakpoints=breakpoints)
+            self.calls.append((res.evals, np.size(res.value)))
+            return res
+
+        monkeypatch.setattr(potentials, "integrate_halfline", spy)
+
+    def node_separations(self, width):
+        """Shared nodes times the separations of each pass (``width``
+        columns per separation)."""
+        return sum(evals * (cols // width) for evals, cols in self.calls)
+
+
+class TestCurveMatchesPerSeparationRuns:
+    @pytest.mark.parametrize("grid", sorted(_CURVE_GRIDS))
+    @pytest.mark.parametrize("name,component", [
+        ("bundled", "TOTAL"), ("bundled", "EC"), ("bundled", "PD"),
+        ("bundled", "eeme"), ("many-5", "EC"), ("many-5", "PD"),
+        ("many-5", "eeme")])
+    def test_points_match_single_value_calls(self, name, grid, component,
+                                             monkeypatch):
+        a, b = _CURVE_PAIRS[name]
+        rs = _CURVE_GRIDS[grid]
+        kind, key = resolve_component(component)
+        single = {"label": u_named, "row": u_row, "tuple": u_unified}[kind]
+        # each separation owns its terms' columns and, for several, the sum
+        n_terms = (len(LABEL_TUPLES[ComponentLabel(key)]) if kind == "label"
+                   else len(ROW_SPECS[key]) if kind == "row" else 1)
+        width = n_terms + (n_terms > 1)
+
+        spy = _HalflineSpy(monkeypatch)
+        curve = compute_curve(a, b, _CURVE_DIRECTION, rs, component)
+        passes = len(spy.calls)
+        grouped = spy.node_separations(width)
+        spy.calls.clear()
+        refs = [single(a, b, Separation(R * _CURVE_DIRECTION, np.zeros(3)),
+                       key) for R in rs]
+        per_r = spy.node_separations(width)
+
+        for R, u, err, conv, ref in zip(rs, curve.u_values,
+                                        curve.error_estimates,
+                                        curve.converged, refs):
+            _assert_agree(u, err, ref.value, ref.error_estimate, (key, R))
+            assert conv == ref.converged, (key, R)
+        assert curve.converged.all()
+        # one pass per decade of 1/R relative to the transition band
+        decades = {_band_decade(a, b, R) for R in rs}
+        assert passes == len(decades)
+        if name == "bundled":
+            assert grouped <= 1.3 * per_r, (grouped, per_r)
+
+    @pytest.mark.parametrize("name", sorted(_CURVE_PAIRS))
+    def test_in_band_curve_is_one_pass(self, name, monkeypatch):
+        a, b = _CURVE_PAIRS[name]
+        lo = min(*a.omegas, *b.omegas)
+        hi = max(*a.omegas, *b.omegas)
+        rs = np.geomspace(1.01 / hi, 0.99 / lo, 5)
+        spy = _HalflineSpy(monkeypatch)
+        compute_curve(a, b, _CURVE_DIRECTION, rs, "EE")
+        assert len(spy.calls) == 1
+
+
+class TestRoundOffFloor:
+    """TOTAL of the bundled pair next to its zero R* along one direction:
+    its tolerance there lies below the round-off floor of its terms."""
+
+    R_STAR = 4.266554283
+    DIRECTION = np.array([-0.8448, -0.4099, 0.3441])
+
+    def _sep(self, R):
+        direction = self.DIRECTION / np.linalg.norm(self.DIRECTION)
+        return Separation(R * direction, np.zeros(3))
+
+    def test_single_value_stops_at_the_floor(self):
+        a, b = bundled_pair()
+        res = u_named(a, b, self._sep(self.R_STAR * (1 + 1e-5)), "TOTAL")
+        assert not res.converged
+        assert res.evals < 2000
+        # the value is honest: the floor is tiny in absolute terms
+        assert res.error_estimate < 1e-20
+
+    def test_curve_flags_only_that_point(self, monkeypatch):
+        a, b = bundled_pair()
+        rs = np.geomspace(1.0, 16.0, 9)
+        rs[4] = self.R_STAR * (1 + 1e-5)
+        spy = _HalflineSpy(monkeypatch)
+        curve = compute_curve(a, b, self.DIRECTION, rs, "TOTAL")
+        np.testing.assert_array_equal(curve.converged, np.arange(9) != 4)
+        # the held point does not drive its pass to the budget
+        assert all(evals < 2000 for evals, _ in spy.calls), spy.calls
+        near = u_named(a, b, self._sep(rs[4]), "TOTAL")
+        _assert_agree(curve.u_values[4], curve.error_estimates[4],
+                      near.value, near.error_estimate, "near R*")

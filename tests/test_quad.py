@@ -185,6 +185,22 @@ class TestInterval:
         assert res.value == pytest.approx((1 - np.cos(10.0)) / 10.0,
                                           rel=1e-12)
 
+    def test_component_held_at_round_off_floor_stops_refining(self):
+        # the integral of sin over a full period is zero to round-off, so
+        # its tolerance sits below the 50 eps resabs floor of every panel;
+        # splitting cannot lower that floor, and the component must not
+        # spend the budget trying while the other one has converged
+        def f(x):
+            return np.stack([np.sin(x), np.exp(x)], axis=1)
+
+        res = integrate_interval(f, 0.0, 2.0 * math.pi, SPEC)
+        assert not res.converged
+        assert res.evals < 500
+        assert abs(res.value[0]) <= res.error_estimate[0] < 1e-12
+        assert res.value[1] == pytest.approx(math.exp(2.0 * math.pi) - 1.0,
+                                             rel=1e-12)
+        assert res.error_estimate[1] <= 1e-12 * res.value[1]
+
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             integrate_interval(lambda x: x, 1.0, 0.0, SPEC_ALG)
