@@ -29,6 +29,7 @@ disagrees with its reference entry (``mismatch``).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -334,7 +335,10 @@ def _add_common_options(sub) -> None:
                      help="write to this file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process; ``parse_args`` keeps no
+    state between calls."""
     parser = _Parser(
         prog="chivdw",
         description="Dispersion potentials between anisotropic, chiral, "

@@ -24,10 +24,12 @@ The em/me blocks obey the reciprocity relation
 plainly under argument exchange.
 
 A Green-tensor provider is any object with a method
-``block(lam, lamp, r, rp, xis)`` that, for a frequency array ``xis`` of
-shape (n,), returns the (n, 3, 3) stack of blocks.  The potential
-integrators call it once per block and node batch, raise ``ValueError``
-on any other shape and let the provider's own errors propagate.
+``blocks(r_a, r_b, xis)`` that, for a frequency array ``xis`` of shape
+(n,), returns the pair (B(r_a, r_b), B(r_b, r_a)) of 2x2 block matrices,
+each an (n, 2, 2, 3, 3) stack indexed [lam, lamp] with 0 = 'e' and
+1 = 'm'.  The potential integrators call it once per separation and node
+batch, raise ``ValueError`` on any other shape, raise ``TypeError`` for a
+provider without ``blocks`` and let the provider's own errors propagate.
 ``FreeSpaceProvider`` is the bundled vacuum implementation; any structural
 look-alike (e.g. a cavity or surface-dressed provider) is accepted.
 """
@@ -159,11 +161,45 @@ def g0_curl_left(r: np.ndarray, rp: np.ndarray, xi) -> np.ndarray:
 class FreeSpaceProvider:
     """Vacuum field-correlation blocks.
 
-    ``block(lam, lamp, r, rp, xi)`` returns the 3x3 block coupling response
-    slot ``lam`` at ``r`` to slot ``lamp`` at ``rp``; ``xi`` may be a scalar
-    (returns (3, 3)) or a 1-d array of length n (returns (n, 3, 3)).  All
-    blocks are finite at xi = 0; the cross blocks vanish there.
+    ``blocks(r_a, r_b, xis)`` is the provider contract (see the module
+    docstring).  ``block(lam, lamp, r, rp, xi)`` returns the one 3x3 block
+    coupling response slot ``lam`` at ``r`` to slot ``lamp`` at ``rp``;
+    ``xi`` may be a scalar (returns (3, 3)) or a 1-d array of length n
+    (returns (n, 3, 3)).  All blocks are finite at xi = 0; the cross
+    blocks vanish there.
     """
+
+    def blocks(self, r_a, r_b, xis) -> tuple[np.ndarray, np.ndarray]:
+        """(B(r_a, r_b), B(r_b, r_a)), each (n, 2, 2, 3, 3).
+
+        All eight blocks come from one S and one X of the separation
+        r_a - r_b: B(r_a, r_b) = [[S, -X], [X, S]] and
+        B(r_b, r_a) = [[S, -X^T], [X^T, S]], where X^T = -X because X is
+        a cross-product matrix.  Each block equals the corresponding
+        ``block`` call exactly; where the two positions share a coordinate,
+        a zero entry of a cross block of B(r_b, r_a) may carry the other
+        sign.
+        """
+        r_a = np.asarray(r_a, dtype=float).reshape(-1)
+        r_b = np.asarray(r_b, dtype=float).reshape(-1)
+        if r_a.shape != (3,) or r_b.shape != (3,):
+            raise ValueError("positions must be 3-vectors")
+        xis, _ = _prepare_xi(xis, allow_zero=True)
+        rvec = r_a - r_b
+        if not float(np.linalg.norm(rvec)) > 0.0:
+            raise ValueError("points must be distinct")
+        scaled = kernels.free_scaled(rvec, xis)
+        cross = kernels.free_cross(rvec, xis)
+        # the transpose of cross_matrix(v) is cross_matrix(-v) exactly
+        cross_t = cross.transpose(0, 2, 1)
+        ab = np.empty((xis.shape[0], 2, 2, 3, 3))
+        ba = np.empty_like(ab)
+        ab[:, 0, 0] = ab[:, 1, 1] = ba[:, 0, 0] = ba[:, 1, 1] = scaled
+        np.negative(cross, out=ab[:, 0, 1])
+        ab[:, 1, 0] = cross
+        np.negative(cross_t, out=ba[:, 0, 1])
+        ba[:, 1, 0] = cross_t
+        return ab, ba
 
     def block(self, lam: str, lamp: str, r, rp, xi) -> np.ndarray:
         r = np.asarray(r, dtype=float).reshape(-1)

@@ -34,13 +34,17 @@ exactly.
 
 Every request is one vector-valued quadrature over its list of
 ``(tuple, beta_mode_a, beta_mode_b)`` terms (``u_terms``): all terms share
-the frequency nodes, the response tensors and provider blocks are computed
-once per node batch, and each term is converged to the relative tolerance
-on its own.  A summed request (a named component, a row) carries the sum
-of its terms as one more column, held to the tolerance in its own right,
-and reports that column.  The ``evals`` of a multi-term result therefore
-counts shared nodes; a one-term request (a raw tuple, EE) runs exactly as
-a scalar quadrature.
+the frequency nodes, the response tensors are computed once per node
+batch, and each term is converged to the relative tolerance on its own.
+The provider is asked once per separation and node batch for both block
+matrices, B(r_a, r_b) and B(r_b, r_a) (``blocks``, see ``chivdw.green``);
+the terms' distinct half products A_a B and A_b B are formed in one
+batched product per side and their pairwise traces in one more.  A
+summed request (a named component, a row) carries the sum of its terms as
+one more column, held to the tolerance in its own right, and reports that
+column.  The ``evals`` of a multi-term result therefore counts shared
+nodes; a one-term request (a raw tuple, EE) runs exactly as a scalar
+quadrature.
 
 A curve (``compute_curve``, and the CLI's ``curve``, ``powerlaw`` and
 ``table1`` windows) integrates its separations together: the response
@@ -165,6 +169,9 @@ _BETA_MODES = ("full", "para", "dia")
 
 _SLOT_INDEX = {("e", "e"): 0, ("m", "m"): 1, ("e", "m"): 2, ("m", "e"): 3}
 
+# index of a slot label in a provider's (n, 2, 2, 3, 3) block matrices
+_BLOCK_INDEX = {"e": 0, "m": 1}
+
 
 @dataclass(frozen=True)
 class PotentialCurve:
@@ -259,21 +266,30 @@ def _validate_tuple(tup: str) -> str:
     return tup
 
 
-def _provider_blocks(provider, lam: str, lamp: str, r: np.ndarray,
-                     rp: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """One provider block over the frequency array ``xis`` of shape (n,).
+def _provider_blocks(provider, r_a: np.ndarray, r_b: np.ndarray,
+                     xis: np.ndarray) -> list:
+    """The provider's block matrices [B(r_a, r_b), B(r_b, r_a)] over the
+    frequency array ``xis`` of shape (n,).
 
-    The provider contract: ``provider.block(lam, lamp, r, rp, xis)``
-    returns the (n, 3, 3) stack of blocks.  Any other shape raises
-    ``ValueError``; an error raised by the provider propagates.
+    The provider contract: ``provider.blocks(r_a, r_b, xis)`` returns the
+    two (n, 2, 2, 3, 3) stacks, indexed [lam, lamp] with 0 = 'e' and
+    1 = 'm'.  A provider without ``blocks`` raises ``TypeError``; any other
+    shape raises ``ValueError``; an error raised by the provider
+    propagates.
     """
+    blocks = getattr(provider, "blocks", None)
+    if blocks is None:
+        raise TypeError(
+            f"provider {type(provider).__name__!r} has no "
+            f"blocks(r_a, r_b, xis) method")
     n = xis.shape[0]
-    out = np.asarray(provider.block(lam, lamp, r, rp, xis), dtype=float)
-    if out.shape != (n, 3, 3):
+    pair = [np.asarray(b, dtype=float) for b in blocks(r_a, r_b, xis)]
+    shapes = [b.shape for b in pair]
+    if shapes != [(n, 2, 2, 3, 3)] * 2:
         raise ValueError(
-            f"provider block ({lam!r}, {lamp!r}) returned shape {out.shape} "
-            f"for {n} frequencies; expected ({n}, 3, 3)")
-    return out
+            f"provider blocks returned shapes {shapes} for {n} frequencies; "
+            f"expected two of ({n}, 2, 2, 3, 3)")
+    return pair
 
 
 def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
@@ -307,9 +323,10 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
     ``sum_column`` appends their sum, so each separation owns K' = K or
     K + 1 adjacent columns and the output is (n, P K') for P separations.
     Per node batch every response set is computed once for all
-    separations and every distinct provider block once per separation,
-    and each trace is taken from the two shared half products
-    (A_a B_{l2 l3}) and (A_b B_{l4 l1}).
+    separations and the provider's block matrices once per separation.
+    The distinct half products (A_a B_{l2 l3}) and (A_b B_{l4 l1}) are
+    formed in one product per side, their pairwise traces in one more,
+    and each term reads its entry of the pairwise traces.
     """
     modes_a = sorted({mode_a for _, mode_a, _ in terms})
     modes_b = sorted({mode_b for _, _, mode_b in terms})
@@ -320,43 +337,43 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
         rights.append((mode_b, _SLOT_INDEX[(l3, l4)], l4, l1))
     left_keys = sorted(set(lefts))
     right_keys = sorted(set(rights))
-    # the half products are stacked separation by separation, so term k
-    # of separation p reads row p * len(keys) + keys.index(its key)
-    left_rows = [p * len(left_keys) + left_keys.index(key)
-                 for p in range(len(seps)) for key in lefts]
-    right_rows = [p * len(right_keys) + right_keys.index(key)
-                  for p in range(len(seps)) for key in rights]
+    # term k is entry (left_cols[k], right_cols[k]) of the pairwise traces
+    left_cols = [left_keys.index(key) for key in lefts]
+    right_cols = [right_keys.index(key) for key in rights]
+    # the [lam, lamp] block of each half product
+    left_lam = [_BLOCK_INDEX[lam] for _, _, lam, _ in left_keys]
+    left_lamp = [_BLOCK_INDEX[lamp] for _, _, _, lamp in left_keys]
+    right_lam = [_BLOCK_INDEX[lam] for _, _, lam, _ in right_keys]
+    right_lamp = [_BLOCK_INDEX[lamp] for _, _, _, lamp in right_keys]
+    n_sep, n_left, n_right = len(seps), len(left_keys), len(right_keys)
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
+        n = xis.shape[0]
         ta = _responses(mol_a, xis, modes_a, duality)
         tb = _responses(mol_b, xis, modes_b, duality)
-        blocks = {}
-
-        def block(lam, lamp, r, rp, key):
-            if key not in blocks:
-                blocks[key] = _provider_blocks(provider, lam, lamp, r, rp,
-                                               xis)
-            return blocks[key]
-
-        left = np.stack([
-            ta[mode][slot] @ block(lam, lamp, s.r_a, s.r_b,
-                                   (p, "ab", lam, lamp))
-            for p, s in enumerate(seps)
-            for mode, slot, lam, lamp in left_keys])
-        right = np.stack([
-            tb[mode][slot] @ block(lam, lamp, s.r_b, s.r_a,
-                                   (p, "ba", lam, lamp))
-            for p, s in enumerate(seps)
-            for mode, slot, lam, lamp in right_keys])
-        traces = np.einsum("knij,knji->nk", left[left_rows],
-                           right[right_rows])
-        out = -(0.5 / _PI) * traces
+        resp_a = np.stack([ta[mode][slot] for mode, slot, _, _ in left_keys],
+                          axis=1)
+        resp_b = np.stack([tb[mode][slot]
+                           for mode, slot, _, _ in right_keys], axis=1)
+        pairs = [_provider_blocks(provider, s.r_a, s.r_b, xis) for s in seps]
+        ab = np.stack([b for b, _ in pairs])
+        ba = np.stack([b for _, b in pairs])
+        # (P, n, L, 3, 3) and (P, n, R, 3, 3)
+        left = resp_a @ ab[:, :, left_lam, left_lamp]
+        right = resp_b @ ba[:, :, right_lam, right_lamp]
+        # tr(left_l right_r) = sum_ij left_l[i, j] right_r[j, i], so the
+        # pairwise traces are (P, n, L, 9) @ (P, n, 9, R)
+        right_t = np.empty((n_sep, n, 9, n_right))
+        right_t.reshape(n_sep, n, 3, 3, n_right)[...] = \
+            right.transpose(0, 1, 4, 3, 2)
+        traces = left.reshape(n_sep, n, n_left, 9) @ right_t
+        out = -(0.5 / _PI) * traces[:, :, left_cols, right_cols]
+        out = out.transpose(1, 0, 2)
         if sum_column:
-            out = out.reshape(xis.shape[0], len(seps), -1)
             out = np.concatenate([out, out.sum(axis=2, keepdims=True)],
-                                 axis=2).reshape(xis.shape[0], -1)
-        return out
+                                 axis=2)
+        return out.reshape(n, -1)
 
     return integrand
 
@@ -516,11 +533,10 @@ def u_ec_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         alpha_a, _, _, _ = response_arrays(mol_a, xis)
         _, _, chi_em_b, _ = response_arrays(mol_b, xis)
-        bee = _provider_blocks(provider, "e", "e", r_a, r_b, xis)
-        bem = _provider_blocks(provider, "e", "m", r_b, r_a, xis)
+        ab, ba = _provider_blocks(provider, r_a, r_b, xis)
         return (1.0 / _PI) * kernels.trace4(
-            np.ascontiguousarray(alpha_a), bee,
-            np.ascontiguousarray(chi_em_b), bem)
+            np.ascontiguousarray(alpha_a), ab[:, 0, 0],
+            np.ascontiguousarray(chi_em_b), ba[:, 0, 1])
 
     return _direct_quadrature(mol_a, mol_b, sep, provider, spec, integrand)
 
@@ -536,11 +552,10 @@ def _u_mc_direct_mode(mol_a: Molecule, mol_b: Molecule, sep: Separation,
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         _, beta_a, _, _ = response_arrays(mol_a, xis, beta_mode_a)
         _, _, _, chi_me_b = response_arrays(mol_b, xis)
-        bmm = _provider_blocks(provider, "m", "m", r_a, r_b, xis)
-        bme = _provider_blocks(provider, "m", "e", r_b, r_a, xis)
+        ab, ba = _provider_blocks(provider, r_a, r_b, xis)
         return (1.0 / _PI) * kernels.trace4(
-            np.ascontiguousarray(beta_a), bmm,
-            np.ascontiguousarray(chi_me_b), bme)
+            np.ascontiguousarray(beta_a), ab[:, 1, 1],
+            np.ascontiguousarray(chi_me_b), ba[:, 1, 0])
 
     return _direct_quadrature(mol_a, mol_b, sep, provider, spec, integrand)
 
@@ -571,14 +586,12 @@ def u_cc_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         _, _, chi_em_a, _ = response_arrays(mol_a, xis)
         _, _, chi_em_b, chi_me_b = response_arrays(mol_b, xis)
-        bmm = _provider_blocks(provider, "m", "m", r_a, r_b, xis)
-        bee = _provider_blocks(provider, "e", "e", r_b, r_a, xis)
-        bem_ab = _provider_blocks(provider, "e", "m", r_a, r_b, xis)
-        bem_ba = _provider_blocks(provider, "e", "m", r_b, r_a, xis)
+        ab, ba = _provider_blocks(provider, r_a, r_b, xis)
         ca = np.ascontiguousarray(chi_em_a)
-        term1 = kernels.trace4(ca, bmm, np.ascontiguousarray(chi_me_b), bee)
-        term2 = kernels.trace4(ca, bem_ab, np.ascontiguousarray(chi_em_b),
-                               bem_ba)
+        term1 = kernels.trace4(ca, ab[:, 1, 1],
+                               np.ascontiguousarray(chi_me_b), ba[:, 0, 0])
+        term2 = kernels.trace4(ca, ab[:, 0, 1],
+                               np.ascontiguousarray(chi_em_b), ba[:, 0, 1])
         return -(1.0 / _PI) * (term1 + term2)
 
     return _direct_quadrature(mol_a, mol_b, sep, provider, spec, integrand)

@@ -6,10 +6,14 @@ the CSV contracts.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from chivdw import cli
 from chivdw.cli import main
 from chivdw.molfiles import CODATA2018, bundled_pair, dump_molecule
 from chivdw.response import Molecule, Transition
@@ -85,15 +89,45 @@ def test_curve_non_finite_provider_exits_numerical(pair_files, capsys,
                                                    monkeypatch):
     from chivdw.green import FreeSpaceProvider
 
-    def nan_block(self, lam, lamp, r, rp, xi):
-        return np.full((np.size(xi), 3, 3), np.nan)
+    def nan_blocks(self, r_a, r_b, xis):
+        nan = np.full((np.size(xis), 2, 2, 3, 3), np.nan)
+        return nan, nan
 
-    monkeypatch.setattr(FreeSpaceProvider, "block", nan_block)
+    monkeypatch.setattr(FreeSpaceProvider, "blocks", nan_blocks)
     a, b = pair_files
     code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "EE",
                  "--rmin", "2", "--rmax", "2", "--points", "1"])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_one_parser_serves_successive_calls(pair_files, capsys):
+    # the parser is built once per process; a curve, a rejected call and a
+    # table1 in one process give what fresh interpreters give
+    a, b = pair_files
+    calls = [
+        ["curve", "--mol-a", a, "--mol-b", b, "--component", "EC",
+         "--rmin", "2", "--rmax", "8", "--points", "3", "--log"],
+        ["curve", "--mol-a", a, "--mol-b", b, "--component", "EC",
+         "--rmin", "2", "--rmax", "8", "--points", "three"],
+        ["table1", "--rows", "EE,CC", "--points", "5"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in in_process] == [0, 1, 0]
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "chivdw", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv
+        if code:
+            assert fresh.stderr == err
 
 
 def test_curve_accepts_rows_and_tuples(pair_files, capsys):

@@ -246,3 +246,57 @@ def test_provider_block_computes_only_the_block_asked_for(xi, monkeypatch):
             assert out.shape == (3, 3)
             out = out[None]
         assert np.array_equal(out, block), (lam, lamp)
+
+
+class TestProviderBlockMatrices:
+    """``blocks(r_a, r_b, xis)``: both directions' 2x2 block matrices."""
+
+    @staticmethod
+    def _expected(prov, r, rp, xis):
+        return np.stack([np.stack([prov.block(lam, lamp, r, rp, xis)
+                                   for lamp in ("e", "m")], axis=1)
+                         for lam in ("e", "m")], axis=1)
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
+    def test_equal_block_bit_for_bit(self, scale):
+        prov = FreeSpaceProvider()
+        r_a, r_b = np.array([0.3, -1.1, 0.8]), np.array([-0.2, 0.4, 0.1])
+        xis = np.array([scale / np.linalg.norm(r_a - r_b)])
+        ab, ba = prov.blocks(r_a, r_b, xis)
+        assert ab.shape == ba.shape == (1, 2, 2, 3, 3)
+        for got, (r, rp) in ((ab, (r_a, r_b)), (ba, (r_b, r_a))):
+            expected = self._expected(prov, r, rp, xis)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
+    def test_equal_block_exactly_on_axis(self, scale):
+        # positions sharing coordinates: equal values, though a zero entry
+        # of a reversed cross block may carry the other sign
+        prov = FreeSpaceProvider()
+        r_a, r_b = np.array([0.0, 0.0, 1.5]), np.zeros(3)
+        xis = np.array([scale / 1.5])
+        ab, ba = prov.blocks(r_a, r_b, xis)
+        assert np.array_equal(ab, self._expected(prov, r_a, r_b, xis))
+        assert np.array_equal(ba, self._expected(prov, r_b, r_a, xis))
+
+    def test_one_scaled_and_one_cross_kernel_call(self, monkeypatch):
+        from chivdw import kernels
+
+        built = []
+        for name in ("free_scaled", "free_cross"):
+            def counted(rvec, xs, _f=getattr(kernels, name), _name=name):
+                built.append(_name)
+                return _f(rvec, xs)
+            monkeypatch.setattr(kernels, name, counted)
+        FreeSpaceProvider().blocks(np.array([0.3, -1.1, 0.8]), np.zeros(3),
+                                   np.array([0.0, 0.5, 2.0]))
+        assert sorted(built) == ["free_cross", "free_scaled"]
+
+    def test_invalid_input_rejected(self):
+        prov = FreeSpaceProvider()
+        with pytest.raises(ValueError, match="distinct"):
+            prov.blocks(np.zeros(3), np.zeros(3), np.array([1.0]))
+        with pytest.raises(ValueError, match="3-vectors"):
+            prov.blocks(np.zeros(2), np.ones(3), np.array([1.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            prov.blocks(np.ones(3), np.zeros(3), np.array([-1.0]))

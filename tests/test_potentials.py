@@ -321,10 +321,10 @@ class TestProviderContract:
         base = FreeSpaceProvider()
 
         class ScalarOnly:
-            def block(self, lam, lamp, r, rp, xi):
-                if not np.isscalar(xi) and np.ndim(xi) != 0:
+            def blocks(self, r_a, r_b, xis):
+                if not np.isscalar(xis) and np.ndim(xis) != 0:
                     raise TypeError("scalar frequencies only")
-                return base.block(lam, lamp, r, rp, float(xi))
+                return base.blocks(r_a, r_b, float(xis))
 
         with pytest.raises(TypeError, match="scalar frequencies only"):
             u_named(*pair, sep, "EC", provider=ScalarOnly())
@@ -333,22 +333,81 @@ class TestProviderContract:
         base = FreeSpaceProvider()
 
         class FirstNodeOnly:
-            def block(self, lam, lamp, r, rp, xi):
-                return base.block(lam, lamp, r, rp, float(xi[0]))
+            def blocks(self, r_a, r_b, xis):
+                return base.blocks(r_a, r_b, xis[:1])
 
-        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+        with pytest.raises(ValueError, match=r"\(1, 2, 2, 3, 3\)"):
             u_named(*pair, sep, "EC", provider=FirstNodeOnly())
 
     def test_rescaled_provider_rescales_quadratically(self, pair, sep):
         base = FreeSpaceProvider()
 
         class Doubled:
-            def block(self, lam, lamp, r, rp, xi):
-                return 2.0 * base.block(lam, lamp, r, rp, xi)
+            def blocks(self, r_a, r_b, xis):
+                ab, ba = base.blocks(r_a, r_b, xis)
+                return 2.0 * ab, 2.0 * ba
 
         one = u_named(*pair, sep, "TOTAL")
         four = u_named(*pair, sep, "TOTAL", provider=Doubled())
         assert four.value == pytest.approx(4.0 * one.value, rel=1e-11)
+
+    @pytest.mark.parametrize("integral", [
+        lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
+        lambda a, b, s, p: u_ec_direct(a, b, s, provider=p),
+    ])
+    def test_provider_with_only_block_raises_naming_blocks(self, pair, sep,
+                                                           integral):
+        base = FreeSpaceProvider()
+
+        class BlockOnly:
+            def block(self, lam, lamp, r, rp, xi):
+                return base.block(lam, lamp, r, rp, xi)
+
+        with pytest.raises(TypeError, match=r"'BlockOnly'.*blocks\(r_a"):
+            integral(*pair, sep, BlockOnly())
+
+
+class _CountingProvider:
+    """Free space, recording the separation of every ``blocks`` call."""
+
+    def __init__(self):
+        self.calls = []
+        self._base = FreeSpaceProvider()
+
+    def blocks(self, r_a, r_b, xis):
+        self.calls.append(tuple(np.subtract(r_a, r_b)))
+        return self._base.blocks(r_a, r_b, xis)
+
+
+class TestOneBlocksCallPerSeparation:
+    """The provider is asked once per separation and node batch."""
+
+    @pytest.mark.parametrize("integral", [
+        lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
+        lambda a, b, s, p: u_ec_direct(a, b, s, provider=p),
+        lambda a, b, s, p: u_mc_direct(a, b, s, provider=p),
+        lambda a, b, s, p: u_cc_direct(a, b, s, provider=p),
+    ], ids=["TOTAL", "ec_direct", "mc_direct", "cc_direct"])
+    def test_single_value(self, pair, sep, integral, monkeypatch):
+        spy = _HalflineSpy(monkeypatch)
+        provider = _CountingProvider()
+        assert integral(*pair, sep, provider).converged
+        assert len(spy.calls) == 1
+        assert spy.integrand_calls >= 1
+        assert len(provider.calls) == spy.integrand_calls
+
+    def test_curve_within_one_layout_group(self, pair, monkeypatch):
+        r_values = [2.0, 2.5, 3.0]
+        assert len(potentials._layout_groups(*pair, r_values)) == 1
+        spy = _HalflineSpy(monkeypatch)
+        provider = _CountingProvider()
+        curve = compute_curve(*pair, [0.0, 0.0, 1.0], r_values, "TOTAL",
+                              provider=provider)
+        assert curve.converged.all()
+        assert len(spy.calls) == 1
+        assert len(provider.calls) == 3 * spy.integrand_calls
+        for R in r_values:
+            assert provider.calls.count((0.0, 0.0, R)) == spy.integrand_calls
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +665,20 @@ def _band_decade(a, b, R):
 
 
 class _HalflineSpy:
-    """Records (evals, columns) of every ``integrate_halfline`` call."""
+    """Records (evals, columns) of every ``integrate_halfline`` call and
+    counts the integrand calls."""
 
     def __init__(self, monkeypatch):
         self.calls = []
+        self.integrand_calls = 0
         inner = potentials.integrate_halfline
 
         def spy(f, spec, breakpoints=()):
-            res = inner(f, spec, breakpoints=breakpoints)
+            def counted(xs):
+                self.integrand_calls += 1
+                return f(xs)
+
+            res = inner(counted, spec, breakpoints=breakpoints)
             self.calls.append((res.evals, np.size(res.value)))
             return res
 
