@@ -34,7 +34,6 @@ from .asymptotics import (
 from .green import (
     FreeSpaceProvider,
     Separation,
-    fd_curl_left,
     free_space_provider,
     g0,
     g0_curl_left,
@@ -109,7 +108,7 @@ __all__ = [
     "dual_polarisability", "duality_rotate", "rotate_molecule_tensors",
     # green
     "Separation", "FreeSpaceProvider", "free_space_provider",
-    "g0", "g0_scaled", "g0_curl_left", "fd_curl_left",
+    "g0", "g0_scaled", "g0_curl_left",
     # quad
     "QuadSpec", "QuadResult",
     "integrate_interval", "integrate_halfline", "integrate_pv",

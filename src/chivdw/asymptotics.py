@@ -199,25 +199,21 @@ def _nr_ec_pc(mol_a: Molecule, mol_b: Molecule, sep: Separation,
               paramagnetic: bool) -> float:
     R, rhat = sep.R, sep.r_hat
     weight = np.eye(3) - 3.0 * np.outer(rhat, rhat)
-    sig = "ipq,q,ij,pr,jr->" if paramagnetic else "ipq,q,ij,rp,jr->"
-    total = 0.0
-    for ta in mol_a.transitions:
-        vec_a = ta.m_tilde if paramagnetic else ta.d
-        outer_a = np.outer(vec_a, vec_a)
-        for tb in mol_b.transitions:
-            cross_b = np.outer(tb.d, tb.m_tilde)
-            frac = ta.omega / (ta.omega + tb.omega)
-            total += frac * np.einsum(sig, LEVI_CIVITA, rhat, outer_a,
-                                      cross_b, weight)
+    # per transition pair, eps_ipq rhat_q v_i v_j x_p y_r weight_jr with
+    # v = d_a, (x, y) = (m_b, d_b), or v = m_a, (x, y) = (d_b, m_b), is the
+    # triple product v . (x x rhat) times v^T weight y
+    v = mol_a.magnetic_dipoles if paramagnetic else mol_a.dipoles
+    x, y = ((mol_b.dipoles, mol_b.magnetic_dipoles) if paramagnetic
+            else (mol_b.magnetic_dipoles, mol_b.dipoles))
+    frac = mol_a.omegas[:, None] / np.add.outer(mol_a.omegas, mol_b.omegas)
+    total = np.sum(frac * (v @ np.cross(x, rhat).T) * (v @ weight @ y.T))
     return float(total / (8.0 * _PI**2 * R**5))
 
 
 def _nr_dc(mol_a: Molecule, mol_b: Molecule, sep: Separation) -> float:
     R, rhat = sep.R, sep.r_hat
     weight = 3.0 * np.eye(3) - 7.0 * np.outer(rhat, rhat)
-    cross_b = np.zeros((3, 3))
-    for tb in mol_b.transitions:
-        cross_b += np.outer(tb.d, tb.m_tilde)
+    cross_b = mol_b.dipoles.T @ mol_b.magnetic_dipoles
     contraction = np.einsum("ipq,q,ij,pr,jr->", LEVI_CIVITA, rhat,
                             mol_a.beta_dia, cross_b, weight)
     return float(5.0 / (64.0 * _PI**3 * R**6) * contraction)
@@ -226,13 +222,12 @@ def _nr_dc(mol_a: Molecule, mol_b: Molecule, sep: Separation) -> float:
 def _nr_cc(mol_a: Molecule, mol_b: Molecule, sep: Separation) -> float:
     R, rhat = sep.R, sep.r_hat
     weight = np.eye(3) - 3.0 * np.outer(rhat, rhat)
-    total = 0.0
-    for ta in mol_a.transitions:
-        cross_a = np.outer(ta.d, ta.m_tilde)
-        for tb in mol_b.transitions:
-            cross_b = np.outer(tb.d, tb.m_tilde)
-            total += np.einsum("ip,jq,ij,pq->", weight, weight, cross_a,
-                               cross_b) / (ta.omega + tb.omega)
+    # per transition pair, weight_ip weight_jq (d_a m_a^T)_ij (d_b m_b^T)_pq
+    # = (d_a^T weight d_b)(m_a^T weight m_b)
+    total = np.sum(
+        (mol_a.dipoles @ weight @ mol_b.dipoles.T)
+        * (mol_a.magnetic_dipoles @ weight @ mol_b.magnetic_dipoles.T)
+        / np.add.outer(mol_a.omegas, mol_b.omegas))
     return float(total / (8.0 * _PI**2 * R**6))
 
 

@@ -3,8 +3,7 @@
 The pair potential consumes the environment only through four 3x3 blocks
 coupling the electric/magnetic response slots of the two molecules.  This
 module provides those blocks for two points in unbounded vacuum, together
-with the underlying scattering Green tensor and its curls, and a
-finite-difference curl used to cross-check the analytic forms.
+with the underlying scattering Green tensor and its curls.
 
 Conventions (natural units, imaginary frequency xi >= 0, k = xi/c = xi):
 
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,7 +49,6 @@ __all__ = [
     "g0_curl_left",
     "FreeSpaceProvider",
     "free_space_provider",
-    "fd_curl_left",
 ]
 
 _FOUR_PI = 4.0 * math.pi
@@ -101,13 +98,14 @@ def _prepare_xi(xi, allow_zero: bool) -> tuple[np.ndarray, bool]:
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if arr.ndim != 1:
         raise ValueError("xi must be a scalar or 1-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("xi must be finite")
-    if allow_zero:
-        if np.any(arr < 0.0):
+    if arr.size:
+        # min and max propagate NaN, so the two decide every check
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("xi must be finite")
+        if allow_zero and lo < 0.0:
             raise ValueError("xi must be non-negative")
-    else:
-        if np.any(arr <= 0.0):
+        if not allow_zero and lo <= 0.0:
             raise ValueError("xi must be positive")
     return arr, np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
 
@@ -188,18 +186,15 @@ class FreeSpaceProvider:
         rvec = r_a - r_b
         if not float(np.linalg.norm(rvec)) > 0.0:
             raise ValueError("points must be distinct")
-        scaled = kernels.free_scaled(rvec, xis)
+        n = xis.shape[0]
+        scaled = kernels.free_scaled(rvec, xis).reshape(n, 9)
         cross = kernels.free_cross(rvec, xis)
         # the transpose of cross_matrix(v) is cross_matrix(-v) exactly
-        cross_t = cross.transpose(0, 2, 1)
-        ab = np.empty((xis.shape[0], 2, 2, 3, 3))
-        ba = np.empty_like(ab)
-        ab[:, 0, 0] = ab[:, 1, 1] = ba[:, 0, 0] = ba[:, 1, 1] = scaled
-        np.negative(cross, out=ab[:, 0, 1])
-        ab[:, 1, 0] = cross
-        np.negative(cross_t, out=ba[:, 0, 1])
-        ba[:, 1, 0] = cross_t
-        return ab, ba
+        cross_t = cross.transpose(0, 2, 1).reshape(n, 9)
+        cross = cross.reshape(n, 9)
+        ab = np.concatenate([scaled, -cross, cross, scaled], axis=1)
+        ba = np.concatenate([scaled, -cross_t, cross_t, scaled], axis=1)
+        return ab.reshape(n, 2, 2, 3, 3), ba.reshape(n, 2, 2, 3, 3)
 
     def block(self, lam: str, lamp: str, r, rp, xi) -> np.ndarray:
         r = np.asarray(r, dtype=float).reshape(-1)
@@ -226,36 +221,3 @@ class FreeSpaceProvider:
 def free_space_provider() -> FreeSpaceProvider:
     """The bundled vacuum provider instance."""
     return FreeSpaceProvider()
-
-
-def fd_curl_left(field: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-                 r, rp, xi: float, step_scale: float = 1e-5) -> np.ndarray:
-    """Finite-difference curl of a tensor field in its first argument.
-
-    ``field(r, rp, xi)`` must return a 3x3 array.  Central differences with
-    one Richardson refinement; the step is ``step_scale`` times the point
-    separation.  Used in tests to validate the analytic curls.
-    """
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    s = float(np.linalg.norm(r - rp))
-    if s <= 0.0:
-        raise ValueError("points must be distinct")
-
-    def derivative_matrix(h: float) -> np.ndarray:
-        # partials[p, q, j] = d/dr_p field_{qj}
-        partials = np.empty((3, 3, 3))
-        for p in range(3):
-            step = np.zeros(3)
-            step[p] = h
-            plus = field(r + step, rp, xi)
-            minus = field(r - step, rp, xi)
-            partials[p] = (np.asarray(plus) - np.asarray(minus)) / (2.0 * h)
-        return partials
-
-    h = step_scale * s
-    coarse = derivative_matrix(h)
-    fine = derivative_matrix(0.5 * h)
-    partials = (4.0 * fine - coarse) / 3.0
-    # (curl F)_{ij} = eps_{ipq} d_p F_{qj}
-    return np.einsum('ipq,pqj->ij', kernels.LEVI_CIVITA, partials)

@@ -12,6 +12,8 @@ are (n, 3, 3).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Levi-Civita symbol eps_ijk.
@@ -30,82 +32,73 @@ def cross_matrix(v: np.ndarray) -> np.ndarray:
     ])
 
 
-def response_tensors(omegas: np.ndarray, ds: np.ndarray, mts: np.ndarray,
+def transition_products(ds: np.ndarray, mts: np.ndarray) -> np.ndarray:
+    """The frequency-independent outer products of T transitions, (T, 27).
+
+    Row t is [d_t d_t^T | m_t m_t^T | d_t m_t^T], each 3x3 block flattened
+    row-major, from electric dipoles ds (T, 3) and real-represented
+    magnetic dipoles mts (T, 3).
+    """
+    return np.concatenate([(a[:, :, None] * b[:, None, :]).reshape(-1, 9)
+                           for a, b in ((ds, ds), (mts, mts), (ds, mts))],
+                          axis=1)
+
+
+def response_tensors(omegas: np.ndarray, products: np.ndarray,
                      xis: np.ndarray):
     """Batched dynamic response tensors from transition data.
 
-    Parameters: omegas (T,), electric dipoles ds (T, 3), real-represented
-    magnetic dipoles mts (T, 3), frequencies xis (n,).
+    Parameters: omegas (T,), the transitions' outer products (T, 27) of
+    ``transition_products``, frequencies xis (n,).
 
     Returns (alpha, beta_para, chi_em), each (n, 3, 3):
         alpha     = sum_t 2 w_t d_t d_t^T / (w_t^2 + xi^2)
         beta_para = sum_t 2 w_t m_t m_t^T / (w_t^2 + xi^2)
         chi_em    = sum_t 2 xi d_t m_t^T / (w_t^2 + xi^2)
+    as two products, (n, T) @ (T, 18) and (n, T) @ (T, 9).
     """
-    omegas = np.asarray(omegas, dtype=float)
-    ds = np.asarray(ds, dtype=float)
-    mts = np.asarray(mts, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    n = xis.shape[0]
-    if omegas.size == 0:
-        zero = np.zeros((n, 3, 3))
-        return zero, zero.copy(), zero.copy()
-    denom = omegas[:, None] ** 2 + xis[None, :] ** 2      # (T, n)
-    w_alpha = 2.0 * omegas[:, None] / denom               # (T, n)
-    w_chi = 2.0 * xis[None, :] / denom                    # (T, n)
-    dd = np.einsum('ti,tj->tij', ds, ds)
-    mm = np.einsum('ti,tj->tij', mts, mts)
-    dm = np.einsum('ti,tj->tij', ds, mts)
-    alpha = np.einsum('tn,tij->nij', w_alpha, dd)
-    beta_para = np.einsum('tn,tij->nij', w_alpha, mm)
-    chi_em = np.einsum('tn,tij->nij', w_chi, dm)
-    return alpha, beta_para, chi_em
+    xis = np.asarray(xis, dtype=float)[:, None]
+    denom = omegas ** 2 + xis ** 2                        # (n, T)
+    even = (2.0 * omegas / denom) @ products[:, :18]      # (n, 18)
+    chi_em = (2.0 * xis / denom) @ products[:, 18:]       # (n, 9)
+    return (even[:, :9].reshape(-1, 3, 3), even[:, 9:].reshape(-1, 3, 3),
+            chi_em.reshape(-1, 3, 3))
 
 
 def _free_prefactor(rvec: np.ndarray, xis: np.ndarray):
     rvec = np.asarray(rvec, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    R = float(np.sqrt(rvec @ rvec))
+    R = math.sqrt(float(rvec @ rvec))
     x = xis * R
-    expf = np.exp(-x) / (4.0 * np.pi * R**3)
-    return rvec, xis, R, x, expf
+    return rvec, xis, R, x, np.exp(-x) / (4.0 * math.pi * R**3)
 
 
 def free_scaled(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """The S block of ``free_blocks`` alone."""
+    """The doubly-reduced free-space propagator S, (n, 3, 3).
+
+    ``rvec`` is the separation vector from the second point to the first
+    (r_a - r_b); ``xis`` the frequency batch (n,):
+        S = e^{-xR}/(4 pi R^3) [f(x) I - g(x) RhRh^T],  x = xi R,
+            f(x) = 1 + x + x^2,  g(x) = 3 + 3x + x^2,
+    finite for xi >= 0: the (n, 9) outer product of the g term with
+    -RhRh^T, its diagonal raised by the f term.
+    """
     rvec, xis, R, x, expf = _free_prefactor(rvec, xis)
     rhat = rvec / R
-    f = 1.0 + x + x * x
-    g = 3.0 + 3.0 * x + x * x
-    rr = np.outer(rhat, rhat)
-    eye = np.eye(3)
-    return expf[:, None, None] * (f[:, None, None] * eye
-                                  - g[:, None, None] * rr)
+    x2 = x * x
+    out = np.multiply.outer(expf * (3.0 + 3.0 * x + x2),
+                            -(rhat[:, None] * rhat).ravel())
+    out[:, ::4] += (expf * (1.0 + x + x2))[:, None]
+    return out.reshape(-1, 3, 3)
 
 
 def free_cross(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """The X block of ``free_blocks`` alone."""
+    """The frequency-weighted single-curl matrix X, (n, 3, 3):
+        X = xi e^{-xR}(1 + x)/(4 pi R^3) [rvec]_cross,
+    from which all four duality blocks are assembled by sign flips."""
     rvec, xis, R, x, expf = _free_prefactor(rvec, xis)
-    pref = xis * expf * (1.0 + x)
-    return pref[:, None, None] * cross_matrix(rvec)
-
-
-def free_blocks(rvec: np.ndarray, xis: np.ndarray):
-    """Batched free-space propagator building blocks.
-
-    ``rvec`` is the separation vector from the second point to the first
-    (r_a - r_b); ``xis`` the frequency batch (n,).
-
-    Returns (S, X), each (n, 3, 3):
-        S = e^{-xR}/(4 pi R^3) [f(x) I - g(x) RhRh^T],  x = xi R,
-            f(x) = 1 + x + x^2,  g(x) = 3 + 3x + x^2
-        X = xi e^{-xR}(1 + x)/(4 pi R^3) [rvec]_cross
-    S is the doubly-reduced propagator (finite for xi >= 0); X is the
-    frequency-weighted single-curl matrix from which all four duality blocks
-    are assembled by sign flips.  ``free_scaled`` and ``free_cross`` compute
-    one of the two.
-    """
-    return free_scaled(rvec, xis), free_cross(rvec, xis)
+    return np.multiply.outer(xis * expf * (1.0 + x),
+                             cross_matrix(rvec).ravel()).reshape(-1, 3, 3)
 
 
 def trace4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):

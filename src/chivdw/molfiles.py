@@ -31,6 +31,7 @@ CODATA-2018 base constants, never hard-coded.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .response import Molecule, Transition
+from .response import Molecule
 
 __all__ = [
     "MoleculeFileError",
@@ -163,6 +164,10 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+_TRANSITION_FIELDS = ("omega", "d", "m_imag")
+_TRANSITION_KEYS = frozenset(_TRANSITION_FIELDS)
+
+
 def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MoleculeFileError(f"{context}: expected a number, got "
@@ -170,16 +175,40 @@ def _as_float(value, context: str) -> float:
     return float(value)
 
 
-def _as_vector(value, context: str) -> np.ndarray:
+def _as_vector(value, context: str) -> list:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise MoleculeFileError(f"{context}: expected a list of 3 numbers")
-    return np.array([_as_float(v, context) for v in value], dtype=float)
+    return [_as_float(v, context) for v in value]
 
 
 def _as_matrix(value, context: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise MoleculeFileError(f"{context}: expected a 3x3 nested list")
     return np.array([_as_vector(row, context) for row in value], dtype=float)
+
+
+def _transition_rows(entries: list, context: str) -> list:
+    """One row [omega, *d, *m_imag] per transition.  The types are checked
+    in bulk, and entry by entry only to name a fault."""
+    if all(type(e) is dict and e.keys() == _TRANSITION_KEYS
+           and type(e["d"]) is list and len(e["d"]) == 3
+           and type(e["m_imag"]) is list and len(e["m_imag"]) == 3
+           for e in entries):
+        rows = [[e["omega"], *e["d"], *e["m_imag"]] for e in entries]
+        # bool is a subclass of int, but its type is not int
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            return rows
+    for idx, entry in enumerate(entries):
+        where = f"{context}: transitions[{idx}]"
+        if not isinstance(entry, dict):
+            raise MoleculeFileError(f"{where}: must be an object")
+        extra = set(entry) - _TRANSITION_KEYS
+        if extra:
+            raise MoleculeFileError(f"{where}: unknown keys {sorted(extra)}")
+        _as_float(_require(entry, "omega", where), where + ".omega")
+        for key in ("d", "m_imag"):
+            _as_vector(_require(entry, key, where), f"{where}.{key}")
+    return [[e["omega"], *e["d"], *e["m_imag"]] for e in entries]
 
 
 def _molecule_from_document(doc: dict, context: str) -> Tuple[Molecule, str]:
@@ -201,34 +230,19 @@ def _molecule_from_document(doc: dict, context: str) -> Tuple[Molecule, str]:
         raise MoleculeFileError(f"{context}: unknown keys {sorted(unknown)}")
 
     factors = conversion_factors(units)
-    transitions = []
-    for idx, entry in enumerate(raw_transitions):
-        where = f"{context}: transitions[{idx}]"
-        if not isinstance(entry, dict):
-            raise MoleculeFileError(f"{where}: must be an object")
-        extra = set(entry) - {"omega", "d", "m_imag"}
-        if extra:
-            raise MoleculeFileError(f"{where}: unknown keys {sorted(extra)}")
-        omega = _as_float(_require(entry, "omega", where), where + ".omega")
-        if not (math.isfinite(omega) and omega > 0.0):
-            raise MoleculeFileError(f"{where}: omega must be positive and "
-                                    "finite")
-        d = _as_vector(_require(entry, "d", where), where + ".d")
-        m_imag = _as_vector(_require(entry, "m_imag", where),
-                            where + ".m_imag")
-        transitions.append(Transition(
-            omega=omega * factors.omega,
-            d=d * factors.electric_dipole,
-            m_tilde=m_imag * factors.magnetic_dipole,
-        ))
-
+    # the values are validated as whole arrays, after unit conversion
+    rows = np.array(_transition_rows(raw_transitions, context),
+                    dtype=float).reshape(-1, 7) * (
+        [factors.omega] + [factors.electric_dipole] * 3
+        + [factors.magnetic_dipole] * 3)
     beta_dia = np.zeros((3, 3))
     if "beta_dia" in doc:
         beta_dia = _as_matrix(doc["beta_dia"], f"{context}: beta_dia") \
             * factors.magnetizability
     try:
-        molecule = Molecule(name=name, transitions=tuple(transitions),
-                            beta_dia=beta_dia)
+        molecule = Molecule.from_arrays(name, rows[:, 0], rows[:, 1:4],
+                                        rows[:, 4:], beta_dia,
+                                        fields=_TRANSITION_FIELDS)
     except ValueError as exc:
         raise MoleculeFileError(f"{context}: {exc}") from exc
     return molecule, units
@@ -251,14 +265,13 @@ def load_molecule(path) -> Tuple[Molecule, str]:
 
 def _molecule_to_document(mol: Molecule, units: str) -> dict:
     factors = conversion_factors(units)
-    transitions = []
-    for t in mol.transitions:
-        transitions.append({
-            "omega": t.omega / factors.omega,
-            "d": [v / factors.electric_dipole for v in t.d.tolist()],
-            "m_imag": [v / factors.magnetic_dipole
-                       for v in t.m_tilde.tolist()],
-        })
+    transitions = [
+        {"omega": omega, "d": d, "m_imag": m_imag}
+        for omega, d, m_imag in zip(
+            (mol.omegas / factors.omega).tolist(),
+            (mol.dipoles / factors.electric_dipole).tolist(),
+            (mol.magnetic_dipoles / factors.magnetic_dipole).tolist())
+    ]
     doc = {
         "name": mol.name,
         "units": units,

@@ -75,7 +75,8 @@ import numpy as np
 from chivdw import kernels
 from chivdw.green import FreeSpaceProvider, Separation, free_space_provider
 from chivdw.quad import QuadResult, QuadSpec, integrate_halfline
-from chivdw.response import Molecule, response_arrays, rotate_molecule_tensors
+from chivdw.response import (Molecule, beta_for_mode, response_arrays,
+                             rotate_molecule_tensors)
 
 __all__ = [
     "ComponentLabel",
@@ -304,10 +305,8 @@ def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
         return {mode: rotate_molecule_tensors(mol, duality, xis, mode)
                 for mode in modes}
     alpha, beta_para, chi_em, chi_me = response_arrays(mol, xis, "para")
-    betas = {"para": beta_para,
-             "dia": np.broadcast_to(mol.beta_dia, beta_para.shape),
-             "full": beta_para + mol.beta_dia[None, :, :]}
-    return {mode: (alpha, betas[mode], chi_em, chi_me) for mode in modes}
+    return {mode: (alpha, beta_for_mode(mol, beta_para, mode), chi_em, chi_me)
+            for mode in modes}
 
 
 def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
@@ -701,11 +700,9 @@ def _isotropic_rotatory(mol: Molecule, ks: np.ndarray) -> np.ndarray:
     (d . m~)/3 times the identity; the scalar response is then
     chi(ik) = (2k/3) sum_t (d_t . m~_t) / (omega_t^2 + k^2).
     """
-    out = np.zeros_like(ks)
-    for t in mol.transitions:
-        out += (2.0 * ks / 3.0) * float(np.dot(t.d, t.m_tilde)) / (
-            t.omega**2 + ks**2)
-    return out
+    dots = np.einsum("ti,ti->t", mol.dipoles, mol.magnetic_dipoles)
+    return (2.0 * ks / 3.0) * ((1.0 / (mol.omegas**2 + ks[:, None]**2))
+                               @ dots)
 
 
 def u_cc_isotropic(mol_a: Molecule, mol_b: Molecule, R: float,

@@ -9,15 +9,23 @@ part plus the static diamagnetic part), and the two electric-magnetic cross
 responses ``chi_em``/``chi_me`` — is manifestly real on the imaginary
 frequency axis, and the cross responses obey chi_me = -(chi_em)^T.
 
+Every dynamic tensor is a transition sum of a frequency weight times an
+outer product (d d^T, m m^T or d m^T) that does not depend on frequency, so
+a ``Molecule`` holds validated transition arrays and builds the (T, 27)
+table of those products once; the response on n frequencies is then two
+matrix products, (n, T) @ (T, 18) for alpha and the paramagnetic beta and
+(n, T) @ (T, 9) for chi_em.
+
 Internally everything is in natural units (hbar = c = eps0 = mu0 = 1); the
 file-ingestion layer converts SI or atomic-unit input on load.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -28,6 +36,7 @@ __all__ = [
     "Molecule",
     "ResponseSet",
     "DualityAngle",
+    "beta_for_mode",
     "eval_response",
     "static_limits",
     "dual_polarisability",
@@ -75,68 +84,98 @@ class Transition:
         object.__setattr__(self, "m_tilde", _as_vec3(self.m_tilde, "m_tilde"))
 
 
-@dataclass(frozen=True)
+def _transition_arrays(omegas, dipoles, magnetic_dipoles, fields):
+    """Validated read-only arrays omegas (T,), dipoles (T, 3) and magnetic
+    dipoles (T, 3); the error names the first bad entry as
+    ``transitions[i].<field>``, with the three field names of ``fields``."""
+    omegas = np.array(omegas, dtype=float).reshape(-1)
+    count = omegas.shape[0]
+    arrays = [omegas]
+    for field, value in zip(fields[1:], (dipoles, magnetic_dipoles)):
+        arr = np.array(value, dtype=float)
+        arr = arr.reshape(0, 3) if arr.size == 0 == count else arr
+        if arr.shape != (count, 3):
+            raise ValueError(f"transition {field} vectors must have shape "
+                             f"({count}, 3), got {arr.shape}")
+        arrays.append(arr)
+    bad = np.stack([~((omegas > 0.0) & np.isfinite(omegas)),
+                    ~np.isfinite(arrays[1]).all(axis=1),
+                    ~np.isfinite(arrays[2]).all(axis=1)], axis=1)
+    if bad.any():
+        idx, col = np.argwhere(bad)[0].tolist()
+        what = "positive and finite" if col == 0 else "finite"
+        raise ValueError(f"transitions[{idx}].{fields[col]} must be {what}")
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 class Molecule:
     """Named set of dipole transitions plus a static diamagnetisability.
+
+    The state is read-only arrays: ``omegas`` (T,), ``dipoles`` (T, 3),
+    ``magnetic_dipoles`` (T, 3) and their outer products ``products``
+    (T, 27) = [d d^T | m m^T | d m^T].  ``Molecule(name, transitions,
+    beta_dia)`` packs ``Transition`` objects into them and ``from_arrays``
+    takes them directly, through the same validation; ``transitions`` is
+    built on first access.
 
     ``beta_dia`` must be symmetric and negative semi-definite (its physical
     definition carries an overall minus sign).
     """
 
-    name: str
-    transitions: Tuple[Transition, ...]
-    beta_dia: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+    def __init__(self, name: str, transitions: Iterable[Transition],
+                 beta_dia=None) -> None:
+        trs = tuple(transitions)
+        if not all(isinstance(t, Transition) for t in trs):
+            raise TypeError("transitions must contain Transition objects")
+        self._set(name, beta_dia, [t.omega for t in trs], [t.d for t in trs],
+                  [t.m_tilde for t in trs], ("omega", "d", "m_tilde"))
+        self.__dict__["transitions"] = trs
 
-    def __post_init__(self) -> None:
-        trs = tuple(self.transitions)
-        for t in trs:
-            if not isinstance(t, Transition):
-                raise TypeError("transitions must contain Transition objects")
-        object.__setattr__(self, "transitions", trs)
-        bd = _as_mat3(self.beta_dia, "beta_dia")
+    @classmethod
+    def from_arrays(cls, name: str, omegas, dipoles, magnetic_dipoles,
+                    beta_dia=None, fields=("omega", "d", "m_tilde")):
+        """A molecule from omegas (T,), dipoles (T, 3) and
+        magnetic_dipoles (T, 3); ``fields`` names them in errors."""
+        mol = cls.__new__(cls)
+        mol._set(name, beta_dia, omegas, dipoles, magnetic_dipoles, fields)
+        return mol
+
+    def _set(self, name, beta_dia, omegas, dipoles, magnetic_dipoles,
+             fields) -> None:
+        omegas, ds, mts = _transition_arrays(omegas, dipoles,
+                                             magnetic_dipoles, fields)
+        bd = _as_mat3(np.zeros((3, 3)) if beta_dia is None else beta_dia,
+                      "beta_dia")
         scale = float(np.max(np.abs(bd))) or 1.0
-        if not np.allclose(bd, bd.T, rtol=0.0, atol=1e-12 * scale):
+        if float(np.max(np.abs(bd - bd.T))) > 1e-12 * scale:
             raise ValueError("beta_dia must be symmetric")
         eig = np.linalg.eigvalsh(0.5 * (bd + bd.T))
         if np.max(eig) > 1e-10 * scale:
             raise ValueError("beta_dia must be negative semi-definite")
-        object.__setattr__(self, "beta_dia", bd)
-        # cached flat transition arrays used by the batched kernels
-        if trs:
-            omegas = np.array([t.omega for t in trs], dtype=float)
-            ds = np.array([t.d for t in trs], dtype=float)
-            mts = np.array([t.m_tilde for t in trs], dtype=float)
-        else:
-            omegas = np.zeros(0)
-            ds = np.zeros((0, 3))
-            mts = np.zeros((0, 3))
-        for arr in (omegas, ds, mts):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_omegas", omegas)
-        object.__setattr__(self, "_ds", ds)
-        object.__setattr__(self, "_mts", mts)
+        products = kernels.transition_products(ds, mts)
+        products.setflags(write=False)
+        self.__dict__.update(name=name, beta_dia=bd, omegas=omegas,
+                             dipoles=ds, magnetic_dipoles=mts,
+                             products=products)
 
-    @property
-    def omegas(self) -> np.ndarray:
-        return self._omegas  # type: ignore[attr-defined]
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Molecule is immutable; cannot set {attr!r}")
 
-    @property
-    def dipoles(self) -> np.ndarray:
-        return self._ds  # type: ignore[attr-defined]
+    def __repr__(self) -> str:
+        return f"Molecule({self.name!r}, {len(self.omegas)} transitions)"
 
-    @property
-    def magnetic_dipoles(self) -> np.ndarray:
-        return self._mts  # type: ignore[attr-defined]
+    @functools.cached_property
+    def transitions(self) -> Tuple[Transition, ...]:
+        return tuple(Transition(w, d, m) for w, d, m in zip(
+            self.omegas.tolist(), self.dipoles, self.magnetic_dipoles))
 
     def enantiomer(self) -> "Molecule":
         """Mirror-image partner: all magnetic dipole vectors negated."""
-        return Molecule(
-            name=self.name + "-enantiomer",
-            transitions=tuple(
-                Transition(t.omega, t.d, -t.m_tilde) for t in self.transitions
-            ),
-            beta_dia=self.beta_dia,
-        )
+        return Molecule.from_arrays(self.name + "-enantiomer", self.omegas,
+                                    self.dipoles, -self.magnetic_dipoles,
+                                    self.beta_dia)
 
 
 @dataclass(frozen=True)
@@ -186,27 +225,32 @@ class DualityAngle:
         object.__setattr__(self, "theta", theta)
 
 
+def beta_for_mode(mol: Molecule, beta_para: np.ndarray,
+                  beta_mode: str) -> np.ndarray:
+    """Beta of ``beta_mode`` from the paramagnetic (n, 3, 3): ``"full"``
+    adds ``beta_dia``, ``"para"`` is it, ``"dia"`` is ``beta_dia`` alone."""
+    if beta_mode == "full":
+        return beta_para + mol.beta_dia
+    if beta_mode == "para":
+        return beta_para
+    if beta_mode == "dia":
+        return np.broadcast_to(mol.beta_dia, beta_para.shape)
+    raise ValueError(f"unknown beta_mode {beta_mode!r}")
+
+
 def response_arrays(mol: Molecule, xis: np.ndarray, beta_mode: str = "full"):
     """Batched response tensors over a frequency array.
 
     Returns (alpha, beta, chi_em, chi_me), each of shape (n, 3, 3), with
-    ``beta`` assembled according to ``beta_mode``:
-    ``"full"`` = paramagnetic + diamagnetic, ``"para"`` = paramagnetic only,
-    ``"dia"`` = static diamagnetic tensor only.
+    ``beta`` assembled according to ``beta_mode`` (see ``beta_for_mode``).
+    The transition sums are two matrix products over the molecule's cached
+    outer products (``kernels.response_tensors``).
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     alpha, beta_para, chi_em = kernels.response_tensors(
-        mol.omegas, mol.dipoles, mol.magnetic_dipoles, xis)
-    if beta_mode == "full":
-        beta = beta_para + mol.beta_dia[None, :, :]
-    elif beta_mode == "para":
-        beta = beta_para
-    elif beta_mode == "dia":
-        beta = np.broadcast_to(mol.beta_dia, (xis.shape[0], 3, 3)).copy()
-    else:
-        raise ValueError(f"unknown beta_mode {beta_mode!r}")
+        mol.omegas, mol.products, xis)
     chi_me = -np.transpose(chi_em, (0, 2, 1))
-    return alpha, beta, chi_em, chi_me
+    return alpha, beta_for_mode(mol, beta_para, beta_mode), chi_em, chi_me
 
 
 def eval_response(mol: Molecule, xi: float) -> ResponseSet:
@@ -234,15 +278,11 @@ def static_limits(mol: Molecule):
     expansion of the dynamic cross response; a commonly printed single-power
     variant is inconsistent with that expansion and is not used here.
     """
-    if any(t.omega <= 0.0 for t in mol.transitions):
-        raise ValueError("all transition frequencies must be positive")
-    alpha0 = np.zeros((3, 3))
-    beta0 = np.array(mol.beta_dia, dtype=float, copy=True)
-    chi_prime = np.zeros((3, 3))
-    for t in mol.transitions:
-        alpha0 += 2.0 * np.outer(t.d, t.d) / t.omega
-        beta0 += 2.0 * np.outer(t.m_tilde, t.m_tilde) / t.omega
-        chi_prime += 2.0 * np.outer(t.d, t.m_tilde) / t.omega**2
+    inv = 1.0 / mol.omegas
+    even = (2.0 * inv) @ mol.products[:, :18]
+    alpha0 = even[:9].reshape(3, 3)
+    beta0 = mol.beta_dia + even[9:].reshape(3, 3)
+    chi_prime = ((2.0 * inv * inv) @ mol.products[:, 18:]).reshape(3, 3)
     return alpha0, beta0, chi_prime
 
 

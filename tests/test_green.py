@@ -8,7 +8,6 @@ import pytest
 from chivdw.green import (
     FreeSpaceProvider,
     Separation,
-    fd_curl_left,
     free_space_provider,
     g0,
     g0_curl_left,
@@ -20,6 +19,7 @@ from oracles import (
     CURL_PREF_KR1,
     G0_UNIT_XX,
     G0_UNIT_ZZ,
+    fd_curl_left,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -223,13 +223,14 @@ class TestProviderBlocks:
 
 @pytest.mark.parametrize("xi", [0.7, np.array([0.0, 0.3, 2.0, 11.0])])
 def test_provider_block_computes_only_the_block_asked_for(xi, monkeypatch):
-    # each block is bit-identical to its part of kernels.free_blocks, and
-    # one request builds one of S and X, not both
+    # each block is bit-identical to kernels.free_scaled or free_cross (or
+    # its negation), and one request builds one of S and X, not both
     from chivdw import kernels
 
     r, rp = np.array([0.3, -1.1, 0.8]), np.array([-0.2, 0.4, 0.1])
     xis = np.atleast_1d(xi)
-    S, X = kernels.free_blocks(r - rp, xis)
+    S = kernels.free_scaled(r - rp, xis)
+    X = kernels.free_cross(r - rp, xis)
     expected = {("e", "e"): S, ("m", "m"): S, ("e", "m"): -X, ("m", "e"): X}
     built = []
     for name in ("free_scaled", "free_cross"):

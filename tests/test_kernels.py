@@ -22,7 +22,8 @@ def random_inputs(seed=0, n_trans=4, n_xi=7):
 class TestPythonBackend:
     def test_response_shapes(self):
         omegas, ds, mts, xis, _ = random_inputs()
-        alpha, beta_para, chi_em = kernels.response_tensors(omegas, ds, mts, xis)
+        alpha, beta_para, chi_em = kernels.response_tensors(
+            omegas, kernels.transition_products(ds, mts), xis)
         assert alpha.shape == beta_para.shape == chi_em.shape == (7, 3, 3)
 
     def test_response_closed_form_single(self):
@@ -30,7 +31,8 @@ class TestPythonBackend:
         ds = np.array([[1.0, 0.0, 0.0]])
         mts = np.array([[0.0, 1.0, 0.0]])
         xis = np.array([3.0])
-        alpha, beta_para, chi_em = kernels.response_tensors(omegas, ds, mts, xis)
+        alpha, beta_para, chi_em = kernels.response_tensors(
+            omegas, kernels.transition_products(ds, mts), xis)
         denom = 4.0 + 9.0
         assert alpha[0, 0, 0] == pytest.approx(2 * 2.0 / denom, rel=1e-15)
         assert beta_para[0, 1, 1] == pytest.approx(2 * 2.0 / denom, rel=1e-15)
@@ -43,9 +45,10 @@ class TestPythonBackend:
         np.testing.assert_allclose(kernels.trace4(a, b, c, d), expected,
                                    rtol=1e-13)
 
-    def test_free_blocks_zero_frequency(self):
+    def test_free_scaled_and_cross_zero_frequency(self):
         rvec = np.array([0.0, 0.0, 2.0])
-        S, X = kernels.free_blocks(rvec, np.array([0.0]))
+        S = kernels.free_scaled(rvec, np.array([0.0]))
+        X = kernels.free_cross(rvec, np.array([0.0]))
         R = 2.0
         expected = (np.eye(3) - 3 * np.diag([0, 0, 1.0])) / (4 * np.pi * R**3)
         np.testing.assert_allclose(S[0], expected, rtol=1e-14)

@@ -306,3 +306,101 @@ def test_bundled_pair_has_full_response_structure():
         assert np.linalg.norm(mol.transitions[0].d) > 0
         assert np.linalg.norm(mol.transitions[0].m_tilde) > 0
         assert np.linalg.eigvalsh(mol.beta_dia).max() < 0
+
+
+# ---------------------------------------------------------------------------
+# Whole-array validation: the error names the first bad entry and field
+# ---------------------------------------------------------------------------
+
+def _five_entry_doc(units="natural"):
+    return {
+        "name": "five",
+        "units": units,
+        "transitions": [
+            {"omega": 0.5 + 0.3 * i, "d": [0.1 * i, 0.2, -0.3],
+             "m_imag": [0.05, -0.1 * i, 0.2]}
+            for i in range(5)
+        ],
+    }
+
+
+def _set(key, value):
+    return lambda entry: entry.update({key: value})
+
+
+@pytest.mark.parametrize("units,fault,fragments", [
+    ("natural", lambda e: e.pop("d"), ["missing", "'d'"]),
+    ("natural", _set("spin", 0.5), ["unknown", "spin"]),
+    ("natural", _set("d", [0.1, "x", 0.0]), [".d:", "number", "str"]),
+    ("natural", _set("omega", True), [".omega:", "number", "bool"]),
+    ("natural", _set("m_imag", [0.1, False, 0.0]), [".m_imag:", "bool"]),
+    ("natural", _set("m_imag", [0.1, 0.2]), [".m_imag:", "3 numbers"]),
+    ("natural", _set("d", [0.1, float("inf"), 0.0]), [".d ", "finite"]),
+    ("natural", _set("m_imag", [float("-inf"), 0.0, 0.0]),
+     [".m_imag ", "finite"]),
+    ("natural", _set("d", [float("nan"), 0.0, 0.0]), [".d ", "finite"]),
+    ("natural", _set("omega", 0.0), [".omega ", "positive"]),
+    ("natural", _set("omega", -1.0), [".omega ", "positive"]),
+    ("natural", _set("omega", float("inf")), [".omega ", "finite"]),
+    # every atomic-unit factor is below one, so a value that is finite in
+    # the file and overflows only on conversion needs the SI factors
+    ("SI", _set("d", [1e300, 0.0, 0.0]), [".d ", "finite"]),
+    ("SI", _set("m_imag", [0.0, -1e300, 0.0]), [".m_imag ", "finite"]),
+])
+def test_bad_entry_is_named(tmp_path, units, fault, fragments):
+    doc = _five_entry_doc(units)
+    fault(doc["transitions"][3])
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MoleculeFileError) as excinfo, \
+            np.errstate(over="ignore"):
+        load_molecule(path)
+    message = str(excinfo.value)
+    assert message.startswith(str(path)), message
+    assert "transitions[3]" in message, message
+    for fragment in fragments:
+        assert fragment in message, (fragment, message)
+
+
+def test_json_infinity_is_rejected(tmp_path):
+    path = tmp_path / "inf.json"
+    text = json.dumps(_five_entry_doc()).replace("0.05", "Infinity", 1)
+    assert "Infinity" in text
+    path.write_text(text)
+    with pytest.raises(MoleculeFileError,
+                       match=r"transitions\[0\]\.m_imag must be finite"):
+        load_molecule(path)
+
+
+def test_values_finite_in_every_unit_system_load(tmp_path):
+    for units in ("natural", "SI", "au"):
+        path = tmp_path / f"five-{units}.json"
+        path.write_text(json.dumps(_five_entry_doc(units)))
+        mol, tag = load_molecule(path)
+        assert tag == units and len(mol.omegas) == 5
+
+
+def test_empty_transition_list_loads(tmp_path):
+    doc = {"name": "empty", "units": "au", "transitions": [],
+           "beta_dia": [[-0.1, 0, 0], [0, -0.1, 0], [0, 0, -0.1]]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    mol, _ = load_molecule(path)
+    assert mol.omegas.shape == (0,)
+    assert mol.dipoles.shape == mol.magnetic_dipoles.shape == (0, 3)
+    assert mol.products.shape == (0, 27)
+    assert mol.transitions == ()
+
+
+def test_constructor_and_loaded_file_are_bit_identical(tmp_path):
+    rng = np.random.default_rng(17)
+    mol = Molecule("random", tuple(
+        Transition(float(rng.uniform(0.1, 10.0)), rng.normal(size=3),
+                   rng.normal(size=3)) for _ in range(7)))
+    path = tmp_path / "random.json"
+    dump_molecule(mol, path, units="natural")
+    loaded, _ = load_molecule(path)
+    for attr in ("omegas", "dipoles", "magnetic_dipoles", "products",
+                 "beta_dia"):
+        got, want = getattr(loaded, attr), getattr(mol, attr)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

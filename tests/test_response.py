@@ -278,3 +278,50 @@ def test_rotation_preserves_block_trace_sum(theta, xi):
     before = np.trace(rs.alpha) + np.trace(rs.beta)
     after = np.trace(rot.alpha) + np.trace(rot.beta)
     assert after == pytest.approx(before, rel=1e-12, abs=1e-15)
+
+
+class TestMoleculeArrays:
+    def test_arrays_are_read_only_and_the_molecule_immutable(self):
+        mol = generic_molecule(seed=3)
+        for arr in (mol.omegas, mol.dipoles, mol.magnetic_dipoles,
+                    mol.products):
+            assert not arr.flags.writeable
+        with pytest.raises(AttributeError):
+            mol.omegas = np.ones(3)
+        with pytest.raises(AttributeError):
+            mol.name = "other"
+
+    def test_from_arrays_matches_the_transition_constructor(self):
+        mol = generic_molecule(seed=4)
+        again = Molecule.from_arrays(mol.name, mol.omegas, mol.dipoles,
+                                     mol.magnetic_dipoles, mol.beta_dia)
+        for attr in ("omegas", "dipoles", "magnetic_dipoles", "products"):
+            assert np.array_equal(getattr(again, attr), getattr(mol, attr))
+
+    @pytest.mark.parametrize("column,value,message", [
+        (0, 0.0, r"transitions\[2\]\.omega must be positive"),
+        (0, np.nan, r"transitions\[2\]\.omega must be positive"),
+        (2, np.inf, r"transitions\[2\]\.d must be finite"),
+        (5, np.nan, r"transitions\[2\]\.m_tilde must be finite"),
+    ])
+    def test_from_arrays_names_the_first_bad_entry(self, column, value,
+                                                   message):
+        rows = np.ones((4, 7))
+        rows[2, column] = value
+        rows[3, column] = value
+        with pytest.raises(ValueError, match=message):
+            Molecule.from_arrays("x", rows[:, 0], rows[:, 1:4], rows[:, 4:])
+
+    def test_from_arrays_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            Molecule.from_arrays("x", [1.0, 2.0], np.ones((3, 3)),
+                                 np.ones((2, 3)))
+
+    def test_transitions_are_built_from_the_arrays(self):
+        mol = generic_molecule(seed=5)
+        again = Molecule.from_arrays(mol.name, mol.omegas, mol.dipoles,
+                                     mol.magnetic_dipoles)
+        for got, want in zip(again.transitions, mol.transitions):
+            assert got.omega == want.omega
+            assert np.array_equal(got.d, want.d)
+            assert np.array_equal(got.m_tilde, want.m_tilde)
