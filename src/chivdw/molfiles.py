@@ -172,7 +172,11 @@ def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MoleculeFileError(f"{context}: expected a number, got "
                                 f"{type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise MoleculeFileError(
+            f"{context}: integer too large for a float") from None
 
 
 def _as_vector(value, context: str) -> list:
@@ -187,9 +191,9 @@ def _as_matrix(value, context: str) -> np.ndarray:
     return np.array([_as_vector(row, context) for row in value], dtype=float)
 
 
-def _transition_rows(entries: list, context: str) -> list:
-    """One row [omega, *d, *m_imag] per transition.  The types are checked
-    in bulk, and entry by entry only to name a fault."""
+def _transition_rows(entries: list, context: str) -> np.ndarray:
+    """The (T, 7) rows [omega, *d, *m_imag] of the transitions.  The types
+    are checked in bulk, and entry by entry only to name a fault."""
     if all(type(e) is dict and e.keys() == _TRANSITION_KEYS
            and type(e["d"]) is list and len(e["d"]) == 3
            and type(e["m_imag"]) is list and len(e["m_imag"]) == 3
@@ -197,7 +201,10 @@ def _transition_rows(entries: list, context: str) -> list:
         rows = [[e["omega"], *e["d"], *e["m_imag"]] for e in entries]
         # bool is a subclass of int, but its type is not int
         if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
-            return rows
+            try:
+                return np.array(rows, dtype=float).reshape(-1, 7)
+            except OverflowError:
+                pass  # an integer too large for a float, named below
     for idx, entry in enumerate(entries):
         where = f"{context}: transitions[{idx}]"
         if not isinstance(entry, dict):
@@ -208,7 +215,8 @@ def _transition_rows(entries: list, context: str) -> list:
         _as_float(_require(entry, "omega", where), where + ".omega")
         for key in ("d", "m_imag"):
             _as_vector(_require(entry, key, where), f"{where}.{key}")
-    return [[e["omega"], *e["d"], *e["m_imag"]] for e in entries]
+    return np.array([[e["omega"], *e["d"], *e["m_imag"]] for e in entries],
+                    dtype=float).reshape(-1, 7)
 
 
 def _molecule_from_document(doc: dict, context: str) -> Tuple[Molecule, str]:
@@ -231,8 +239,7 @@ def _molecule_from_document(doc: dict, context: str) -> Tuple[Molecule, str]:
 
     factors = conversion_factors(units)
     # the values are validated as whole arrays, after unit conversion
-    rows = np.array(_transition_rows(raw_transitions, context),
-                    dtype=float).reshape(-1, 7) * (
+    rows = _transition_rows(raw_transitions, context) * (
         [factors.omega] + [factors.electric_dipole] * 3
         + [factors.magnetic_dipole] * 3)
     beta_dia = np.zeros((3, 3))

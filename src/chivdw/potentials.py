@@ -32,25 +32,25 @@ its ten rows sums every tuple whose response characters match (e.g. row
 A-paramagnetic/B-electric orderings), and the ten rows add up to TOTAL
 exactly.
 
-Every request is one vector-valued quadrature over its list of
-``(tuple, beta_mode_a, beta_mode_b)`` terms (``u_terms``): all terms share
-the frequency nodes, the response tensors are computed once per node
-batch, and each term is converged to the relative tolerance on its own.
-The provider is asked once per separation and node batch for both block
-matrices, B(r_a, r_b) and B(r_b, r_a) (``blocks``, see ``chivdw.green``);
-the terms' distinct half products A_a B and A_b B are formed in one
-batched product per side and their pairwise traces in one more.  A
-summed request (a named component, a row) carries the sum of its terms as
-one more column, held to the tolerance in its own right, and reports that
-column.  The ``evals`` of a multi-term result therefore counts shared
-nodes; a one-term request (a raw tuple, EE) runs exactly as a scalar
-quadrature.
+Every request is one quadrature over its list of
+``(tuple, beta_mode_a, beta_mode_b)`` terms and a weight matrix that maps
+the term traces to the integrated columns: all terms share the frequency
+nodes, the response tensors are computed once per node batch, and the
+provider is asked once per separation and node batch for both block
+matrices, B(r_a, r_b) and B(r_b, r_a) (``blocks``, see ``chivdw.green``).
+The terms' distinct half products A_a B and A_b B are formed in one
+batched product per side, their pairwise traces in one more, and the
+columns in one product with the weights.  ``u_terms`` weights by the
+identity, so each term is its own column and is converged on its own; a
+summed request (a named component, a row, a raw tuple) weights by a row
+of ones and integrates only its sum, held to the tolerance in its own
+right.  The ``evals`` of a multi-term result counts shared nodes.
 
 A curve (``compute_curve``, and the CLI's ``curve``, ``powerlaw`` and
 ``table1`` windows) integrates its separations together: the response
 tensors, which depend on the frequency only, are computed once per node
-batch for all of them, and every (separation, term) column is converged
-on its own.  The separations are grouped by where 1/R lies relative to
+batch for all of them, and every separation's sum is converged on its
+own.  The separations are grouped by where 1/R lies relative to
 the pair's transition band [omega_min, omega_max] (inside it, or the
 number of decades outside it), and each group is one pass whose panel
 layout spans its members' scales; a single value is the one-separation
@@ -312,20 +312,19 @@ def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
 def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
                      seps: Sequence[Separation],
                      terms: Sequence[Tuple[str, str, str]], provider,
-                     duality: Optional[float],
-                     sum_column: bool = False) -> Callable:
-    """Integrand returning the traces of all ``terms`` at every separation
-    in ``seps`` on shared nodes.
+                     duality: Optional[float], weights: np.ndarray) -> Callable:
+    """Integrand returning J weighted sums of the traces of ``terms`` at
+    every separation in ``seps`` on shared nodes.
 
-    Each term ``(tuple, beta_mode_a, beta_mode_b)`` contributes the column
-    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}];
-    ``sum_column`` appends their sum, so each separation owns K' = K or
-    K + 1 adjacent columns and the output is (n, P K') for P separations.
+    Each term ``(tuple, beta_mode_a, beta_mode_b)`` has the trace
+    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}]; the (J, K)
+    matrix ``weights`` maps the K term traces to J columns per separation,
+    so the output is (n, P J) for P separations, separation-major.
     Per node batch every response set is computed once for all
     separations and the provider's block matrices once per separation.
     The distinct half products (A_a B_{l2 l3}) and (A_b B_{l4 l1}) are
-    formed in one product per side, their pairwise traces in one more,
-    and each term reads its entry of the pairwise traces.
+    formed in one product per side, their pairwise traces in one more, and
+    one product with the weights, -1/(2 pi) folded in, gives the columns.
     """
     modes_a = sorted({mode_a for _, mode_a, _ in terms})
     modes_b = sorted({mode_b for _, _, mode_b in terms})
@@ -336,15 +335,18 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
         rights.append((mode_b, _SLOT_INDEX[(l3, l4)], l4, l1))
     left_keys = sorted(set(lefts))
     right_keys = sorted(set(rights))
-    # term k is entry (left_cols[k], right_cols[k]) of the pairwise traces
-    left_cols = [left_keys.index(key) for key in lefts]
-    right_cols = [right_keys.index(key) for key in rights]
+    n_sep, n_left, n_right = len(seps), len(left_keys), len(right_keys)
+    # term k is entry (left, right) of the flattened pairwise traces; the
+    # (J, L R) matrix maps those entries to the weighted columns
+    entries = [left_keys.index(left) * n_right + right_keys.index(right)
+               for left, right in zip(lefts, rights)]
+    trace_weights = np.zeros((len(weights), n_left * n_right))
+    trace_weights[:, entries] = -(0.5 / _PI) * weights
     # the [lam, lamp] block of each half product
     left_lam = [_BLOCK_INDEX[lam] for _, _, lam, _ in left_keys]
     left_lamp = [_BLOCK_INDEX[lamp] for _, _, _, lamp in left_keys]
     right_lam = [_BLOCK_INDEX[lam] for _, _, lam, _ in right_keys]
     right_lamp = [_BLOCK_INDEX[lamp] for _, _, _, lamp in right_keys]
-    n_sep, n_left, n_right = len(seps), len(left_keys), len(right_keys)
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
@@ -367,12 +369,10 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
         right_t.reshape(n_sep, n, 3, 3, n_right)[...] = \
             right.transpose(0, 1, 4, 3, 2)
         traces = left.reshape(n_sep, n, n_left, 9) @ right_t
-        out = -(0.5 / _PI) * traces[:, :, left_cols, right_cols]
-        out = out.transpose(1, 0, 2)
-        if sum_column:
-            out = np.concatenate([out, out.sum(axis=2, keepdims=True)],
-                                 axis=2)
-        return out.reshape(n, -1)
+        # formed as (J, P n) so each column is contiguous over the nodes:
+        # the rounding of the panel sums depends on that layout
+        out = trace_weights @ traces.reshape(n_sep * n, -1).T
+        return out.reshape(-1, n_sep, n).T.reshape(n, -1)
 
     return integrand
 
@@ -391,14 +391,14 @@ def _checked_terms(terms: Iterable) -> list:
 def _terms_quadrature(mol_a: Molecule, mol_b: Molecule,
                       seps: Sequence[Separation], terms: list, provider,
                       spec: QuadSpec, duality: Optional[float],
-                      sum_column: bool) -> QuadResult:
-    """One pass over the checked ``terms`` at every separation of ``seps``,
-    on the panel layout of their joint scales (see ``_terms_integrand``
-    for the column order)."""
+                      weights: np.ndarray) -> QuadResult:
+    """One pass over the checked ``terms``, weighted by ``weights``, at
+    every separation of ``seps``, on the panel layout of their joint
+    scales (see ``_terms_integrand`` for the column order)."""
     if provider is None:
         provider = free_space_provider()
     integrand = _terms_integrand(mol_a, mol_b, seps, terms, provider,
-                                 duality, sum_column)
+                                 duality, weights)
     breaks = _default_breakpoints(mol_a, mol_b, *(s.R for s in seps))
     return integrate_halfline(integrand, spec, breakpoints=breaks)
 
@@ -411,43 +411,40 @@ def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     ``terms`` lists ``(tuple, beta_mode_a, beta_mode_b)`` triples, as in
     ``ROW_SPECS``.  All terms are integrated in one adaptive pass; the
     result's ``value`` and ``error_estimate`` are arrays with one entry per
-    term, each converged to the requested relative tolerance on its own,
-    ``evals`` counts the shared nodes and ``converged`` holds only if every
-    term converged.
+    term, each converged to the requested relative tolerance on its own
+    (the only request that converges its terms separately), ``evals``
+    counts the shared nodes and ``converged`` holds only if every term
+    converged.
     """
     if spec is None:
         spec = _default_spec()
-    return _terms_quadrature(mol_a, mol_b, [sep], _checked_terms(terms),
-                             provider, spec, duality, sum_column=False)
+    terms = _checked_terms(terms)
+    return _terms_quadrature(mol_a, mol_b, [sep], terms, provider, spec,
+                             duality, np.eye(len(terms)))
 
 
 def _summed(mol_a: Molecule, mol_b: Molecule, seps: Sequence[Separation],
             terms: Iterable, provider=None, spec: Optional[QuadSpec] = None,
             duality: Optional[float] = None) -> list:
-    """The sum of ``terms`` at each separation, held to the tolerance on
-    its own; one ``QuadResult`` per separation.
+    """The sum of ``terms`` at each separation; one ``QuadResult`` per
+    separation.
 
     The separations are integrated together, one pass per group of
-    ``_layout_groups``.  Several terms carry their sum as one more column
-    of the pass; that column must meet max(rel_tol |sum|, abs_tol), so a
-    sum that cancels is not reported converged on the strength of its
-    terms.  Each result's value, error estimate and ``converged`` are its
-    separation's sum column (for one term, the term's); ``evals`` counts
-    the shared nodes of its group's pass.
+    ``_layout_groups``, and each pass integrates only the sums: one column
+    per separation, held to max(rel_tol |sum|, abs_tol), so a sum that
+    cancels is reported unconverged however well its terms are known.
+    ``evals`` counts the shared nodes of the separation's group's pass.
     """
     terms = _checked_terms(terms)
     if spec is None:
         spec = _default_spec()
-    sum_column = len(terms) > 1
-    width = len(terms) + sum_column
     results = [None] * len(seps)
     for group in _layout_groups(mol_a, mol_b, [s.R for s in seps]):
         res = _terms_quadrature(mol_a, mol_b, [seps[i] for i in group],
-                                terms, provider, spec, duality, sum_column)
-        # each separation's last column is its sum (or its one term)
-        values = res.value[width - 1::width].tolist()
-        errs = res.error_estimate[width - 1::width].tolist()
-        for i, value, err in zip(group, values, errs):
+                                terms, provider, spec, duality,
+                                np.ones((1, len(terms))))
+        for i, value, err in zip(group, res.value.tolist(),
+                                 res.error_estimate.tolist()):
             converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
             results[i] = QuadResult(value, err, res.evals, converged)
     return results
@@ -484,9 +481,9 @@ def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
             duality: Optional[float] = None) -> QuadResult:
     """A named component of the pair potential (sum of its tuples).
 
-    The tuples and their sum share one quadrature; each tuple and the sum
-    are converged on their own, the result is the sum's (value, error
-    estimate, ``converged``) and ``evals`` counts the shared nodes.
+    The tuples share one quadrature that integrates only their sum; the
+    result is the sum's (value, error estimate, ``converged``) and
+    ``evals`` counts the shared nodes.
     """
     terms = _label_terms(label, duality)
     return _summed(mol_a, mol_b, [sep], terms, provider, spec, duality)[0]
@@ -498,7 +495,7 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
 
     The ten rows partition the sixteen tuples with the magnetic responses
     split into para/dia parts, so summing them reproduces TOTAL.  The
-    row's terms and their sum share one quadrature, as in ``u_named``.
+    row's terms share one quadrature of their sum, as in ``u_named``.
     """
     row = str(row).upper()
     if row not in ROW_SPECS:

@@ -250,6 +250,8 @@ def test_load_valid_minimal_document(tmp_path):
     (lambda d: d["transitions"][0].update(m_imag=[0, "x", 0]), "number"),
     (lambda d: d["transitions"][0].update(spin=0.5), "unknown"),
     (lambda d: d.update(beta_dia=[[1, 0], [0, 1]]), "3x3"),
+    (lambda d: d.update(beta_dia=[[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "beta_dia: integer too large"),
 ])
 def test_schema_violations_raise_clear_errors(tmp_path, mutate, fragment):
     doc = json.loads(json.dumps(_GOOD))
@@ -346,6 +348,9 @@ def _set(key, value):
     # the file and overflows only on conversion needs the SI factors
     ("SI", _set("d", [1e300, 0.0, 0.0]), [".d ", "finite"]),
     ("SI", _set("m_imag", [0.0, -1e300, 0.0]), [".m_imag ", "finite"]),
+    # JSON integers have no size limit
+    ("natural", _set("d", [10**400, 0.0, 0.0]),
+     [".d:", "integer too large for a float"]),
 ])
 def test_bad_entry_is_named(tmp_path, units, fault, fragments):
     doc = _five_entry_doc(units)

@@ -616,7 +616,8 @@ def test_tail_breakpoint_in_subnormal_band_is_dropped():
     res = u_named(a, b, sep, "EE")
     assert res.converged
     integrand = potentials._terms_integrand(
-        a, b, [sep], [("eeee", "full", "full")], FreeSpaceProvider(), None)
+        a, b, [sep], [("eeee", "full", "full")], FreeSpaceProvider(), None,
+        np.ones((1, 1)))
     points = sorted(set(a.omegas) | set(b.omegas))
     reference = oracles.scipy_halfline(
         lambda x: float(integrand(np.array([x]))[0, 0]), points)
@@ -684,10 +685,13 @@ class _HalflineSpy:
 
         monkeypatch.setattr(potentials, "integrate_halfline", spy)
 
-    def node_separations(self, width):
-        """Shared nodes times the separations of each pass (``width``
-        columns per separation)."""
-        return sum(evals * (cols // width) for evals, cols in self.calls)
+    def columns(self):
+        return sum(cols for _, cols in self.calls)
+
+    def node_separations(self):
+        """Shared nodes times the separations of each pass (one column per
+        separation)."""
+        return sum(evals * cols for evals, cols in self.calls)
 
 
 class TestCurveMatchesPerSeparationRuns:
@@ -702,19 +706,17 @@ class TestCurveMatchesPerSeparationRuns:
         rs = _CURVE_GRIDS[grid]
         kind, key = resolve_component(component)
         single = {"label": u_named, "row": u_row, "tuple": u_unified}[kind]
-        # each separation owns its terms' columns and, for several, the sum
-        n_terms = (len(LABEL_TUPLES[ComponentLabel(key)]) if kind == "label"
-                   else len(ROW_SPECS[key]) if kind == "row" else 1)
-        width = n_terms + (n_terms > 1)
 
         spy = _HalflineSpy(monkeypatch)
         curve = compute_curve(a, b, _CURVE_DIRECTION, rs, component)
         passes = len(spy.calls)
-        grouped = spy.node_separations(width)
+        # a curve integrates only its sums: one column per separation
+        assert spy.columns() == len(rs)
+        grouped = spy.node_separations()
         spy.calls.clear()
         refs = [single(a, b, Separation(R * _CURVE_DIRECTION, np.zeros(3)),
                        key) for R in rs]
-        per_r = spy.node_separations(width)
+        per_r = spy.node_separations()
 
         for R, u, err, conv, ref in zip(rs, curve.u_values,
                                         curve.error_estimates,
