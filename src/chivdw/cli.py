@@ -27,6 +27,10 @@ disagrees with both its reference entry and this framework's exponent
 (``mismatch``).  A cell that matches this framework's near-zone exponent
 in ``FRAMEWORK_NONRETARDED`` but not the reference (the diamagnetic ED and
 DD rows) is ``framework`` and exits 0.
+
+Warnings (an unconverged separation, a failed power-law fit) are records
+of the ``chivdw`` logger; ``main`` also writes them to standard error as
+plain text while it runs.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import logging
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -66,6 +71,8 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
+
+_log = logging.getLogger("chivdw")
 
 _REGIMES = ("retarded", "nonretarded")
 
@@ -175,8 +182,8 @@ def cmd_curve(args) -> int:
                           args.component)
     _emit(args.output, _curve_csv(curve))
     if not bool(np.all(curve.converged)):
-        print("warning: quadrature did not converge at every separation",
-              file=sys.stderr)
+        _log.warning("warning: quadrature did not converge at every "
+                     "separation")
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -213,13 +220,13 @@ def cmd_powerlaw(args) -> int:
                           args.component)
     code = EXIT_OK
     if not bool(np.all(curve.converged)):
-        print("warning: quadrature did not converge at every separation",
-              file=sys.stderr)
+        _log.warning("warning: quadrature did not converge at every "
+                     "separation")
         code = EXIT_NUMERICAL
     try:
         fit = fit_power_law(curve.r_values, curve.u_values)
     except ValueError as exc:
-        print(f"power-law fit failed: {exc}", file=sys.stderr)
+        _log.warning("power-law fit failed: %s", exc)
         return EXIT_NUMERICAL
     lines = ["component,window,exponent,coefficient_log,residual,sign,points"]
     lines.append(",".join([
@@ -421,6 +428,10 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    # the warnings reach the standard error of this call as plain text, and
+    # any handler the caller configured as records
+    handler = logging.StreamHandler(sys.stderr)
+    _log.addHandler(handler)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -430,6 +441,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, MoleculeFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        _log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -171,12 +171,12 @@ class FreeSpaceProvider:
         """(B(r_a, r_b), B(r_b, r_a)), each (n, 2, 2, 3, 3).
 
         All eight blocks come from one S and one X of the separation
-        r_a - r_b: B(r_a, r_b) = [[S, -X], [X, S]] and
-        B(r_b, r_a) = [[S, -X^T], [X^T, S]], where X^T = -X because X is
-        a cross-product matrix.  Each block equals the corresponding
-        ``block`` call exactly; where the two positions share a coordinate,
-        a zero entry of a cross block of B(r_b, r_a) may carry the other
-        sign.
+        r_a - r_b, which share one ``kernels.free_prefactor``:
+        B(r_a, r_b) = [[S, -X], [X, S]] and B(r_b, r_a) = [[S, -X^T],
+        [X^T, S]], where X^T = -X because X is a cross-product matrix.
+        Each block equals the corresponding ``block`` call exactly; where
+        the two positions share a coordinate, a zero entry of a cross
+        block of B(r_b, r_a) may carry the other sign.
         """
         r_a = np.asarray(r_a, dtype=float).reshape(-1)
         r_b = np.asarray(r_b, dtype=float).reshape(-1)
@@ -187,8 +187,9 @@ class FreeSpaceProvider:
         if not float(np.linalg.norm(rvec)) > 0.0:
             raise ValueError("points must be distinct")
         n = xis.shape[0]
-        scaled = kernels.free_scaled(rvec, xis).reshape(n, 9)
-        cross = kernels.free_cross(rvec, xis)
+        prefactor = kernels.free_prefactor(rvec, xis)
+        scaled = kernels.free_scaled(rvec, xis, prefactor).reshape(n, 9)
+        cross = kernels.free_cross(rvec, xis, prefactor)
         # the transpose of cross_matrix(v) is cross_matrix(-v) exactly
         cross_t = cross.transpose(0, 2, 1).reshape(n, 9)
         cross = cross.reshape(n, 9)

@@ -65,25 +65,32 @@ def response_tensors(omegas: np.ndarray, products: np.ndarray,
             chi_em.reshape(-1, 3, 3))
 
 
-def _free_prefactor(rvec: np.ndarray, xis: np.ndarray):
+def free_prefactor(rvec: np.ndarray, xis: np.ndarray):
+    """(R, x, e^{-x}/(4 pi R^3)) with x = xi R, over the frequency batch
+    ``xis`` (n,) for the separation ``rvec``: the factors that S and X
+    share."""
     rvec = np.asarray(rvec, dtype=float)
-    xis = np.asarray(xis, dtype=float)
     R = math.sqrt(float(rvec @ rvec))
-    x = xis * R
-    return rvec, xis, R, x, np.exp(-x) / (4.0 * math.pi * R**3)
+    x = np.asarray(xis, dtype=float) * R
+    return R, x, np.exp(-x) / (4.0 * math.pi * R**3)
 
 
-def free_scaled(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def free_scaled(rvec: np.ndarray, xis: np.ndarray,
+                prefactor=None) -> np.ndarray:
     """The doubly-reduced free-space propagator S, (n, 3, 3).
 
     ``rvec`` is the separation vector from the second point to the first
-    (r_a - r_b); ``xis`` the frequency batch (n,):
+    (r_a - r_b); ``xis`` the frequency batch (n,); ``prefactor`` the
+    ``free_prefactor`` of both, computed here when not given:
         S = e^{-xR}/(4 pi R^3) [f(x) I - g(x) RhRh^T],  x = xi R,
             f(x) = 1 + x + x^2,  g(x) = 3 + 3x + x^2,
     finite for xi >= 0: the (n, 9) outer product of the g term with
     -RhRh^T, its diagonal raised by the f term.
     """
-    rvec, xis, R, x, expf = _free_prefactor(rvec, xis)
+    rvec = np.asarray(rvec, dtype=float)
+    if prefactor is None:
+        prefactor = free_prefactor(rvec, xis)
+    R, x, expf = prefactor
     rhat = rvec / R
     x2 = x * x
     out = np.multiply.outer(expf * (3.0 + 3.0 * x + x2),
@@ -92,12 +99,17 @@ def free_scaled(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
     return out.reshape(-1, 3, 3)
 
 
-def free_cross(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def free_cross(rvec: np.ndarray, xis: np.ndarray,
+               prefactor=None) -> np.ndarray:
     """The frequency-weighted single-curl matrix X, (n, 3, 3):
         X = xi e^{-xR}(1 + x)/(4 pi R^3) [rvec]_cross,
-    from which all four duality blocks are assembled by sign flips."""
-    rvec, xis, R, x, expf = _free_prefactor(rvec, xis)
-    return np.multiply.outer(xis * expf * (1.0 + x),
+    from which all four duality blocks are assembled by sign flips;
+    ``prefactor`` as for ``free_scaled``."""
+    rvec = np.asarray(rvec, dtype=float)
+    if prefactor is None:
+        prefactor = free_prefactor(rvec, xis)
+    _, x, expf = prefactor
+    return np.multiply.outer(np.asarray(xis, dtype=float) * expf * (1.0 + x),
                              cross_matrix(rvec).ravel()).reshape(-1, 3, 3)
 
 

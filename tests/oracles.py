@@ -6,6 +6,12 @@ dumbest defensible way (dense trapezoid grids, symmetric-grid principal
 values, scipy reference quadrature) so that agreement with the package is
 meaningful evidence rather than a tautology.
 
+One oracle is exact rather than a second quadrature: ``vacuum_sum`` gives
+the vacuum pair potential of any sum of response terms (tuples, beta modes,
+a duality rotation) of transition-sum molecules in closed form, from the
+auxiliary functions f and g of Abramowitz & Stegun 5.2.12-13 in mpmath,
+so it shares no blind spot with any quadrature.
+
 All quantities are in natural units (hbar = c = eps0 = mu0 = 1).
 """
 
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate as _sint
 
@@ -289,3 +296,238 @@ def fd_curl_left(field, r, rp, xi: float,
     partials = (4.0 * fine - coarse) / 3.0
     # (curl F)_{ij} = eps_{ipq} d_p F_{qj}
     return np.einsum('ipq,pqj->ij', EPS3, partials)
+
+
+# ----------------------------------------------------------------------------
+# Exact vacuum oracle: the imaginary-frequency integral in closed form.
+# ----------------------------------------------------------------------------
+#
+# In vacuum every factor of a tuple's integrand is a sum of weighted
+# constant matrices: a response block is sum_i w_i(xi) X_i with
+# w = 1/(omega^2 + xi^2) (alpha, beta_para), xi/(omega^2 + xi^2) (chi) or 1
+# (beta_dia), and a propagator block is e^(-xi R)/(4 pi R^3) sum_p xi^p B_p,
+# p <= 2.  The integral of a tuple is then a sum of trace coefficients
+# tr[X_i B_p Y_j B'_q] times the elementary integrals
+#     int_0^inf xi^n e^(-c xi) w_i(xi) w_j(xi) dxi,   c = 2R,
+# which partial fractions reduce to n!/c^(n+1) and
+#     J_n(a) = int_0^inf xi^n e^(-c xi)/(a^2 + xi^2) dxi:
+# J_0 = f(ac)/a and J_1 = g(ac), with f and g the auxiliary functions of
+# Abramowitz & Stegun 5.2.12-13, and J_n = (n-2)!/c^(n-1) - a^2 J_(n-2).
+# A double pole a = b takes -dJ_n/da / (2a).  The trace coefficients are
+# formed in numpy, in extended precision (np.longdouble) and again in
+# float64 to measure their rounding; only the J_n and the final sums are
+# formed in mpmath, at a working precision set from the digits that the
+# recurrence and the pole differences cancel, and checked against a second
+# precision twenty digits higher.
+
+_LD = np.longdouble
+# item weights: 1/(omega^2 + xi^2), xi/(omega^2 + xi^2) and 1
+_EVEN, _ODD, _CONST = 0, 1, 2
+_MAX_POWER = 6                          # two odd weights and xi^4
+
+
+def _mp(x) -> mpmath.mpf:
+    """The float64 or longdouble ``x`` as an mpf, exactly."""
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(x - type(x)(hi)))
+
+
+def _response_items(mol, beta_mode: str, duality, dtype):
+    """The response of ``mol`` = (omegas, dipoles, magnetic dipoles,
+    beta_dia) as weighted items: (kinds, poles, X), item i contributing
+    w_i(xi) X_i, X_i the (2, 2, 3, 3) block matrix [[alpha, chi_em],
+    [chi_me, beta]], rotated to D X D^T, D = [[cos, sin], [-sin, cos]],
+    when ``duality`` is given.  The items are one even and one odd per
+    transition and the constant beta_dia, whatever ``beta_mode``: a mode
+    only zeroes blocks, so every mode has the same items."""
+    omegas, ds, ms, beta_dia = mol
+    omegas = np.asarray(omegas, dtype=float)
+    count = omegas.size
+    x = np.zeros((2 * count + 1, 2, 2, 3, 3), dtype=dtype)
+    for t, (omega, d, m) in enumerate(zip(
+            omegas.astype(dtype), np.asarray(ds, dtype=float).astype(dtype),
+            np.asarray(ms, dtype=float).astype(dtype))):
+        x[2 * t, 0, 0] = 2 * omega * np.outer(d, d)
+        if beta_mode in ("full", "para"):
+            x[2 * t, 1, 1] = 2 * omega * np.outer(m, m)
+        x[2 * t + 1, 0, 1] = 2 * np.outer(d, m)
+        x[2 * t + 1, 1, 0] = -2 * np.outer(m, d)
+    if beta_mode in ("full", "dia"):
+        x[-1, 1, 1] = np.asarray(beta_dia, dtype=float)
+    if duality is not None:
+        c, s = math.cos(duality), math.sin(duality)
+        rot = np.array([[c, s], [-s, c]]).astype(dtype)
+        x = np.einsum("xu,yv,iuvab->ixyab", rot, rot, x)
+    kinds = [_EVEN, _ODD] * count + [_CONST]
+    poles = [float(w) for w in omegas for _ in range(2)] + [0.0]
+    return kinds, poles, x
+
+
+def _propagator_powers(v: np.ndarray, dtype) -> np.ndarray:
+    """(3, 2, 2, 3, 3): the xi^p coefficients B_p of the vacuum block
+    matrix [[S, -X], [X, S]] for the separation v, less e^(-xi R)/(4 pi R^3):
+    S = (1 + xi R + xi^2 R^2) I - (3 + 3 xi R + xi^2 R^2) vv^T/R^2 and
+    X = (xi + R xi^2) [v]_x."""
+    v = np.asarray(v, dtype=float).astype(dtype)
+    R = np.sqrt(np.sum(v * v))
+    vh = v / R
+    eye = np.eye(3, dtype=dtype)
+    proj = np.outer(vh, vh)
+    cross = np.einsum("ijk,j->ik", EPS3.astype(dtype), v)
+    out = np.zeros((3, 2, 2, 3, 3), dtype=dtype)
+    for p, (s, x) in enumerate([(eye - 3 * proj, 0 * cross),
+                                (R * (eye - 3 * proj), cross),
+                                (R * R * (eye - proj), R * cross)]):
+        out[p] = [[s, -x], [x, s]]
+    return out
+
+
+def _trace_coefficients(mol_a, mol_b, v, terms, duality, dtype,
+                        absolute=False):
+    """The items of both molecules and the summed trace coefficients of
+    ``terms`` in ``dtype``: (items_a, items_b, C), with C[i, j, n] the
+    coefficient of xi^n w_i w_j e^(-2 xi R)/(4 pi R^3)^2 in the sum of the
+    terms' traces tr[A_a^(l1 l2) B_(l2 l3)(r_a, r_b) A_b^(l3 l4)
+    B_(l4 l1)(r_b, r_a)]; with ``absolute`` the same sum over the absolute
+    values of every product (a bound for the rounding of C)."""
+    props = (_propagator_powers(v, dtype), _propagator_powers(-v, dtype))
+    by_modes = {}
+    for tup, mode_a, mode_b in terms:
+        by_modes.setdefault((mode_a, mode_b), []).append(
+            tuple("em".index(label) for label in tup))
+    coeff = 0
+    for (mode_a, mode_b), tuples in by_modes.items():
+        items_a = _response_items(mol_a, mode_a, duality, dtype)
+        items_b = _response_items(mol_b, mode_b, duality, dtype)
+        mats = (items_a[2], props[0], items_b[2], props[1])
+        if absolute:
+            mats = tuple(np.abs(m) for m in mats)
+        full = np.einsum("iwxab,pxybc,jyzcd,qzwda->wxyzijpq", *mats,
+                         optimize=True)
+        picked = full[tuple(np.array(tuples).T)].sum(axis=0)
+        powers = np.zeros(picked.shape[:2] + (5,), dtype=dtype)
+        for p in range(3):
+            for q in range(3):
+                powers[:, :, p + q] += picked[:, :, p, q]
+        coeff = coeff + powers
+    return items_a, items_b, coeff
+
+
+def _aux_fg(z):
+    """The auxiliary functions f(z) and g(z) of A&S 5.2.6-7."""
+    ci, si = mpmath.ci(z), mpmath.si(z) - mpmath.pi / 2
+    sin, cos = mpmath.sin(z), mpmath.cos(z)
+    return ci * sin - si * cos, -ci * cos - si * sin
+
+
+def _j_powers(a, c):
+    """[J_0 .. J_6] and [dJ_0/da .. dJ_6/da] for the pole a and decay c,
+    from f' = -g and g' = f - 1/z."""
+    f, g = _aux_fg(a * c)
+    j = [f / a, g]
+    dj = [-c * g / a - f / (a * a), c * (f - 1 / (a * c))]
+    for n in range(2, _MAX_POWER + 1):
+        j.append(mpmath.factorial(n - 2) / c ** (n - 1) - a * a * j[n - 2])
+        dj.append(-2 * a * j[n - 2] - a * a * dj[n - 2])
+    return j, dj
+
+
+def _elementary(kind_i, pole_i, kind_j, pole_j, c, tables):
+    """[int_0^inf xi^n e^(-c xi) w_i w_j dxi for n = 0 .. 4]."""
+    shift = (kind_i == _ODD) + (kind_j == _ODD)
+    poles = [p for k, p in ((kind_i, pole_i), (kind_j, pole_j))
+             if k != _CONST]
+    out = []
+    for n in range(5):
+        m = n + shift
+        if not poles:
+            out.append(mpmath.factorial(m) / c ** (m + 1))
+        elif len(poles) == 1:
+            out.append(tables[poles[0]][0][m])
+        elif poles[0] == poles[1]:
+            out.append(-tables[poles[0]][1][m] / (2 * mpmath.mpf(poles[0])))
+        else:
+            a, b = mpmath.mpf(poles[0]), mpmath.mpf(poles[1])
+            out.append((tables[poles[0]][0][m] - tables[poles[1]][0][m])
+                       / (b * b - a * a))
+    return out
+
+
+def _integrals(items_a, items_b, v, dps) -> dict:
+    """{(i, j): [-(1/2 pi) Int_0^inf xi^n w_i w_j e^(-2 xi R)/(4 pi R^3)^2
+    dxi for n = 0 .. 4]} as mpf at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        R = mpmath.sqrt(sum(mpmath.mpf(float(x)) ** 2 for x in v))
+        c = 2 * R
+        tables = {p: _j_powers(mpmath.mpf(p), c)
+                  for p in set(items_a[1]) | set(items_b[1]) if p > 0.0}
+        scale = -1 / (2 * mpmath.pi * (4 * mpmath.pi * R ** 3) ** 2)
+        return {(i, j): [scale * x for x in _elementary(
+                    kind_i, pole_i, kind_j, pole_j, c, tables)]
+                for i, (kind_i, pole_i) in enumerate(zip(*items_a[:2]))
+                for j, (kind_j, pole_j) in enumerate(zip(*items_b[:2]))}
+
+
+def _closed_form(coeff, ints):
+    """sum_ijn C[i, j, n] times the integrals ``ints`` (at the working
+    precision of the caller)."""
+    return mpmath.fsum(_mp(coeff[i, j, n]) * row[n]
+                       for (i, j), row in ints.items() for n in range(5)
+                       if coeff[i, j, n])
+
+
+def _working_digits(poles, R: float) -> int:
+    """30 digits, plus 6 |log10(ac)| at the most extreme a c (with ac > 1
+    each of the three steps of the recurrence cancels about 2 log10(ac)
+    digits, and with ac < 1 the difference of two poles' J_n cancels about
+    2 |log10(ac)|), plus 20 for a difference of close poles."""
+    logs = [abs(math.log10(2.0 * R * p)) for p in poles if p > 0.0]
+    return 30 + math.ceil(6 * max(logs, default=0.0)) + 20
+
+
+def vacuum_sum(mol_a, mol_b, r_a, r_b, terms, duality=None):
+    """Exact vacuum value of the sum of ``terms`` -(1/2 pi) Int_0^inf
+    tr[A_a^(l1 l2) B_(l2 l3)(r_a, r_b) A_b^(l3 l4) B_(l4 l1)(r_b, r_a)] dxi.
+
+    ``terms`` lists (tuple, beta_mode_a, beta_mode_b) with beta modes
+    "full", "para" (no beta_dia) or "dia" (beta_dia alone); molecules are
+    (omegas, dipoles, magnetic dipoles, beta_dia); ``duality`` rotates
+    both molecules' block matrices by that angle.  Returns (value,
+    uncertainty, float64_shift):
+
+    * ``uncertainty`` bounds the rounding of the extended-precision trace
+      coefficients: 64 times the change of the value when they are formed
+      in float64 instead, scaled by the ratio of the two epsilons (where
+      np.longdouble is no wider than float64, 64 eps times the same sum
+      over the absolute values of every product);
+    * ``float64_shift`` is that change itself: how far rounding the trace
+      coefficients to float64 alone moves the value, the scale of the
+      error that any float64 evaluation of the integrand carries.
+
+    Every elementary integral is formed at two precisions, which must
+    agree to 25 digits.
+    """
+    v = np.asarray(r_a, dtype=float) - np.asarray(r_b, dtype=float)
+    terms = list(terms)
+    items_a, items_b, coeff = _trace_coefficients(
+        mol_a, mol_b, v, terms, duality, _LD)
+    _, _, coeff64 = _trace_coefficients(mol_a, mol_b, v, terms, duality,
+                                        np.float64)
+    eps_ld, eps = float(np.finfo(_LD).eps), float(np.finfo(float).eps)
+    dps = _working_digits(items_a[1] + items_b[1], math.sqrt(float(v @ v)))
+    ints = _integrals(items_a, items_b, v, dps)
+    check = _integrals(items_a, items_b, v, dps + 20)
+    for key, row in ints.items():
+        for x, y in zip(row, check[key]):
+            if abs(x - y) > 1e-25 * abs(y):
+                raise ArithmeticError(
+                    f"vacuum oracle unstable at {dps} digits: {x} vs {y}")
+    with mpmath.workdps(dps):
+        value, value64 = (_closed_form(c, ints) for c in (coeff, coeff64))
+        if eps_ld < eps:
+            uncertainty = 64.0 * eps_ld / eps * float(abs(value64 - value))
+        else:       # no extended precision: bound the rounding
+            bound = _trace_coefficients(mol_a, mol_b, v, terms, duality,
+                                        _LD, absolute=True)[2]
+            uncertainty = 64.0 * eps * abs(float(_closed_form(bound, ints)))
+    return float(value), float(uncertainty), float(abs(value64 - value))

@@ -6,6 +6,7 @@ the CSV contracts.
 """
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -99,6 +100,81 @@ def test_curve_non_finite_provider_exits_numerical(pair_files, capsys,
                  "--rmin", "2", "--rmax", "2", "--points", "1"])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def _unconverged_curves(monkeypatch):
+    """Make every curve of the CLI report its points unconverged."""
+    from chivdw.potentials import PotentialCurve
+
+    real = cli.compute_curve
+
+    def unconverged(*args, **kwargs):
+        curve = real(*args, **kwargs)
+        return PotentialCurve(curve.component, curve.r_values,
+                              curve.u_values, curve.error_estimates,
+                              np.zeros(len(curve), dtype=bool))
+
+    monkeypatch.setattr(cli, "compute_curve", unconverged)
+
+
+_UNCONVERGED = "warning: quadrature did not converge at every separation"
+
+
+def test_unconverged_curve_warns_through_the_chivdw_logger(
+        pair_files, capsys, caplog, monkeypatch):
+    _unconverged_curves(monkeypatch)
+    a, b = pair_files
+    with caplog.at_level(logging.WARNING, logger="chivdw"):
+        code = main(["curve", "--mol-a", a, "--mol-b", b, "--component",
+                     "EE", "--rmin", "2", "--rmax", "3", "--points", "2"])
+    assert code == 2
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert [row[4] for row in rows] == ["0", "0"]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
+        == [("chivdw", "WARNING", _UNCONVERGED)]
+
+
+def test_failed_power_law_fit_warns_through_the_chivdw_logger(
+        pair_files, capsys, caplog, monkeypatch):
+    def no_fit(r_values, u_values):
+        raise ValueError("values change sign")
+
+    monkeypatch.setattr(cli, "fit_power_law", no_fit)
+    a, b = pair_files
+    with caplog.at_level(logging.WARNING, logger="chivdw"):
+        code = main(["powerlaw", "--mol-a", a, "--mol-b", b, "--component",
+                     "EE", "--window", "retarded", "--points", "5"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert [(r.name, r.getMessage()) for r in caplog.records] \
+        == [("chivdw", "power-law fit failed: values change sign")]
+
+
+def test_warning_text_on_stderr_without_logging_configured(pair_files):
+    # a fresh interpreter with no logging configured prints the bare
+    # message once, the text the CLI has always printed
+    a, b = pair_files
+    script = (
+        "import sys, numpy as np\n"
+        "from chivdw import cli\n"
+        "from chivdw.potentials import PotentialCurve\n"
+        "real = cli.compute_curve\n"
+        "def unconverged(*args, **kwargs):\n"
+        "    c = real(*args, **kwargs)\n"
+        "    return PotentialCurve(c.component, c.r_values, c.u_values,\n"
+        "                          c.error_estimates,\n"
+        "                          np.zeros(len(c), dtype=bool))\n"
+        "cli.compute_curve = unconverged\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, "curve", "--mol-a", a, "--mol-b", b,
+         "--component", "EE", "--rmin", "2", "--rmax", "3", "--points", "2"],
+        capture_output=True, text=True, env=env)
+    assert fresh.returncode == 2
+    assert fresh.stderr == _UNCONVERGED + "\n"
+    assert fresh.stdout.startswith("R,component,U,error,converged\n")
 
 
 def test_one_parser_serves_successive_calls(pair_files, capsys):

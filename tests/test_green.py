@@ -281,17 +281,18 @@ class TestProviderBlockMatrices:
         assert np.array_equal(ba, self._expected(prov, r_b, r_a, xis))
 
     def test_one_scaled_and_one_cross_kernel_call(self, monkeypatch):
+        # one prefactor and one S, one X per blocks call
         from chivdw import kernels
 
         built = []
-        for name in ("free_scaled", "free_cross"):
-            def counted(rvec, xs, _f=getattr(kernels, name), _name=name):
+        for name in ("free_prefactor", "free_scaled", "free_cross"):
+            def counted(*args, _f=getattr(kernels, name), _name=name):
                 built.append(_name)
-                return _f(rvec, xs)
+                return _f(*args)
             monkeypatch.setattr(kernels, name, counted)
         FreeSpaceProvider().blocks(np.array([0.3, -1.1, 0.8]), np.zeros(3),
                                    np.array([0.0, 0.5, 2.0]))
-        assert sorted(built) == ["free_cross", "free_scaled"]
+        assert sorted(built) == ["free_cross", "free_prefactor", "free_scaled"]
 
     def test_invalid_input_rejected(self):
         prov = FreeSpaceProvider()

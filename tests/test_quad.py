@@ -1,6 +1,7 @@
 """Tests for the adaptive quadrature engines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,11 +256,64 @@ class TestPrincipalValue:
 
 class TestKronrodConstants:
     def test_weights_sum_to_two(self):
-        from chivdw.quad import _W15, _W7
+        from chivdw.quad import _W15
         assert np.sum(_W15) == pytest.approx(2.0, abs=1e-15)
-        assert np.sum(_W7) == pytest.approx(2.0, abs=1e-15)
+
+    def test_null_rules_vanish_below_their_degree(self):
+        # row 1 + j is the coefficient of degree 9 + j: it annihilates every
+        # polynomial of lower degree and not the Legendre polynomial of its
+        # own
+        from chivdw.quad import _NODES, _RULES
+        legendre = np.polynomial.legendre.legvander(_NODES, 14)
+        for j, row in enumerate(_RULES[1:]):
+            degree = 9 + j
+            for k in range(degree):
+                assert abs(row @ _NODES**k) < 1e-15, (degree, k)
+            assert abs(row @ legendre[:, degree]) > 0.1, degree
 
     def test_high_degree_polynomial_single_panel(self):
         # Kronrod-15 integrates polynomials up to degree 22 exactly
         res = integrate_interval(lambda x: x**20, -1.0, 1.0, SPEC_ALG)
         assert res.value == pytest.approx(2.0 / 21.0, rel=1e-13)
+
+
+class TestNullRuleEstimate:
+    """The panel error estimate from the null rules of the 15 node values."""
+
+    ONE_PASS = QuadSpec(rel_tol=1e-10, abs_tol=1e-300, max_evals=15)
+
+    def test_smooth_integrand_converges_in_one_pass(self):
+        res = integrate_interval(np.exp, 0.0, 1.0, self.ONE_PASS)
+        assert res.converged
+        assert res.evals == 15
+        assert res.value == pytest.approx(math.e - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("f,a,b,exact", [
+        (lambda x: np.abs(x - 0.3), 0.0, 1.0, 0.29),
+        (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0,
+         0.4 * math.atan(5.0)),
+    ], ids=["kink", "runge"])
+    def test_unresolved_integrand_is_not_converged_after_one_pass(
+            self, f, a, b, exact):
+        first = integrate_interval(f, a, b, self.ONE_PASS)
+        assert not first.converged
+        assert abs(first.value - exact) <= first.error_estimate
+        final = integrate_interval(f, a, b, SPEC)
+        assert final.converged
+        assert abs(final.value - exact) <= final.error_estimate
+
+    def test_panel_of_exact_zeros_has_zero_error_and_no_warning(self):
+        # an underflowed tail gives panels of exact zeros next to live ones
+        from chivdw.quad import _NODES, _panel_sums
+        fvals = np.zeros((2, 15, 2))
+        fvals[1, :, 1] = np.exp(_NODES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, err, floor = _panel_sums(fvals, np.array([1.0, 0.5]))
+            res = integrate_halfline(lambda x: np.exp(-800.0 * x), SPEC,
+                                     breakpoints=[1e-3])
+        assert value[0].tolist() == err[0].tolist() == [0.0, 0.0]
+        assert err[1, 0] == floor[1, 0] == 0.0
+        assert err[1, 1] > 0.0
+        assert res.converged
+        assert res.value == pytest.approx(1.0 / 800.0, rel=1e-12)
