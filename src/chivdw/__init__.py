@@ -61,7 +61,6 @@ from .potentials import (
     u_cc_isotropic,
     u_dc_direct,
     u_ec_direct,
-    u_free_fast,
     u_mc_direct,
     u_named,
     u_pc_direct,
@@ -116,7 +115,7 @@ __all__ = [
     "ComponentLabel", "LABEL_TUPLES", "ROW_SPECS", "ROW_NAMES",
     "PotentialCurve", "u_terms", "u_unified", "u_named", "u_row",
     "u_ec_direct", "u_mc_direct", "u_pc_direct", "u_dc_direct",
-    "u_cc_direct", "u_free_fast", "u_cc_isotropic",
+    "u_cc_direct", "u_cc_isotropic",
     "resolve_component", "compute_curve",
     # asymptotics
     "PowerLawFit", "fit_power_law", "retarded_window",

@@ -4,7 +4,7 @@ The molecular response tensors on a batch of imaginary frequencies, the
 free-space propagator blocks on the same batch, and the batched trace of
 four 3x3 factors that the direct single-trace forms integrate.  The module
 also holds the Levi-Civita symbol and the cross-product matrix shared by
-the propagator, the closed free-space forms and the asymptotic forms.
+the propagator and the asymptotic forms.
 
 All arrays are float64.  Shapes: frequency batches are (n,), tensor batches
 are (n, 3, 3).

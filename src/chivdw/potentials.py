@@ -56,9 +56,10 @@ number of decades outside it), and each group is one pass whose panel
 layout spans its members' scales; a single value is the one-separation
 case of the same pass.
 
-Besides the general provider path there are closed free-space forms
-(`u_free_fast`, `u_cc_isotropic`) in which the frequency integral has been
-reduced analytically to a single exponentially damped radial integral.
+Besides the provider path, the chiral components have direct
+single-trace forms (``u_ec_direct`` and its kin) for any provider, and
+``u_cc_isotropic`` gives the orientation-averaged chiral-chiral potential
+in vacuum from one scalar radial integral.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ __all__ = [
     "u_pc_direct",
     "u_dc_direct",
     "u_cc_direct",
-    "u_free_fast",
     "u_cc_isotropic",
     "compute_curve",
     "resolve_component",
@@ -219,7 +219,7 @@ def _default_spec() -> QuadSpec:
 
 
 def _default_breakpoints(mol_a: Molecule, mol_b: Molecule,
-                         *rs: float) -> Tuple[float, ...]:
+                         rs: Iterable[float]) -> Tuple[float, ...]:
     """The frequency scales of a pair's integrand: the transition
     frequencies (resonances) and 1/R (the propagator cutoff) for each
     separation R in ``rs``."""
@@ -227,6 +227,17 @@ def _default_breakpoints(mol_a: Molecule, mol_b: Molecule,
     pts.update(float(w) for w in mol_b.omegas)
     pts.update(1.0 / R for R in rs)
     return tuple(sorted(pts))
+
+
+def _halfline(mol_a: Molecule, mol_b: Molecule, rs: Iterable[float],
+              integrand: Callable, spec: Optional[QuadSpec]) -> QuadResult:
+    """``integrand`` over [0, inf) on the panel layout of the pair's scales
+    at the separations ``rs``; ``spec`` defaults to ``_default_spec()``.
+    Every half-line route of this module integrates through here."""
+    if spec is None:
+        spec = _default_spec()
+    breaks = _default_breakpoints(mol_a, mol_b, rs)
+    return integrate_halfline(integrand, spec, breakpoints=breaks)
 
 
 def _layout_groups(mol_a: Molecule, mol_b: Molecule,
@@ -390,7 +401,7 @@ def _checked_terms(terms: Iterable) -> list:
 
 def _terms_quadrature(mol_a: Molecule, mol_b: Molecule,
                       seps: Sequence[Separation], terms: list, provider,
-                      spec: QuadSpec, duality: Optional[float],
+                      spec: Optional[QuadSpec], duality: Optional[float],
                       weights: np.ndarray) -> QuadResult:
     """One pass over the checked ``terms``, weighted by ``weights``, at
     every separation of ``seps``, on the panel layout of their joint
@@ -399,8 +410,7 @@ def _terms_quadrature(mol_a: Molecule, mol_b: Molecule,
         provider = free_space_provider()
     integrand = _terms_integrand(mol_a, mol_b, seps, terms, provider,
                                  duality, weights)
-    breaks = _default_breakpoints(mol_a, mol_b, *(s.R for s in seps))
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
+    return _halfline(mol_a, mol_b, [s.R for s in seps], integrand, spec)
 
 
 def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
@@ -416,8 +426,6 @@ def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     counts the shared nodes and ``converged`` holds only if every term
     converged.
     """
-    if spec is None:
-        spec = _default_spec()
     terms = _checked_terms(terms)
     return _terms_quadrature(mol_a, mol_b, [sep], terms, provider, spec,
                              duality, np.eye(len(terms)))
@@ -509,15 +517,6 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
 # division-free integrands valid for any provider and finite at xi = 0.
 # ---------------------------------------------------------------------------
 
-def _direct_quadrature(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                       provider, spec: Optional[QuadSpec],
-                       integrand: Callable) -> QuadResult:
-    if spec is None:
-        spec = _default_spec()
-    breaks = _default_breakpoints(mol_a, mol_b, sep.R)
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
-
-
 def u_ec_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
                 provider=None, spec: Optional[QuadSpec] = None) -> QuadResult:
     """Electric-chiral component as a single combined trace."""
@@ -534,7 +533,7 @@ def u_ec_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
             np.ascontiguousarray(alpha_a), ab[:, 0, 0],
             np.ascontiguousarray(chi_em_b), ba[:, 0, 1])
 
-    return _direct_quadrature(mol_a, mol_b, sep, provider, spec, integrand)
+    return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
 
 
 def _u_mc_direct_mode(mol_a: Molecule, mol_b: Molecule, sep: Separation,
@@ -553,7 +552,7 @@ def _u_mc_direct_mode(mol_a: Molecule, mol_b: Molecule, sep: Separation,
             np.ascontiguousarray(beta_a), ab[:, 1, 1],
             np.ascontiguousarray(chi_me_b), ba[:, 1, 0])
 
-    return _direct_quadrature(mol_a, mol_b, sep, provider, spec, integrand)
+    return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
 
 
 def u_mc_direct(mol_a, mol_b, sep, provider=None, spec=None) -> QuadResult:
@@ -590,104 +589,7 @@ def u_cc_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
                                np.ascontiguousarray(chi_em_b), ba[:, 0, 1])
         return -(1.0 / _PI) * (term1 + term2)
 
-    return _direct_quadrature(mol_a, mol_b, sep, provider, spec, integrand)
-
-
-# ---------------------------------------------------------------------------
-# Closed free-space kernels: the frequency integral reduced analytically to
-# one exponentially damped radial integral (no provider, vacuum only).
-# ---------------------------------------------------------------------------
-
-_FREE_FAST_LABELS = (ComponentLabel.EC, ComponentLabel.MC, ComponentLabel.CC)
-
-
-def _free_fast_ec_mc(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                     spec: QuadSpec, magnetic: bool) -> QuadResult:
-    R = sep.R
-    rhat = sep.r_hat
-    proj = np.outer(rhat, rhat)
-    eye = np.eye(3)
-    m1 = eye - proj
-    m2 = eye - 2.0 * proj
-    m3 = eye - 3.0 * proj
-    sig = "ipq,q,nij,npr,jr->n" if magnetic else "ipq,q,nij,nrp,jr->n"
-    pref = 1.0 / (16.0 * _PI**3)
-
-    def integrand(ks):
-        ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        alpha_a, beta_a, _, _ = response_arrays(mol_a, ks)
-        _, _, chi_b, _ = response_arrays(mol_b, ks)
-        tensor_a = beta_a if magnetic else alpha_a
-        e1 = np.einsum(sig, kernels.LEVI_CIVITA, rhat, tensor_a, chi_b, m1)
-        e2 = np.einsum(sig, kernels.LEVI_CIVITA, rhat, tensor_a, chi_b, m2)
-        e3 = np.einsum(sig, kernels.LEVI_CIVITA, rhat, tensor_a, chi_b, m3)
-        radial = (ks**4 / R**2 * e1 + 2.0 * ks**3 / R**3 * e2
-                  + (2.0 * ks**2 / R**4 + ks / R**5) * e3)
-        return pref * np.exp(-2.0 * ks * R) * radial
-
-    breaks = _default_breakpoints(mol_a, mol_b, R)
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
-
-
-def _cc_angular_tensors(rhat: np.ndarray):
-    eye = np.eye(3)
-    proj = np.outer(rhat, rhat)
-    m3 = eye - 3.0 * proj
-    t1 = np.einsum("jq,ip->jqip", m3, m3)
-    dd = np.einsum("jq,ip->jqip", eye, eye)
-    d_rr = (np.einsum("jq,ip->jqip", eye, proj)
-            + np.einsum("jq,ip->jqip", proj, eye))
-    rrrr = np.einsum("jq,ip->jqip", proj, proj)
-    eps = kernels.LEVI_CIVITA
-    epseps = np.einsum("jrp,qsi,r,s->jqip", eps, eps, rhat, rhat)
-    t2 = 3.0 * dd - 7.0 * d_rr + 15.0 * rrrr + epseps
-    t3 = 2.0 * dd - 4.0 * d_rr + 6.0 * rrrr + 2.0 * epseps
-    t4 = dd - d_rr + rrrr + epseps
-    return t1, t2, t3, t4
-
-
-def _free_fast_cc(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                  spec: QuadSpec) -> QuadResult:
-    R = sep.R
-    t1, t2, t3, t4 = _cc_angular_tensors(sep.r_hat)
-    pref = 1.0 / (16.0 * _PI**3)
-
-    def integrand(ks):
-        ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        _, _, chi_a, _ = response_arrays(mol_a, ks)
-        _, _, chi_b, _ = response_arrays(mol_b, ks)
-        v1 = np.einsum("nij,npq,jqip->n", chi_a, chi_b, t1)
-        v2 = np.einsum("nij,npq,jqip->n", chi_a, chi_b, t2)
-        v3 = np.einsum("nij,npq,jqip->n", chi_a, chi_b, t3)
-        v4 = np.einsum("nij,npq,jqip->n", chi_a, chi_b, t4)
-        radial = ((1.0 / R**6 + 2.0 * ks / R**5) * v1 + ks**2 / R**4 * v2
-                  + ks**3 / R**3 * v3 + ks**4 / R**2 * v4)
-        return pref * np.exp(-2.0 * ks * R) * radial
-
-    breaks = _default_breakpoints(mol_a, mol_b, R)
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
-
-
-def u_free_fast(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
-                spec: Optional[QuadSpec] = None) -> QuadResult:
-    """Closed vacuum form of a chiral component (EC, MC or CC).
-
-    The frequency integral over the two cross blocks has been carried out
-    against the explicit vacuum Green tensor, leaving a single radial
-    integral; faster and better conditioned than the provider path, but
-    valid in free space only.
-    """
-    label = ComponentLabel(label)
-    if label not in _FREE_FAST_LABELS:
-        raise ValueError(
-            f"closed free-space form exists for EC, MC, CC only, got "
-            f"{label.value}")
-    if spec is None:
-        spec = _default_spec()
-    if label is ComponentLabel.CC:
-        return _free_fast_cc(mol_a, mol_b, sep, spec)
-    return _free_fast_ec_mc(mol_a, mol_b, sep, spec,
-                            magnetic=(label is ComponentLabel.MC))
+    return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
 
 
 def _isotropic_rotatory(mol: Molecule, ks: np.ndarray) -> np.ndarray:
@@ -714,8 +616,6 @@ def u_cc_isotropic(mol_a: Molecule, mol_b: Molecule, R: float,
     R = float(R)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError("R must be positive and finite")
-    if spec is None:
-        spec = _default_spec()
     pref = 1.0 / (8.0 * _PI**3 * R**6)
 
     def integrand(ks):
@@ -726,8 +626,7 @@ def u_cc_isotropic(mol_a: Molecule, mol_b: Molecule, R: float,
         return pref * np.exp(-2.0 * kr) * chi_a * chi_b * (
             3.0 + 6.0 * kr + 4.0 * kr**2)
 
-    breaks = _default_breakpoints(mol_a, mol_b, R)
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
+    return _halfline(mol_a, mol_b, [R], integrand, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,10 @@ _SAFETY = 10.0
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # smallest normal float
+# The narrowest panel that is still bisected, relative to the magnitude of
+# its edges: some 500 floats or more, so that the outer nodes of its
+# halves, 0.0085 of a half-width inside their edges, stay clear of them.
+_MIN_WIDTH = 1024.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,8 @@ class _VectorisedCall:
 
     An integrand returning shape (n,) is the K = 1 case; one returning
     (n, K) is vector-valued (``vector`` records which).  Any other shape
-    raises ``ValueError``.
+    raises ``ValueError``, and a non-finite value
+    ``NonFiniteIntegrandError`` naming the integrand's own abscissa.
     """
 
     def __init__(self, f: Callable):
@@ -169,7 +174,12 @@ class _VectorisedCall:
                 f"integrand returned shape {out.shape} for {n} nodes; "
                 f"expected ({n},) or ({n}, K)")
         self.vector = out.ndim == 2
-        return out.reshape(n, -1)
+        out = out.reshape(n, -1)
+        if not np.isfinite(out).all():
+            bad = float(xs[~np.isfinite(out).all(axis=1)][0])
+            raise NonFiniteIntegrandError(
+                f"integrand returned a non-finite value at x={bad!r}")
+        return out
 
 
 def _shaped(res: QuadResult, fv: _VectorisedCall) -> QuadResult:
@@ -229,9 +239,11 @@ def _adaptive(f: Callable, edges: Sequence[float],
     equidistributed share.  A component whose summed round-off floor
     exceeds its tolerance while its error is within twice that floor is
     held: splitting cannot lower the floor, so it no longer drives splits
-    or the stopping rule, and it leaves the result unconverged.  Value and
-    error estimate are returned as (K,) arrays and ``evals`` counts shared
-    nodes.
+    or the stopping rule, and it leaves the result unconverged.  A panel
+    too narrow to bisect in floating point is not split either; once only
+    such panels exceed their share, the result is returned unconverged.
+    Value and error estimate are returned as (K,) arrays and ``evals``
+    counts shared nodes.
     """
     los = np.array(edges[:-1], dtype=float)
     his = np.array(edges[1:], dtype=float)
@@ -252,9 +264,11 @@ def _adaptive(f: Callable, edges: Sequence[float],
         flat = nodes.reshape(-1)
         fv = f(flat)
         if not np.isfinite(fv).all():
-            bad = flat[~np.isfinite(fv).all(axis=1)][0]
+            # the integrand itself is checked where it is called, so this
+            # is a map's Jacobian or a folded sum overflowing
+            bad = float(flat[~np.isfinite(fv).all(axis=1)][0])
             raise NonFiniteIntegrandError(
-                f"integrand returned a non-finite value at x={bad!r}")
+                f"mapped integrand overflowed at t={bad!r}")
         evals += flat.size
         new = _panel_sums(fv.reshape(nodes.shape + (-1,)), half)
         sums = new if sums is None else np.concatenate([sums, new], axis=1)
@@ -271,18 +285,22 @@ def _adaptive(f: Callable, edges: Sequence[float],
             return QuadResult(total, total_err, evals, False)
 
         # split every panel holding more than its equidistributed share of
-        # some component's tolerance, held components aside
+        # some component's tolerance, held components aside, unless it is
+        # too narrow to bisect: its halves' outer nodes would round onto
+        # its edges (onto xi = inf at the end of integrate_halfline's tail)
         errs, tol = sums[1], np.where(held, np.inf, tol)
-        split = np.flatnonzero((errs > tol / len(errs)).any(axis=1))
+        over = (errs > tol / len(errs)).any(axis=1)
+        over &= (all_hi - all_lo) > _MIN_WIDTH * np.maximum(np.abs(all_lo),
+                                                            np.abs(all_hi))
+        split = np.flatnonzero(over)
+        if split.size == 0:
+            return QuadResult(total, total_err, evals, False)
         # respect the remaining budget: each split costs 30 evaluations
         budget = max((spec.max_evals - evals) // 30, 1)
-        if split.size == 0 or split.size > budget:
+        if split.size > budget:
             excess = (errs / np.maximum(tol, _TINY)).max(axis=1)
-            if split.size == 0:
-                split = np.array([int(np.argmax(excess))])
-            else:
-                order = np.argsort(excess[split])[::-1]
-                split = split[order[:budget]]
+            order = np.argsort(excess[split])[::-1]
+            split = split[order[:budget]]
 
         s_lo, s_hi = all_lo[split], all_hi[split]
         s_mid = 0.5 * (s_lo + s_hi)

@@ -115,13 +115,16 @@ class VerificationReport:
 
 
 def _make_check(name: str, lhs: float, rhs: float, tolerance: float,
-                floor: float = 0.0) -> IdentityCheck:
+                floor: float = 0.0, converged: bool = True) -> IdentityCheck:
+    """The check of ``lhs`` against ``rhs``; it fails when the residual
+    exceeds ``tolerance`` or a quadrature behind it did not converge."""
     lhs = float(lhs)
     rhs = float(rhs)
     scale = max(abs(lhs), abs(rhs), floor, 1e-300)
     residual = abs(lhs - rhs) / scale
     return IdentityCheck(name=name, lhs=lhs, rhs=rhs, residual=residual,
-                         passed=residual <= tolerance, tolerance=tolerance)
+                         passed=converged and residual <= tolerance,
+                         tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +327,9 @@ def check_contour_gn(n: int, omega: float, distance: float,
                           spec=spec or _contour_spec())
     rhs = (-omega) ** n * np.cos(omega * distance) / (4.0 * distance)
     label = f"contour moment n={n} (omega={omega:g}, R={distance:g})"
-    check = _make_check(label, result.value, rhs, tolerance,
-                        floor=1.0 / (4.0 * distance))
-    if not result.converged:
-        check = IdentityCheck(check.name, check.lhs, check.rhs,
-                              check.residual, False, check.tolerance)
-    return check
+    return _make_check(label, result.value, rhs, tolerance,
+                       floor=1.0 / (4.0 * distance),
+                       converged=result.converged)
 
 
 def check_contour_j2(xi: float, distance: float,
@@ -361,12 +361,9 @@ def check_contour_j2(xi: float, distance: float,
                                 breakpoints=(xi, centre))
     rhs = float(np.exp(-xi * distance) / (8.0 * distance))
     label = f"imaginary-axis projection (xi={xi:g}, R={distance:g})"
-    check = _make_check(label, result.value, rhs, tolerance,
-                        floor=1.0 / (8.0 * distance))
-    if not result.converged:
-        check = IdentityCheck(check.name, check.lhs, check.rhs,
-                              check.residual, False, check.tolerance)
-    return check
+    return _make_check(label, result.value, rhs, tolerance,
+                       floor=1.0 / (8.0 * distance),
+                       converged=result.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +400,8 @@ def _isotropic_pair() -> Tuple[Molecule, Molecule]:
 
 def _relative_check(name: str, first: QuadResult, second: QuadResult,
                     tolerance: float) -> IdentityCheck:
-    check = _make_check(name, first.value, second.value, tolerance)
-    if not (first.converged and second.converged):
-        check = IdentityCheck(check.name, check.lhs, check.rhs,
-                              check.residual, False, check.tolerance)
-    return check
+    return _make_check(name, first.value, second.value, tolerance,
+                       converged=first.converged and second.converged)
 
 
 def _cross_route_checks(rng: np.random.Generator) -> list:
@@ -449,15 +443,11 @@ def _cross_route_checks(rng: np.random.Generator) -> list:
     iso_sep = Separation(np.array([0.0, 0.0, 2.0]), np.zeros(3))
     ec_iso = u_named(iso_a, iso_b, iso_sep, "EC", spec=spec)
     ee_iso = u_named(iso_a, iso_b, iso_sep, "EE", spec=spec)
-    iso_check = _make_check(
+    checks.append(_make_check(
         "isotropic EC suppression (|EC| vs |EE|)",
         ec_iso.value, 0.0, tolerance=1e-12,
-        floor=abs(ee_iso.value))
-    if not (ec_iso.converged and ee_iso.converged):
-        iso_check = IdentityCheck(iso_check.name, iso_check.lhs,
-                                  iso_check.rhs, iso_check.residual,
-                                  False, iso_check.tolerance)
-    checks.append(iso_check)
+        floor=abs(ee_iso.value),
+        converged=ec_iso.converged and ee_iso.converged))
     return checks
 
 

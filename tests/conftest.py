@@ -1,6 +1,9 @@
-"""Test configuration: make the in-tree oracle module importable."""
+"""Test configuration: test the checkout's ``src/`` (ahead of any installed
+copy of the package) and make the in-tree oracle module importable."""
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "src"))

@@ -20,7 +20,7 @@ from chivdw.asymptotics import (
     u_retarded,
 )
 from chivdw.green import Separation
-from chivdw.potentials import u_cc_isotropic, u_free_fast, u_named, u_row
+from chivdw.potentials import u_cc_isotropic, u_named, u_row
 from chivdw.quad import QuadSpec
 from chivdw.response import Molecule, Transition
 
@@ -159,7 +159,7 @@ class TestQuadratureAgreement:
         omega_min = min(pair[0].omegas.min(), pair[1].omegas.min())
         sep = Separation((100.0 / omega_min) * NHAT, np.zeros(3))
         for label in RETARDED_LABELS:
-            quad = u_free_fast(*pair, sep, label)
+            quad = u_named(*pair, sep, label)
             closed = u_retarded(*pair, sep, label)
             assert quad.converged
             assert 0.99 <= quad.value / closed <= 1.01, label
@@ -168,10 +168,7 @@ class TestQuadratureAgreement:
         omega_max = max(pair[0].omegas.max(), pair[1].omegas.max())
         sep = Separation((1e-4 / omega_max) * NHAT, np.zeros(3))
         for label in NONRETARDED_LABELS:
-            if label in ("EC", "CC"):
-                quad = u_free_fast(*pair, sep, label)
-            else:
-                quad = u_named(*pair, sep, label)
+            quad = u_named(*pair, sep, label)
             closed = u_nonretarded(*pair, sep, label)
             assert quad.converged
             assert 0.99 <= quad.value / closed <= 1.01, label

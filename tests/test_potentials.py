@@ -22,7 +22,6 @@ from chivdw.potentials import (
     u_cc_isotropic,
     u_dc_direct,
     u_ec_direct,
-    u_free_fast,
     u_mc_direct,
     u_named,
     u_pc_direct,
@@ -35,6 +34,16 @@ from chivdw.response import Molecule, Transition
 from chivdw.verify import _random_pair
 
 EYE = np.eye(3)
+
+
+def _vacuum(mol_a, mol_b, sep, label):
+    """The exact vacuum value of a named component (see oracles)."""
+    data = [(np.array(m.omegas), np.array(m.dipoles),
+             np.array(m.magnetic_dipoles), np.array(m.beta_dia))
+            for m in (mol_a, mol_b)]
+    terms = [(tup, "full", "full")
+             for tup in LABEL_TUPLES[ComponentLabel(label)]]
+    return oracles.vacuum_sum(*data, sep.r_a, sep.r_b, terms)[0]
 
 
 def generic_molecule(seed, n=2, dia_scale=0.03):
@@ -114,14 +123,14 @@ class TestDirectFormsAgree:
         dc = u_named(*pair, sep, "DC").value
         assert mc == pytest.approx(pc + dc, rel=1e-12)
 
-    def test_free_fast_matches_direct(self, pair, sep):
+    def test_direct_forms_match_exact_oracle(self, pair, sep):
         for label, direct in (("EC", u_ec_direct), ("MC", u_mc_direct),
                               ("CC", u_cc_direct)):
-            f = u_free_fast(*pair, sep, label)
             d = direct(*pair, sep)
-            assert f.value == pytest.approx(d.value, rel=1e-10), label
+            exact = _vacuum(*pair, sep, label)
+            assert d.value == pytest.approx(exact, rel=1e-10), label
 
-    def test_free_fast_random_configurations(self):
+    def test_direct_forms_random_configurations(self):
         rng = np.random.default_rng(99)
         for trial in range(6):
             a = generic_molecule(100 + trial)
@@ -132,14 +141,10 @@ class TestDirectFormsAgree:
             s = Separation(R * direction, np.zeros(3))
             for label, direct in (("EC", u_ec_direct), ("MC", u_mc_direct),
                                   ("CC", u_cc_direct)):
-                f = u_free_fast(a, b, s, label)
                 d = direct(a, b, s)
-                scale = max(abs(f.value), abs(d.value), 1e-30)
-                assert abs(f.value - d.value) <= 1e-10 * scale
-
-    def test_free_fast_rejects_other_labels(self, pair, sep):
-        with pytest.raises(ValueError, match="EC, MC, CC"):
-            u_free_fast(*pair, sep, "EE")
+                exact = _vacuum(a, b, s, label)
+                scale = max(abs(d.value), abs(exact), 1e-30)
+                assert abs(d.value - exact) <= 1e-10 * scale, (trial, label)
 
 
 class TestRowDecomposition:
@@ -260,7 +265,7 @@ class TestToyPairOracle:
         b = Molecule("toyB", (Transition(1.0, EYE[1], EYE[2]),))
         rvec = 10.0 * np.array([2.0, 2.0, 1.0]) / 3.0
         s = Separation(rvec, np.zeros(3))
-        mine = u_free_fast(a, b, s, "EC").value
+        mine = u_named(a, b, s, "EC").value
         reference = oracles.ec_free_trapezoid(
             omega_a=1.0, d_a=EYE[0], omega_b=1.0, d_b=EYE[1], m_b=EYE[2],
             rvec=rvec)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from chivdw.quad import (QuadResult, QuadSpec, integrate_halfline,
-                         integrate_interval, integrate_pv)
+from chivdw.quad import (NonFiniteIntegrandError, QuadResult, QuadSpec,
+                         integrate_halfline, integrate_interval, integrate_pv)
 
 SPEC = QuadSpec(rel_tol=1e-12, abs_tol=1e-300, max_evals=100_000)
 SPEC_ALG = SPEC
@@ -124,8 +124,33 @@ class TestHalfline:
             out = np.exp(-x)
             return np.where(np.abs(x - 0.5) < 0.2, np.nan, out)
 
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteIntegrandError,
+                           match="non-finite") as info:
             integrate_halfline(f, SPEC)
+        # the abscissa named is xi, where f is NaN, not the mapped variable
+        xi = float(str(info.value).rsplit("x=", 1)[1])
+        assert abs(xi - 0.5) < 0.2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_integrand_overflowing_the_tail_map_raises(self):
+        # f is finite, f times the tail's Jacobian is not
+        with pytest.raises(NonFiniteIntegrandError, match="overflowed at t="):
+            integrate_halfline(lambda x: np.full(x.shape, 1e305), SPEC)
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
+    def test_algebraic_tail_at_tight_tolerance_stays_finite(self, rel_tol):
+        # (1 + x)^-1.5 decays so slowly that bisection drives the tail
+        # panel down to the float resolution of its end, where a node
+        # would round onto xi = inf; the result must stay finite, and
+        # converged only within tolerance of the exact value 2
+        spec = QuadSpec(rel_tol=rel_tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate_halfline(lambda x: (1.0 + x) ** -1.5, spec)
+        assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+        assert abs(res.value - 2.0) <= res.error_estimate
+        if res.converged:
+            assert abs(res.value - 2.0) <= rel_tol * 2.0
 
     def test_budget_exhaustion_flags_unconverged(self):
         tiny = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_evals=45)
@@ -301,6 +326,19 @@ class TestNullRuleEstimate:
         final = integrate_interval(f, a, b, SPEC)
         assert final.converged
         assert abs(final.value - exact) <= final.error_estimate
+
+    def test_coefficients_that_do_not_decay_give_their_largest_pair(self):
+        # node values whose null-rule pairs are E3 = 3, E2 = 1, E1 = 1.5:
+        # the ratio is 1.5 >= 1, so the estimate is 10 half max(E), not
+        # the last pair E1
+        from chivdw.quad import _RULES, _panel_sums
+        coeffs = np.array([3.0, 0.0, 1.0, 0.0, 0.0, 1.5])
+        fvals = np.linalg.lstsq(_RULES[1:], coeffs, rcond=None)[0]
+        half = 0.25
+        value, err, floor = _panel_sums(fvals.reshape(1, 15, 1),
+                                        np.array([half]))
+        assert err[0, 0] == pytest.approx(10.0 * half * 3.0, rel=1e-12)
+        assert err[0, 0] > floor[0, 0]
 
     def test_panel_of_exact_zeros_has_zero_error_and_no_warning(self):
         # an underflowed tail gives panels of exact zeros next to live ones
