@@ -38,13 +38,20 @@ the term traces to the integrated columns: all terms share the frequency
 nodes, the response tensors are computed once per node batch, and the
 provider is asked once per separation and node batch for both block
 matrices, B(r_a, r_b) and B(r_b, r_a) (``blocks``, see ``chivdw.green``).
-The terms' distinct half products A_a B and A_b B are formed in one
-batched product per side, their pairwise traces in one more, and the
-columns in one product with the weights.  ``u_terms`` weights by the
-identity, so each term is its own column and is converged on its own; a
-summed request (a named component, a row, a raw tuple) weights by a row
-of ones and integrates only its sum, held to the tolerance in its own
-right.  The ``evals`` of a multi-term result counts shared nodes.
+The terms are factorised into the paper's unified form,
+tr[A_a B(r_a, r_b) A_b B(r_b, r_a)] with A the 2x2 block (6x6)
+polarisability [[alpha, chi_em], [chi_me, beta]] restricted to the
+blocks the terms use: within a column, the terms of equal weight and
+beta modes whose A_a blocks pair with the same set of A_b blocks are one
+product.  A named component, TOTAL included, is one product, a row at
+most two; each half product is one batched matrix product (6x6 for
+TOTAL, 3x3 for one tuple), each trace one contraction, and the columns
+one product with the weights.  The plan is rebuilt per request; it costs
+microseconds.  ``u_terms`` weights by the identity, so each term is its
+own column and is converged on its own; a summed request (a named
+component, a row, a raw tuple) weights by a row of ones and integrates
+only its sum, held to the tolerance in its own right.  The ``evals`` of
+a multi-term result counts shared nodes.
 
 A curve (``compute_curve``, and the CLI's ``curve``, ``powerlaw`` and
 ``table1`` windows) integrates its separations together: the response
@@ -172,6 +179,24 @@ _SLOT_INDEX = {("e", "e"): 0, ("m", "m"): 1, ("e", "m"): 2, ("m", "e"): 3}
 
 # index of a slot label in a provider's (n, 2, 2, 3, 3) block matrices
 _BLOCK_INDEX = {"e": 0, "m": 1}
+
+
+def _block_entries() -> dict:
+    """The entries of B[C, R], in matrix order, among the 36 of a flattened
+    (2, 2, 3, 3) block matrix, for every pair of block index ranges C and
+    R: a slice (so a view) for a single block, else an index array."""
+    entries = np.arange(36).reshape(2, 2, 3, 3)
+    table = {}
+    for cols in ((0,), (1,), (0, 1)):
+        for rows in ((0,), (1,), (0, 1)):
+            take = entries[cols[0]:cols[-1] + 1, rows[0]:rows[-1] + 1]
+            take = take.transpose(0, 2, 1, 3).ravel()
+            table[(cols, rows)] = (slice(take[0], take[0] + 9)
+                                   if take.size == 9 else take)
+    return table
+
+
+_BLOCK_ENTRIES = _block_entries()
 
 
 @dataclass(frozen=True)
@@ -320,6 +345,83 @@ def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
             for mode in modes}
 
 
+def _products(terms: Sequence[Tuple[str, str, str]],
+              weights: np.ndarray) -> Tuple[list, np.ndarray]:
+    """Factorise the weighted terms into unified-form products.
+
+    Within one column, the terms with the same beta modes and the same
+    summed weight are a set of (A-block, B-block) pairs; the A-blocks
+    that pair with the same set of B-blocks merge into one product
+    (modes, S_a, S_b) whose trace tr[A_a|S_a B A_b|S_b B'] sums exactly
+    those terms (A|S is A with every block outside S zero).  Returns the
+    distinct products and the (J, Q) matrix of their weights, -1/(2 pi)
+    folded in.  A named component is one product, a row at most two and
+    ``u_terms``' identity weights one per term.
+    """
+    index = {}
+    columns = []
+    for row in weights.tolist():
+        coefficients = {}
+        for term, w in zip(terms, row):
+            if w:
+                coefficients[term] = coefficients.get(term, 0.0) + w
+        groups = {}
+        for (tup, mode_a, mode_b), w in coefficients.items():
+            if w:
+                partners = groups.setdefault((mode_a, mode_b, w), {})
+                partners.setdefault(tup[:2], set()).add(tup[2:])
+        column = {}
+        for (mode_a, mode_b, w), partners in groups.items():
+            merged = {}
+            for block_a, blocks_b in partners.items():
+                merged.setdefault(tuple(sorted(blocks_b)), []).append(block_a)
+            for blocks_b, blocks_a in merged.items():
+                key = (mode_a, tuple(sorted(blocks_a)), mode_b, blocks_b)
+                column[index.setdefault(key, len(index))] = w
+        columns.append(column)
+    product_weights = np.zeros((len(weights), len(index)))
+    for j, column in enumerate(columns):
+        for q, w in column.items():
+            product_weights[j, q] = -(0.5 / _PI) * w
+    return list(index), product_weights
+
+
+def _half_spec(blocks: tuple, rows_out: tuple) -> tuple:
+    """How to form the half product A|S[R, C] @ B[C, R_out] of one side:
+    (placements, (|R|, |C|), take), where S = ``blocks`` are the side's
+    A-blocks, R and C their row and column labels and R_out the other
+    side's row labels ``rows_out``.  Each placement (slot, row, col) puts
+    a response block at its place in A|S, and ``take`` picks the entries
+    of B[C, R_out] (see ``_block_entries``)."""
+    rows = sorted({_BLOCK_INDEX[lam] for lam, _ in blocks})
+    cols = sorted({_BLOCK_INDEX[lamp] for _, lamp in blocks})
+    out = sorted(_BLOCK_INDEX[lam] for lam in rows_out)
+    placements = tuple((_SLOT_INDEX[(lam, lamp)],
+                        _BLOCK_INDEX[lam] - rows[0],
+                        _BLOCK_INDEX[lamp] - cols[0])
+                       for lam, lamp in blocks)
+    return (placements, (len(rows), len(cols)),
+            _BLOCK_ENTRIES[(tuple(cols), tuple(out))])
+
+
+def _half_product(resp: tuple, placements: tuple, shape: tuple,
+                  take: slice | np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (P, n, 3 |R|, 3 |R_out|) half product of a ``_half_spec`` for
+    the response set ``resp`` (alpha, beta, chi_em, chi_me), each
+    (n, 3, 3), and the block matrices ``b`` flattened to (P, n, 36).  One
+    A-block is used as it is; more are assembled, zero outside S."""
+    n_r, n_c = shape
+    if len(placements) == 1:
+        a = resp[placements[0][0]]
+    else:
+        n = b.shape[1]
+        a = np.zeros((n, n_r, 3, n_c, 3))
+        for slot, i, j in placements:
+            a[:, i, :, j] = resp[slot]
+        a = a.reshape(n, 3 * n_r, 3 * n_c)
+    return a @ b[..., take].reshape(*b.shape[:2], 3 * n_c, -1)
+
+
 def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
                      seps: Sequence[Separation],
                      terms: Sequence[Tuple[str, str, str]], provider,
@@ -333,56 +435,53 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
     so the output is (n, P J) for P separations, separation-major.
     Per node batch every response set is computed once for all
     separations and the provider's block matrices once per separation.
-    The distinct half products (A_a B_{l2 l3}) and (A_b B_{l4 l1}) are
-    formed in one product per side, their pairwise traces in one more, and
-    one product with the weights, -1/(2 pi) folded in, gives the columns.
+
+    The terms are factorised into unified-form products (``_products``):
+    product q is tr[A_a|S_a B(r_a, r_b) A_b|S_b B(r_b, r_a)] with A the
+    2x2 block polarisability [[alpha, chi_em], [chi_me, beta]] restricted
+    to the blocks S.  Its half products A_a|S_a B and A_b|S_b B' are one
+    batched product each (6x6 for TOTAL, 3x3 for one block with one
+    partner), shared between products that need the same one; the trace
+    is one contraction, and one product with the (J, Q) weights gives the
+    columns.
     """
-    modes_a = sorted({mode_a for _, mode_a, _ in terms})
-    modes_b = sorted({mode_b for _, _, mode_b in terms})
-    lefts, rights = [], []
-    for tup, mode_a, mode_b in terms:
-        l1, l2, l3, l4 = tup
-        lefts.append((mode_a, _SLOT_INDEX[(l1, l2)], l2, l3))
-        rights.append((mode_b, _SLOT_INDEX[(l3, l4)], l4, l1))
-    left_keys = sorted(set(lefts))
-    right_keys = sorted(set(rights))
-    n_sep, n_left, n_right = len(seps), len(left_keys), len(right_keys)
-    # term k is entry (left, right) of the flattened pairwise traces; the
-    # (J, L R) matrix maps those entries to the weighted columns
-    entries = [left_keys.index(left) * n_right + right_keys.index(right)
-               for left, right in zip(lefts, rights)]
-    trace_weights = np.zeros((len(weights), n_left * n_right))
-    trace_weights[:, entries] = -(0.5 / _PI) * weights
-    # the [lam, lamp] block of each half product
-    left_lam = [_BLOCK_INDEX[lam] for _, _, lam, _ in left_keys]
-    left_lamp = [_BLOCK_INDEX[lamp] for _, _, _, lamp in left_keys]
-    right_lam = [_BLOCK_INDEX[lam] for _, _, lam, _ in right_keys]
-    right_lamp = [_BLOCK_INDEX[lamp] for _, _, _, lamp in right_keys]
+    products, product_weights = _products(terms, weights)
+    # a half product is keyed by (mode, S, the other side's row labels)
+    lefts, rights, pairs_q = {}, {}, []
+    for mode_a, blocks_a, mode_b, blocks_b in products:
+        rows_a = tuple(sorted({lam for lam, _ in blocks_a}))
+        rows_b = tuple(sorted({lam for lam, _ in blocks_b}))
+        pairs_q.append(
+            (lefts.setdefault((mode_a, blocks_a, rows_b), len(lefts)),
+             rights.setdefault((mode_b, blocks_b, rows_a), len(rights))))
+    lefts = [(mode, _half_spec(blocks, rows))
+             for mode, blocks, rows in lefts]
+    rights = [(mode, _half_spec(blocks, rows))
+              for mode, blocks, rows in rights]
+    modes_a = sorted({mode for mode, _ in lefts})
+    modes_b = sorted({mode for mode, _ in rights})
+    n_sep, n_prod = len(seps), len(products)
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         n = xis.shape[0]
         ta = _responses(mol_a, xis, modes_a, duality)
         tb = _responses(mol_b, xis, modes_b, duality)
-        resp_a = np.stack([ta[mode][slot] for mode, slot, _, _ in left_keys],
-                          axis=1)
-        resp_b = np.stack([tb[mode][slot]
-                           for mode, slot, _, _ in right_keys], axis=1)
         pairs = [_provider_blocks(provider, s.r_a, s.r_b, xis) for s in seps]
-        ab = np.stack([b for b, _ in pairs])
-        ba = np.stack([b for _, b in pairs])
-        # (P, n, L, 3, 3) and (P, n, R, 3, 3)
-        left = resp_a @ ab[:, :, left_lam, left_lamp]
-        right = resp_b @ ba[:, :, right_lam, right_lamp]
-        # tr(left_l right_r) = sum_ij left_l[i, j] right_r[j, i], so the
-        # pairwise traces are (P, n, L, 9) @ (P, n, 9, R)
-        right_t = np.empty((n_sep, n, 9, n_right))
-        right_t.reshape(n_sep, n, 3, 3, n_right)[...] = \
-            right.transpose(0, 1, 4, 3, 2)
-        traces = left.reshape(n_sep, n, n_left, 9) @ right_t
+        if n_sep == 1:
+            ab, ba = (b.reshape(1, n, 36) for b in pairs[0])
+        else:
+            ab = np.stack([b for b, _ in pairs]).reshape(n_sep, n, 36)
+            ba = np.stack([b for _, b in pairs]).reshape(n_sep, n, 36)
+        left = [_half_product(ta[mode], *spec, ab) for mode, spec in lefts]
+        right = [_half_product(tb[mode], *spec, ba)
+                 for mode, spec in rights]
+        traces = np.empty((n_prod, n_sep, n))
+        for q, (i, k) in enumerate(pairs_q):
+            np.einsum('pnij,pnji->pn', left[i], right[k], out=traces[q])
         # formed as (J, P n) so each column is contiguous over the nodes:
         # the rounding of the panel sums depends on that layout
-        out = trace_weights @ traces.reshape(n_sep * n, -1).T
+        out = product_weights @ traces.reshape(n_prod, -1)
         return out.reshape(-1, n_sep, n).T.reshape(n, -1)
 
     return integrand

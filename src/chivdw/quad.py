@@ -240,8 +240,11 @@ def _adaptive(f: Callable, edges: Sequence[float],
     exceeds its tolerance while its error is within twice that floor is
     held: splitting cannot lower the floor, so it no longer drives splits
     or the stopping rule, and it leaves the result unconverged.  A panel
-    too narrow to bisect in floating point is not split either; once only
-    such panels exceed their share, the result is returned unconverged.
+    too narrow to bisect in floating point is not split either, and a
+    component whose error in such panels alone exceeds its tolerance is
+    held in the same way; once every component is converged or held, or
+    only such panels exceed their share, the result is returned
+    unconverged.
     Value and error estimate are returned as (K,) arrays and ``evals``
     counts shared nodes.
     """
@@ -280,19 +283,21 @@ def _adaptive(f: Callable, edges: Sequence[float],
         done = total_err <= tol
         if done.all():
             return QuadResult(total, total_err, evals, True)
+        # a panel too narrow to bisect is not split: its halves' outer nodes
+        # would round onto its edges (onto xi = inf at the end of
+        # integrate_halfline's tail)
+        errs = sums[1]
+        wide = (all_hi - all_lo) > _MIN_WIDTH * np.maximum(np.abs(all_lo),
+                                                           np.abs(all_hi))
         held = (total_floor > tol) & (total_err <= 2.0 * total_floor)
+        held |= errs[~wide].sum(axis=0) > tol
         if (done | held).all() or evals >= spec.max_evals:
             return QuadResult(total, total_err, evals, False)
 
         # split every panel holding more than its equidistributed share of
-        # some component's tolerance, held components aside, unless it is
-        # too narrow to bisect: its halves' outer nodes would round onto
-        # its edges (onto xi = inf at the end of integrate_halfline's tail)
-        errs, tol = sums[1], np.where(held, np.inf, tol)
-        over = (errs > tol / len(errs)).any(axis=1)
-        over &= (all_hi - all_lo) > _MIN_WIDTH * np.maximum(np.abs(all_lo),
-                                                            np.abs(all_hi))
-        split = np.flatnonzero(over)
+        # some component's tolerance, held components aside
+        tol = np.where(held, np.inf, tol)
+        split = np.flatnonzero((errs > tol / len(errs)).any(axis=1) & wide)
         if split.size == 0:
             return QuadResult(total, total_err, evals, False)
         # respect the remaining budget: each split costs 30 evaluations

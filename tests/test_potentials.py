@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from chivdw import potentials
+from chivdw import kernels, potentials
 from chivdw.green import FreeSpaceProvider, Separation
 from chivdw.molfiles import bundled_pair
 from chivdw.potentials import (
@@ -30,7 +30,8 @@ from chivdw.potentials import (
     u_unified,
 )
 from chivdw.quad import QuadSpec
-from chivdw.response import Molecule, Transition
+from chivdw.response import (Molecule, Transition, response_arrays,
+                             rotate_molecule_tensors)
 from chivdw.verify import _random_pair
 
 EYE = np.eye(3)
@@ -201,12 +202,13 @@ class TestSymmetries:
             assert rot == pytest.approx(base, rel=1e-11), theta
 
     def test_quarter_turn_maps_ee_to_mm(self, pair, sep):
-        # the quarter-turn block swap is exact (snapped cos/sin), so the
-        # integrands and hence the quadrature results match bitwise
+        # the quarter-turn block swap is exact (snapped cos/sin), so EE and
+        # MM, one 3x3 product each, match bitwise; EC's and MC's products
+        # hold the same terms in another order, so they agree to rounding
         assert u_named(*pair, sep, "EE", duality=math.pi / 2).value == \
             u_named(*pair, sep, "MM").value
         assert u_named(*pair, sep, "EC", duality=math.pi / 2).value == \
-            u_named(*pair, sep, "MC").value
+            pytest.approx(u_named(*pair, sep, "MC").value, rel=1e-15)
 
     def test_duality_with_restricted_component_rejected(self, pair, sep):
         with pytest.raises(ValueError, match="duality"):
@@ -534,6 +536,99 @@ class TestFusedContract:
             u_terms(*pair, sep, [("eeee", "full", "bogus")])
         with pytest.raises(ValueError):
             u_terms(*pair, sep, [("eexe", "full", "full")])
+
+    def test_repeated_term_is_its_own_column(self, pair, sep):
+        term = ("eeme", "full", "full")
+        res = u_terms(*pair, sep, [term, term])
+        assert res.value[0] == res.value[1] == u_unified(*pair, sep,
+                                                         "eeme").value
+
+
+# ---------------------------------------------------------------------------
+# The unified-form products against a brute-force sum of 3x3 traces
+# ---------------------------------------------------------------------------
+
+_SLOT_BLOCKS = {"ee": 0, "mm": 1, "em": 2, "me": 3}
+_FACTOR_SEPS = [Separation(0.4 * np.array([0.6, 0.0, 0.8]), np.zeros(3)),
+                Separation(np.array([1.0, 2.0, -2.0]), np.array([0.5, 0, 0])),
+                Separation(np.array([0.0, 0.0, 9.0]), np.zeros(3))]
+_FACTOR_XIS = np.geomspace(1e-3, 1e2, 20)
+
+
+def _brute_force_columns(mol_a, mol_b, terms, weights, duality):
+    """(n, P J) columns from one kernels.trace4 per term, separation and
+    node batch, and the absolute sum of the weighted terms per column."""
+    def responses(mol, mode):
+        if duality is None:
+            return response_arrays(mol, _FACTOR_XIS, mode)
+        return rotate_molecule_tensors(mol, duality, _FACTOR_XIS, mode)
+
+    out, scale = [], []
+    for s in _FACTOR_SEPS:
+        ab, ba = FreeSpaceProvider().blocks(s.r_a, s.r_b, _FACTOR_XIS)
+        traces = []
+        for tup, mode_a, mode_b in terms:
+            l1, l2, l3, l4 = ("em".index(lam) for lam in tup)
+            a = responses(mol_a, mode_a)[_SLOT_BLOCKS[tup[:2]]]
+            b = responses(mol_b, mode_b)[_SLOT_BLOCKS[tup[2:]]]
+            traces.append(-(0.5 / math.pi) * kernels.trace4(
+                np.ascontiguousarray(a), ab[:, l2, l3],
+                np.ascontiguousarray(b), ba[:, l4, l1]))
+        traces = np.array(traces)                          # (K, n)
+        out.append(weights @ traces)
+        scale.append(np.abs(weights) @ np.abs(traces))
+    return np.hstack([c.T for c in out]), np.hstack([c.T for c in scale])
+
+
+# a row is one product when both molecules keep one beta mode (EE, PP, DD,
+# CC), two when one of them mixes the paramagnetic and diamagnetic parts
+_ROW_PRODUCTS = {"EE": 1, "EP": 2, "ED": 2, "EC": 2, "PP": 1, "PD": 2,
+                 "PC": 2, "DD": 1, "DC": 2, "CC": 1}
+
+
+def _factor_cases():
+    """(id, terms, weights, duality, product count)."""
+    cases = []
+    for label in ComponentLabel:
+        for duality in (None, math.pi / 5):
+            if duality is not None and label.value in ("PC", "DC"):
+                continue
+            terms = potentials._label_terms(label, duality)
+            cases.append((f"{label.value}-{duality}", terms,
+                          np.ones((1, len(terms))), duality, 1))
+    for row in ROW_NAMES:
+        terms = list(ROW_SPECS[row])
+        cases.append((f"row-{row}", terms, np.ones((1, len(terms))), None,
+                      _ROW_PRODUCTS[row]))
+    for tup in _ALL16:
+        cases.append((tup, [(tup, "full", "full")], np.ones((1, 1)), None,
+                      1))
+    terms = [(tup, "full", "full") for tup in _ALL16]
+    cases.append(("identity", terms, np.eye(16), None, 16))
+    # a general weight matrix: terms of unequal weight are not merged, so
+    # its three columns take 19 products; with unit weights they take 2
+    mixed = [(tup, mode, "para") for tup in _ALL16[:8]
+             for mode in ("full", "dia")]
+    weights = np.random.default_rng(4).integers(-2, 3, (3, 16)) / 2.0
+    cases.append(("mixed", mixed, weights, None, 19))
+    return cases
+
+
+class TestUnifiedFormProducts:
+    @pytest.mark.parametrize("name,terms,weights,duality,count",
+                             _factor_cases(),
+                             ids=[c[0] for c in _factor_cases()])
+    def test_columns_match_brute_force_traces(self, pair, name, terms,
+                                              weights, duality, count):
+        products, _ = potentials._products(terms, weights)
+        assert len(products) == count
+        integrand = potentials._terms_integrand(
+            *pair, _FACTOR_SEPS, terms, FreeSpaceProvider(), duality,
+            weights)
+        got = integrand(_FACTOR_XIS)
+        want, scale = _brute_force_columns(*pair, terms, weights, duality)
+        assert got.shape == want.shape == (20, 3 * len(weights))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), name
 
 
 # ---------------------------------------------------------------------------

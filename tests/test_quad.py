@@ -152,6 +152,21 @@ class TestHalfline:
         if res.converged:
             assert abs(res.value - 2.0) <= rel_tol * 2.0
 
+    @pytest.mark.parametrize("rel_tol, within_budget",
+                             [(1e-11, True), (1e-12, False)])
+    def test_algebraic_tail_below_float_resolution_is_unconverged(
+            self, rel_tol, within_budget):
+        # the last panel of the tail cannot be narrowed below the float
+        # resolution of its end, and what it carries there (about 1.7e-7)
+        # is far above these tolerances; at 1e-11 the run stops when that
+        # panel becomes too narrow (10,200 evals), at 1e-12 the splits of
+        # its neighbours spend the budget first
+        spec = QuadSpec(rel_tol=rel_tol)
+        res = integrate_halfline(lambda x: (1.0 + x) ** -1.5, spec)
+        assert not res.converged
+        assert res.error_estimate >= abs(res.value - 2.0)
+        assert (res.evals < spec.max_evals) == within_budget
+
     def test_budget_exhaustion_flags_unconverged(self):
         tiny = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_evals=45)
         res = integrate_halfline(lambda x: np.exp(-x) * np.sin(x)**2, tiny)
@@ -226,6 +241,25 @@ class TestInterval:
         assert res.value[1] == pytest.approx(math.exp(2.0 * math.pi) - 1.0,
                                              rel=1e-12)
         assert res.error_estimate[1] <= 1e-12 * res.value[1]
+
+    def test_component_stuck_in_narrow_panels_leaves_others_refining(self):
+        # the first component's singularity at x = 1 leaves more error than
+        # its tolerance in the panel beside it once that panel is too
+        # narrow to bisect (near 1, long before the second component's
+        # panel at 0 is); the second component still needs splits at 0
+        # after that, and must get them
+        def f(x):
+            return np.stack([np.where(x > 1.0, np.abs(x - 1.0) ** -0.9, 0.0),
+                             x ** -0.7], axis=1)
+
+        rel_tol = 1e-5
+        res = integrate_interval(f, 0.0, 2.0, QuadSpec(rel_tol=rel_tol),
+                                 breakpoints=[1.0])
+        assert not res.converged
+        assert res.error_estimate[0] >= abs(res.value[0] - 10.0)
+        exact = 2.0 ** 0.3 / 0.3
+        assert res.error_estimate[1] <= rel_tol * abs(res.value[1])
+        assert res.value[1] == pytest.approx(exact, rel=rel_tol)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
