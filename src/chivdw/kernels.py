@@ -1,6 +1,7 @@
 """The numerical hot kernels, in plain numpy.
 
-The molecular response tensors on a batch of imaginary frequencies, the
+The frequency weights of the transition sums and the molecular response
+tensors built from them on a batch of imaginary frequencies, the
 free-space propagator blocks on the same batch, and the batched trace of
 four 3x3 factors that the direct single-trace forms integrate.  The module
 also holds the Levi-Civita symbol and the cross-product matrix shared by
@@ -44,6 +45,17 @@ def transition_products(ds: np.ndarray, mts: np.ndarray) -> np.ndarray:
                           axis=1)
 
 
+def frequency_weights(omegas: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """The (n, 2T+1) weights [2 w_t/(w_t^2 + xi^2) | 2 xi/(w_t^2 + xi^2) | 1]
+    of T transitions omegas (T,) at the frequencies xis (n,)."""
+    xis = np.asarray(xis, dtype=float)[:, None]
+    denom, count = omegas ** 2 + xis ** 2, omegas.shape[0]     # (n, T)
+    out = np.ones((xis.shape[0], 2 * count + 1))
+    np.divide(2.0 * omegas, denom, out=out[:, :count])
+    np.divide(2.0 * xis, denom, out=out[:, count:-1])
+    return out
+
+
 def response_tensors(omegas: np.ndarray, products: np.ndarray,
                      xis: np.ndarray):
     """Batched dynamic response tensors from transition data.
@@ -55,12 +67,12 @@ def response_tensors(omegas: np.ndarray, products: np.ndarray,
         alpha     = sum_t 2 w_t d_t d_t^T / (w_t^2 + xi^2)
         beta_para = sum_t 2 w_t m_t m_t^T / (w_t^2 + xi^2)
         chi_em    = sum_t 2 xi d_t m_t^T / (w_t^2 + xi^2)
-    as two products, (n, T) @ (T, 18) and (n, T) @ (T, 9).
+    as two products of ``frequency_weights``, (n, T) @ (T, 18) and
+    (n, T) @ (T, 9).
     """
-    xis = np.asarray(xis, dtype=float)[:, None]
-    denom = omegas ** 2 + xis ** 2                        # (n, T)
-    even = (2.0 * omegas / denom) @ products[:, :18]      # (n, 18)
-    chi_em = (2.0 * xis / denom) @ products[:, 18:]       # (n, 9)
+    weights, count = frequency_weights(omegas, xis), omegas.shape[0]
+    even = weights[:, :count] @ products[:, :18]          # (n, 18)
+    chi_em = weights[:, count:-1] @ products[:, 18:]      # (n, 9)
     return (even[:, :9].reshape(-1, 3, 3), even[:, 9:].reshape(-1, 3, 3),
             chi_em.reshape(-1, 3, 3))
 

@@ -34,30 +34,32 @@ exactly.
 
 Every request is one quadrature over its list of
 ``(tuple, beta_mode_a, beta_mode_b)`` terms and a weight matrix that maps
-the term traces to the integrated columns: all terms share the frequency
-nodes, the response tensors are computed once per node batch, and the
-provider is asked once per separation and node batch for both block
-matrices, B(r_a, r_b) and B(r_b, r_a) (``blocks``, see ``chivdw.green``).
-The terms are factorised into the paper's unified form,
+the term traces to the integrated columns, all terms on shared frequency
+nodes.  The terms are factorised into the paper's unified form,
 tr[A_a B(r_a, r_b) A_b B(r_b, r_a)] with A the 2x2 block (6x6)
 polarisability [[alpha, chi_em], [chi_me, beta]] restricted to the
 blocks the terms use: within a column, the terms of equal weight and
 beta modes whose A_a blocks pair with the same set of A_b blocks are one
 product.  A named component, TOTAL included, is one product, a row at
-most two; each half product is one batched matrix product (6x6 for
-TOTAL, 3x3 for one tuple), each trace one contraction, and the columns
-one product with the weights.  The plan is rebuilt per request; it costs
-microseconds.  ``u_terms`` weights by the identity, so each term is its
-own column and is converged on its own; a summed request (a named
-component, a row, a raw tuple) weights by a row of ones and integrates
-only its sum, held to the tolerance in its own right.  The ``evals`` of
-a multi-term result counts shared nodes.
+most two.  Per transition, A is linear in 2 omega/(omega^2 + xi^2),
+2 xi/(omega^2 + xi^2) and 1, so each molecule's restricted blocks, with
+their beta modes and any duality rotation, are cut from its
+``response_table`` once per request.  Per node batch, each molecule's
+responses are one product with those weights, the provider is asked once
+per separation for both block matrices (``blocks``, see
+``chivdw.green``), each half product is one batched matrix product (6x6
+for TOTAL, 3x3 for one tuple), each trace one contraction, and the
+columns one product with the weights.  ``u_terms`` weights by the
+identity, so each term is its own column and is converged on its own; a
+summed request (a named component, a row, a raw tuple) weights by a row
+of ones and integrates only its sum, held to the tolerance in its own
+right.  The ``evals`` of a multi-term result counts shared nodes.
 
 A curve (``compute_curve``, and the CLI's ``curve``, ``powerlaw`` and
-``table1`` windows) integrates its separations together: the response
-tensors, which depend on the frequency only, are computed once per node
-batch for all of them, and every separation's sum is converged on its
-own.  The separations are grouped by where 1/R lies relative to
+``table1`` windows) integrates its separations together: the responses,
+which depend on the frequency only, are formed once per node batch for
+all of them, and every separation's sum is converged on its own.  The
+separations are grouped by where 1/R lies relative to
 the pair's transition band [omega_min, omega_max] (inside it, or the
 number of decades outside it), and each group is one pass whose panel
 layout spans its members' scales; a single value is the one-separation
@@ -83,8 +85,8 @@ import numpy as np
 from chivdw import kernels
 from chivdw.green import FreeSpaceProvider, Separation, free_space_provider
 from chivdw.quad import QuadResult, QuadSpec, integrate_halfline
-from chivdw.response import (Molecule, beta_for_mode, response_arrays,
-                             rotate_molecule_tensors)
+from chivdw.response import (Molecule, response_arrays, response_from_table,
+                             response_table)
 
 __all__ = [
     "ComponentLabel",
@@ -173,10 +175,6 @@ ROW_SPECS = {
 
 ROW_NAMES: Tuple[str, ...] = tuple(ROW_SPECS)
 
-_BETA_MODES = ("full", "para", "dia")
-
-_SLOT_INDEX = {("e", "e"): 0, ("m", "m"): 1, ("e", "m"): 2, ("m", "e"): 3}
-
 # index of a slot label in a provider's (n, 2, 2, 3, 3) block matrices
 _BLOCK_INDEX = {"e": 0, "m": 1}
 
@@ -210,10 +208,10 @@ class PotentialCurve:
     converged: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r_values, dtype=float)
-        u = np.asarray(self.u_values, dtype=float)
-        e = np.asarray(self.error_estimates, dtype=float)
-        c = np.asarray(self.converged, dtype=bool)
+        r = np.array(self.r_values, dtype=float)
+        u = np.array(self.u_values, dtype=float)
+        e = np.array(self.error_estimates, dtype=float)
+        c = np.array(self.converged, dtype=bool)
         if not (r.shape == u.shape == e.shape == c.shape and r.ndim == 1):
             raise ValueError("curve arrays must be 1-d and congruent")
         for name, arr in (("r_values", r), ("u_values", u),
@@ -329,22 +327,6 @@ def _provider_blocks(provider, r_a: np.ndarray, r_b: np.ndarray,
     return pair
 
 
-def _responses(mol: Molecule, xis: np.ndarray, modes: Sequence[str],
-               duality: Optional[float]) -> dict:
-    """Response arrays of ``mol`` per beta mode, from one transition sum.
-
-    Without a duality rotation the para, dia and full magnetisabilities
-    share one ``response_arrays`` call; a rotation mixes beta into every
-    block, so it is applied once per mode.
-    """
-    if duality is not None:
-        return {mode: rotate_molecule_tensors(mol, duality, xis, mode)
-                for mode in modes}
-    alpha, beta_para, chi_em, chi_me = response_arrays(mol, xis, "para")
-    return {mode: (alpha, beta_for_mode(mol, beta_para, mode), chi_em, chi_me)
-            for mode in modes}
-
-
 def _products(terms: Sequence[Tuple[str, str, str]],
               weights: np.ndarray) -> Tuple[list, np.ndarray]:
     """Factorise the weighted terms into unified-form products.
@@ -386,40 +368,32 @@ def _products(terms: Sequence[Tuple[str, str, str]],
     return list(index), product_weights
 
 
-def _half_spec(blocks: tuple, rows_out: tuple) -> tuple:
-    """How to form the half product A|S[R, C] @ B[C, R_out] of one side:
-    (placements, (|R|, |C|), take), where S = ``blocks`` are the side's
-    A-blocks, R and C their row and column labels and R_out the other
-    side's row labels ``rows_out``.  Each placement (slot, row, col) puts
-    a response block at its place in A|S, and ``take`` picks the entries
-    of B[C, R_out] (see ``_block_entries``)."""
-    rows = sorted({_BLOCK_INDEX[lam] for lam, _ in blocks})
-    cols = sorted({_BLOCK_INDEX[lamp] for _, lamp in blocks})
-    out = sorted(_BLOCK_INDEX[lam] for lam in rows_out)
-    placements = tuple((_SLOT_INDEX[(lam, lamp)],
-                        _BLOCK_INDEX[lam] - rows[0],
-                        _BLOCK_INDEX[lamp] - cols[0])
-                       for lam, lamp in blocks)
-    return (placements, (len(rows), len(cols)),
-            _BLOCK_ENTRIES[(tuple(cols), tuple(out))])
-
-
-def _half_product(resp: tuple, placements: tuple, shape: tuple,
-                  take: slice | np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (P, n, 3 |R|, 3 |R_out|) half product of a ``_half_spec`` for
-    the response set ``resp`` (alpha, beta, chi_em, chi_me), each
-    (n, 3, 3), and the block matrices ``b`` flattened to (P, n, 36).  One
-    A-block is used as it is; more are assembled, zero outside S."""
-    n_r, n_c = shape
-    if len(placements) == 1:
-        a = resp[placements[0][0]]
-    else:
-        n = b.shape[1]
-        a = np.zeros((n, n_r, 3, n_c, 3))
-        for slot, i, j in placements:
-            a[:, i, :, j] = resp[slot]
-        a = a.reshape(n, 3 * n_r, 3 * n_c)
-    return a @ b[..., take].reshape(*b.shape[:2], 3 * n_c, -1)
+def _side(mol: Molecule, halves: Sequence[tuple],
+          duality: Optional[float]) -> Tuple[np.ndarray, list]:
+    """One side's halves (mode, S, R_out), each A|S[R, C] @ B[C, R_out]
+    with R, C the rows and columns of the blocks S and R_out the other
+    side's rows: the side's table, with one column group A|S[R, C] per half
+    cut from ``response_table``, trimmed to its non-zero rows; those rows;
+    per half (its columns, (3 |R|, 3 |C|), the entries of B[C, R_out])."""
+    tables = {mode: response_table(mol, mode, duality).reshape(-1, 2, 3, 2, 3)
+              for mode in {mode for mode, _, _ in halves}}
+    columns, specs, first = [], [], 0
+    for mode, blocks, rows_out in halves:
+        index = [(_BLOCK_INDEX[row], _BLOCK_INDEX[col]) for row, col in blocks]
+        rows = sorted({i for i, _ in index})
+        cols = sorted({j for _, j in index})
+        part = np.zeros((len(tables[mode]), len(rows), 3, len(cols), 3))
+        for i, j in index:
+            part[:, i - rows[0], :, j - cols[0]] = tables[mode][:, i, :, j]
+        columns.append(part.reshape(len(part), -1))
+        specs.append((slice(first, first + columns[-1].shape[1]),
+                      (3 * len(rows), 3 * len(cols)),
+                      _BLOCK_ENTRIES[(tuple(cols), rows_out)]))
+        first += columns[-1].shape[1]
+    table = np.concatenate(columns, axis=1)
+    used = np.flatnonzero(table.any(axis=1))
+    kept = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
+    return table[kept], kept, specs
 
 
 def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
@@ -433,49 +407,41 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
     -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}]; the (J, K)
     matrix ``weights`` maps the K term traces to J columns per separation,
     so the output is (n, P J) for P separations, separation-major.
-    Per node batch every response set is computed once for all
-    separations and the provider's block matrices once per separation.
 
-    The terms are factorised into unified-form products (``_products``):
-    product q is tr[A_a|S_a B(r_a, r_b) A_b|S_b B(r_b, r_a)] with A the
-    2x2 block polarisability [[alpha, chi_em], [chi_me, beta]] restricted
-    to the blocks S.  Its half products A_a|S_a B and A_b|S_b B' are one
-    batched product each (6x6 for TOTAL, 3x3 for one block with one
-    partner), shared between products that need the same one; the trace
-    is one contraction, and one product with the (J, Q) weights gives the
-    columns.
+    Product q of ``_products`` is tr[A_a|S_a B(r_a, r_b) A_b|S_b
+    B(r_b, r_a)]; each side's halves are cut from the response tables
+    once (``_side``), and per node batch each molecule's A|S are one
+    product (``response_from_table``).
     """
     products, product_weights = _products(terms, weights)
-    # a half product is keyed by (mode, S, the other side's row labels)
+    # a half product is keyed by (mode, S, the other side's rows)
     lefts, rights, pairs_q = {}, {}, []
     for mode_a, blocks_a, mode_b, blocks_b in products:
-        rows_a = tuple(sorted({lam for lam, _ in blocks_a}))
-        rows_b = tuple(sorted({lam for lam, _ in blocks_b}))
+        rows_a = tuple(sorted({_BLOCK_INDEX[lam] for lam, _ in blocks_a}))
+        rows_b = tuple(sorted({_BLOCK_INDEX[lam] for lam, _ in blocks_b}))
         pairs_q.append(
             (lefts.setdefault((mode_a, blocks_a, rows_b), len(lefts)),
              rights.setdefault((mode_b, blocks_b, rows_a), len(rights))))
-    lefts = [(mode, _half_spec(blocks, rows))
-             for mode, blocks, rows in lefts]
-    rights = [(mode, _half_spec(blocks, rows))
-              for mode, blocks, rows in rights]
-    modes_a = sorted({mode for mode, _ in lefts})
-    modes_b = sorted({mode for mode, _ in rights})
+    table_a, kept_a, lefts = _side(mol_a, list(lefts), duality)
+    table_b, kept_b, rights = _side(mol_b, list(rights), duality)
     n_sep, n_prod = len(seps), len(products)
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         n = xis.shape[0]
-        ta = _responses(mol_a, xis, modes_a, duality)
-        tb = _responses(mol_b, xis, modes_b, duality)
+        resp_a = response_from_table(mol_a, table_a, kept_a, xis)
+        resp_b = response_from_table(mol_b, table_b, kept_b, xis)
         pairs = [_provider_blocks(provider, s.r_a, s.r_b, xis) for s in seps]
         if n_sep == 1:
             ab, ba = (b.reshape(1, n, 36) for b in pairs[0])
         else:
             ab = np.stack([b for b, _ in pairs]).reshape(n_sep, n, 36)
             ba = np.stack([b for _, b in pairs]).reshape(n_sep, n, 36)
-        left = [_half_product(ta[mode], *spec, ab) for mode, spec in lefts]
-        right = [_half_product(tb[mode], *spec, ba)
-                 for mode, spec in rights]
+        left, right = ([resp[:, cols].reshape(n, *shape)
+                        @ b[..., take].reshape(n_sep, n, shape[1], -1)
+                        for cols, shape, take in specs]
+                       for resp, b, specs in ((resp_a, ab, lefts),
+                                              (resp_b, ba, rights)))
         traces = np.empty((n_prod, n_sep, n))
         for q, (i, k) in enumerate(pairs_q):
             np.einsum('pnij,pnji->pn', left[i], right[k], out=traces[q])
@@ -492,9 +458,6 @@ def _checked_terms(terms: Iterable) -> list:
              for tup, mode_a, mode_b in terms]
     if not terms:
         raise ValueError("terms must not be empty")
-    unknown = {m for _, a, b in terms for m in (a, b)} - set(_BETA_MODES)
-    if unknown:
-        raise ValueError(f"unknown beta_mode {', '.join(map(repr, unknown))}")
     return terms
 
 

@@ -12,9 +12,11 @@ frequency axis, and the cross responses obey chi_me = -(chi_em)^T.
 Every dynamic tensor is a transition sum of a frequency weight times an
 outer product (d d^T, m m^T or d m^T) that does not depend on frequency, so
 a ``Molecule`` holds validated transition arrays and builds the (T, 27)
-table of those products once; the response on n frequencies is then two
+table of those products once.  ``response_arrays`` sums them in two
 matrix products, (n, T) @ (T, 18) for alpha and the paramagnetic beta and
-(n, T) @ (T, 9) for chi_em.
+(n, T) @ (T, 9) for chi_em; the potentials lay them out once in the 6x6
+form A = [[alpha, chi_em], [chi_me, beta]] (``response_table``) and form A
+on n frequencies as one product (``response_from_table``).
 
 Internally everything is in natural units (hbar = c = eps0 = mu0 = 1); the
 file-ingestion layer converts SI or atomic-unit input on load.
@@ -36,14 +38,17 @@ __all__ = [
     "Molecule",
     "ResponseSet",
     "DualityAngle",
-    "beta_for_mode",
     "eval_response",
+    "response_table",
+    "response_from_table",
     "static_limits",
     "dual_polarisability",
     "duality_rotate",
 ]
 
 _LLOYD_TOL = 1e-12
+
+_BETA_MODES = ("full", "para", "dia")
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
@@ -225,32 +230,59 @@ class DualityAngle:
         object.__setattr__(self, "theta", theta)
 
 
-def beta_for_mode(mol: Molecule, beta_para: np.ndarray,
-                  beta_mode: str) -> np.ndarray:
-    """Beta of ``beta_mode`` from the paramagnetic (n, 3, 3): ``"full"``
-    adds ``beta_dia``, ``"para"`` is it, ``"dia"`` is ``beta_dia`` alone."""
-    if beta_mode == "full":
-        return beta_para + mol.beta_dia
-    if beta_mode == "para":
-        return beta_para
-    if beta_mode == "dia":
-        return np.broadcast_to(mol.beta_dia, beta_para.shape)
-    raise ValueError(f"unknown beta_mode {beta_mode!r}")
-
-
 def response_arrays(mol: Molecule, xis: np.ndarray, beta_mode: str = "full"):
     """Batched response tensors over a frequency array.
 
     Returns (alpha, beta, chi_em, chi_me), each of shape (n, 3, 3), with
-    ``beta`` assembled according to ``beta_mode`` (see ``beta_for_mode``).
-    The transition sums are two matrix products over the molecule's cached
+    ``beta`` the paramagnetic part plus ``beta_dia`` (``"full"``), the
+    first alone (``"para"``) or the second alone (``"dia"``).  The
+    transition sums are two matrix products over the molecule's cached
     outer products (``kernels.response_tensors``).
     """
+    if beta_mode not in _BETA_MODES:
+        raise ValueError(f"unknown beta_mode {beta_mode!r}")
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    alpha, beta_para, chi_em = kernels.response_tensors(
+    alpha, beta, chi_em = kernels.response_tensors(
         mol.omegas, mol.products, xis)
-    chi_me = -np.transpose(chi_em, (0, 2, 1))
-    return alpha, beta_for_mode(mol, beta_para, beta_mode), chi_em, chi_me
+    if beta_mode == "full":
+        beta = beta + mol.beta_dia
+    elif beta_mode == "dia":
+        beta = np.broadcast_to(mol.beta_dia, beta.shape)
+    return alpha, beta, chi_em, -np.transpose(chi_em, (0, 2, 1))
+
+
+def response_table(mol: Molecule, beta_mode: str = "full",
+                   duality=None) -> np.ndarray:
+    """The (2T+1, 6, 6) table of A = [[alpha, chi_em], [chi_me, beta]] for
+    ``mol``'s T transitions: A on n frequencies is their (n, 2T+1)
+    ``kernels.frequency_weights`` times it.  Rows 0..T-1 hold d d^T at
+    (e, e) and, unless ``beta_mode`` is ``"dia"``, m m^T at (m, m); rows
+    T..2T-1 d m^T at (e, m) and -(d m^T)^T at (m, e); row 2T ``beta_dia``
+    at (m, m) unless ``beta_mode`` is ``"para"``.  A ``duality`` angle
+    rotates the table as ``duality_rotate`` rotates a response set."""
+    if beta_mode not in _BETA_MODES:
+        raise ValueError(f"unknown beta_mode {beta_mode!r}")
+    count = mol.omegas.shape[0]
+    dd, mm, dm = mol.products.reshape(count, 3, 3, 3).transpose(1, 0, 2, 3)
+    table = np.zeros((2 * count + 1, 2, 3, 2, 3))
+    table[:count, 0, :, 0] = dd
+    table[count:-1, 0, :, 1] = dm
+    table[count:-1, 1, :, 0] = -dm.transpose(0, 2, 1)
+    if beta_mode != "dia":
+        table[:count, 1, :, 1] = mm
+    if beta_mode != "para":
+        table[-1, 1, :, 1] = mol.beta_dia
+    if duality is not None:
+        i, j = [0, 1, 0, 1], [0, 1, 1, 0]      # alpha, beta, chi_em, chi_me
+        table[:, i, :, j] = _rotate_blocks(duality, *table[:, i, :, j])
+    return table.reshape(-1, 6, 6)
+
+
+def response_from_table(mol: Molecule, table: np.ndarray, rows: slice,
+                        xis: np.ndarray) -> np.ndarray:
+    """(n, K): the columns ``table`` of ``mol``'s response tables, cut to
+    their ``rows``, at the frequencies xis (n,): one weights product."""
+    return kernels.frequency_weights(mol.omegas, xis)[:, rows] @ table
 
 
 def eval_response(mol: Molecule, xi: float) -> ResponseSet:
@@ -309,16 +341,10 @@ def _cos_sin(theta: float):
     (cos(pi/2) evaluates to 6.1e-17, which would otherwise leak a little
     of every block into every other one).
     """
-    c, s = math.cos(theta), math.sin(theta)
-    if abs(c) < 1e-15:
-        c = 0.0
-    elif abs(abs(c) - 1.0) < 1e-15:
-        c = math.copysign(1.0, c)
-    if abs(s) < 1e-15:
-        s = 0.0
-    elif abs(abs(s) - 1.0) < 1e-15:
-        s = math.copysign(1.0, s)
-    return c, s
+    def snap(v):
+        return next((r for r in (0.0, 1.0, -1.0) if abs(v - r) < 1e-15), v)
+
+    return snap(math.cos(theta)), snap(math.sin(theta))
 
 
 def _rotate_blocks(theta, alpha, beta, chi_em, chi_me):
@@ -360,8 +386,7 @@ def rotate_molecule_tensors(mol: Molecule, theta, xis: np.ndarray,
     """Batched duality-rotated response tensors for ``mol`` at ``xis``.
 
     Returns (alpha, beta, chi_em, chi_me) arrays of shape (n, 3, 3) after
-    applying the 2x2 duality rotation at every frequency.  Used by the
-    potential assembly to test duality invariance without materialising one
-    ResponseSet per quadrature node.
+    applying the 2x2 duality rotation at every frequency, without
+    materialising one ResponseSet per frequency.
     """
     return _rotate_blocks(theta, *response_arrays(mol, xis, beta_mode))

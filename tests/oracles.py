@@ -106,7 +106,8 @@ def ec_free_kernel_value(omega_a: float, d_a, omega_b: float, d_b, m_b,
                + k[:, None, None] * t3 / R**5)
     aA = alpha_tensor(omega_a, d_a, k)
     chiB = chi_tensor(omega_b, d_b, m_b, k)
-    contr = np.einsum('ipq,q,nij,nrp,njr->n', EPS3, rh, aA, chiB, bracket)
+    contr = np.einsum('ipq,q,nij,nrp,njr->n', EPS3, rh, aA, chiB, bracket,
+                      optimize=True)
     return np.exp(-2.0 * k * R) * contr / (16.0 * np.pi**3)
 
 

@@ -298,6 +298,21 @@ class TestCurves:
         ref = u_unified(*pair, Separation([0, 1.5, 0], np.zeros(3)), "eeme")
         assert curve.u_values[0] == pytest.approx(ref.value, rel=1e-12)
 
+    def test_curve_copies_its_arrays(self, pair):
+        # the curve is read-only; the caller's arrays stay writeable and a
+        # later write to them leaves the curve unchanged
+        arrays = [np.array([1.0, 2.0]), np.array([-1.0, -2.0]),
+                  np.array([1e-9, 1e-9]), np.array([True, False])]
+        curve = PotentialCurve("EE", *arrays)
+        assert all(arr.flags.writeable for arr in arrays)
+        assert not curve.r_values.flags.writeable
+        rs = np.array([1.0, 1.5])
+        computed = compute_curve(*pair, [0.0, 0.0, 1.0], rs, "EE")
+        rs[0] = 7.0
+        arrays[1][0] = 5.0
+        assert computed.r_values.tolist() == [1.0, 1.5]
+        assert curve.u_values.tolist() == [-1.0, -2.0]
+
     def test_curve_input_validation(self, pair):
         with pytest.raises(ValueError):
             compute_curve(*pair, [0.0, 0.0, 0.0], [1.0], "EE")

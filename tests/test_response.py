@@ -15,6 +15,8 @@ from chivdw.response import (
     duality_rotate,
     eval_response,
     response_arrays,
+    response_from_table,
+    response_table,
     rotate_molecule_tensors,
     static_limits,
 )
@@ -182,6 +184,28 @@ class TestInvariants:
         np.testing.assert_allclose(dia[0], mol.beta_dia, atol=1e-300)
         with pytest.raises(ValueError):
             response_arrays(mol, xis, beta_mode="bogus")
+
+
+class TestResponseTable:
+    @pytest.mark.parametrize("mode", ["full", "para", "dia"])
+    @pytest.mark.parametrize("theta", [None, 0.77])
+    def test_table_product_matches_response_arrays(self, mode, theta):
+        mol = generic_molecule(seed=16)
+        xis = np.array([0.0, 0.2, 1.4, 3.3])
+        if theta is None:
+            al, be, ce, cm = response_arrays(mol, xis, mode)
+        else:
+            al, be, ce, cm = rotate_molecule_tensors(mol, theta, xis, mode)
+        table = response_table(mol, mode, theta)
+        assert table.shape == (7, 6, 6)
+        got = response_from_table(mol, table.reshape(7, 36), slice(None),
+                                  xis).reshape(-1, 6, 6)
+        np.testing.assert_allclose(got, np.block([[al, ce], [cm, be]]),
+                                   rtol=1e-14, atol=1e-15)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="beta_mode"):
+            response_table(generic_molecule(seed=16), "bogus")
 
 
 class TestDuality:
