@@ -76,13 +76,8 @@ from .quad import (
     integrate_pv,
 )
 from .response import (
-    DualityAngle,
     Molecule,
-    ResponseSet,
     Transition,
-    dual_polarisability,
-    duality_rotate,
-    eval_response,
     response_arrays,
     rotate_molecule_tensors,
     static_limits,
@@ -102,9 +97,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # response
-    "Transition", "Molecule", "ResponseSet", "DualityAngle",
-    "response_arrays", "eval_response", "static_limits",
-    "dual_polarisability", "duality_rotate", "rotate_molecule_tensors",
+    "Transition", "Molecule", "response_arrays", "rotate_molecule_tensors",
+    "static_limits",
     # green
     "Separation", "FreeSpaceProvider", "free_space_provider",
     "g0", "g0_scaled", "g0_curl_left",

@@ -61,7 +61,7 @@ from .molfiles import (
 )
 from .green import Separation
 from .potentials import ROW_NAMES, ROW_SPECS, PotentialCurve, _summed, \
-    compute_curve, resolve_component
+    compute_curve
 from .quad import NonFiniteIntegrandError
 from .response import Molecule
 from .verify import run_suite
@@ -172,10 +172,6 @@ def _curve_csv(curve: PotentialCurve) -> str:
 
 def cmd_curve(args) -> int:
     mol_a, mol_b, units = _load_pair(args)
-    try:
-        resolve_component(args.component)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     orientation = _parse_orientation(args.orientation)
     r_values = _radius_grid(args, units)
     curve = compute_curve(mol_a, mol_b, orientation, r_values,
@@ -197,10 +193,6 @@ def _window_grid(window: str, mol_a: Molecule, mol_b: Molecule,
 
 def cmd_powerlaw(args) -> int:
     mol_a, mol_b, units = _load_pair(args)
-    try:
-        resolve_component(args.component)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     orientation = _parse_orientation(args.orientation)
     if args.points < 5:
         raise CliError("a power-law fit needs --points of at least 5")

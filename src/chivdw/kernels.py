@@ -3,9 +3,10 @@
 The frequency weights of the transition sums and the molecular response
 tensors built from them on a batch of imaginary frequencies, the
 free-space propagator blocks on the same batch, and the batched trace of
-four 3x3 factors that the direct single-trace forms integrate.  The module
-also holds the Levi-Civita symbol and the cross-product matrix shared by
-the propagator and the asymptotic forms.
+four 3x3 factors that the direct single-trace forms integrate (one
+contraction of two half products).  The module also holds the Levi-Civita
+symbol and the cross-product matrix shared by the propagator and the
+asymptotic forms.
 
 All arrays are float64.  Shapes: frequency batches are (n,), tensor batches
 are (n, 3, 3).
@@ -84,7 +85,11 @@ def free_prefactor(rvec: np.ndarray, xis: np.ndarray):
     rvec = np.asarray(rvec, dtype=float)
     R = math.sqrt(float(rvec @ rvec))
     x = np.asarray(xis, dtype=float) * R
-    return R, x, np.exp(-x) / (4.0 * math.pi * R**3)
+    try:
+        cube = R**3
+    except OverflowError:       # R above ~5.6e102: the factor underflows to 0
+        cube = math.inf
+    return R, x, np.exp(-x) / (4.0 * math.pi * cube)
 
 
 def free_scaled(rvec: np.ndarray, xis: np.ndarray,
@@ -126,5 +131,6 @@ def free_cross(rvec: np.ndarray, xis: np.ndarray,
 
 
 def trace4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
-    """Batched trace of the product of four (n, 3, 3) tensor stacks."""
-    return np.einsum('nij,njk,nkl,nli->n', a, b, c, d)
+    """Batched trace of the product of four (n, 3, 3) tensor stacks, as the
+    contraction of the two half products a b and c d."""
+    return np.einsum('nij,nji->n', a @ b, c @ d)

@@ -66,9 +66,12 @@ layout spans its members' scales; a single value is the one-separation
 case of the same pass.
 
 Besides the provider path, the chiral components have direct
-single-trace forms (``u_ec_direct`` and its kin) for any provider, and
-``u_cc_isotropic`` gives the orientation-averaged chiral-chiral potential
-in vacuum from one scalar radial integral.
+single-trace forms (``u_ec_direct`` and its kin) for any provider: one
+integrand that sums each form's 3x3 traces, listed in block labels in
+``_DIRECT_TRACES``, with ``kernels.trace4`` over the ``response_arrays``
+tensors and the provider's blocks.  They are an independent cross-check of
+the product route.  ``u_cc_isotropic`` gives the orientation-averaged
+chiral-chiral potential in vacuum from one scalar radial integral.
 """
 
 from __future__ import annotations
@@ -223,44 +226,31 @@ class PotentialCurve:
         return self.r_values.shape[0]
 
 
-def _env_rel_tol() -> float:
-    raw = os.environ.get("VDW_QUAD_RTOL", "").strip()
-    if raw:
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ValueError(f"VDW_QUAD_RTOL is not a number: {raw!r}")
-        if not (0.0 < val < 1.0):
-            raise ValueError("VDW_QUAD_RTOL must be in (0, 1)")
-        return val
-    return 1e-10
-
-
 def _default_spec() -> QuadSpec:
-    return QuadSpec(rel_tol=_env_rel_tol(), abs_tol=1e-300,
-                    max_evals=20_000)
-
-
-def _default_breakpoints(mol_a: Molecule, mol_b: Molecule,
-                         rs: Iterable[float]) -> Tuple[float, ...]:
-    """The frequency scales of a pair's integrand: the transition
-    frequencies (resonances) and 1/R (the propagator cutoff) for each
-    separation R in ``rs``."""
-    pts = set(float(w) for w in mol_a.omegas)
-    pts.update(float(w) for w in mol_b.omegas)
-    pts.update(1.0 / R for R in rs)
-    return tuple(sorted(pts))
+    """``QuadSpec()``, or its ``rel_tol`` from VDW_QUAD_RTOL when set."""
+    raw = os.environ.get("VDW_QUAD_RTOL", "").strip()
+    if not raw:
+        return QuadSpec()
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ValueError(f"VDW_QUAD_RTOL is not a number: {raw!r}")
+    if not (0.0 < val < 1.0):
+        raise ValueError("VDW_QUAD_RTOL must be in (0, 1)")
+    return QuadSpec(rel_tol=val)
 
 
 def _halfline(mol_a: Molecule, mol_b: Molecule, rs: Iterable[float],
               integrand: Callable, spec: Optional[QuadSpec]) -> QuadResult:
-    """``integrand`` over [0, inf) on the panel layout of the pair's scales
-    at the separations ``rs``; ``spec`` defaults to ``_default_spec()``.
-    Every half-line route of this module integrates through here."""
+    """``integrand`` over [0, inf) on the panel layout of the pair's scales,
+    the transition frequencies (resonances) and 1/R (the propagator cutoff)
+    at each separation R of ``rs``; ``spec`` defaults to
+    ``_default_spec()``.  Every half-line route of this module integrates
+    through here."""
     if spec is None:
         spec = _default_spec()
-    breaks = _default_breakpoints(mol_a, mol_b, rs)
-    return integrate_halfline(integrand, spec, breakpoints=breaks)
+    scales = [*mol_a.omegas, *mol_b.omegas, *(1.0 / R for R in rs)]
+    return integrate_halfline(integrand, spec, breakpoints=scales)
 
 
 def _layout_groups(mol_a: Molecule, mol_b: Molecule,
@@ -579,79 +569,69 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
 # division-free integrands valid for any provider and finite at xi = 0.
 # ---------------------------------------------------------------------------
 
+# Each form is sign/pi times a sum of traces tr[A_a B(r_a, r_b) A_b
+# B(r_b, r_a)], one (A_a, B, A_b, B') tuple of block labels per trace: the
+# response blocks ee = alpha, mm = beta, em = chi_em, me = chi_me.
+_DIRECT_TRACES = {
+    "EC": (1.0, (("ee", "ee", "em", "em"),)),
+    "MC": (1.0, (("mm", "mm", "me", "me"),)),
+    "CC": (-1.0, (("em", "mm", "me", "ee"), ("em", "em", "em", "em"))),
+}
+
+# position of a response block in ``response_arrays``' output
+_RESPONSE_INDEX = {"ee": 0, "mm": 1, "em": 2, "me": 3}
+
+
+def _direct(form: str, mol_a: Molecule, mol_b: Molecule, sep: Separation,
+            provider, spec: Optional[QuadSpec],
+            beta_mode_a: str = "full") -> QuadResult:
+    """The direct form ``form`` of ``_DIRECT_TRACES``, with molecule A's
+    beta restricted by ``beta_mode_a``."""
+    if provider is None:
+        provider = free_space_provider()
+    sign, traces = _DIRECT_TRACES[form]
+
+    def integrand(xis):
+        xis = np.atleast_1d(np.asarray(xis, dtype=float))
+        resp_a = response_arrays(mol_a, xis, beta_mode_a)
+        resp_b = response_arrays(mol_b, xis)
+        ab, ba = _provider_blocks(provider, sep.r_a, sep.r_b, xis)
+        total = sum(kernels.trace4(
+            resp_a[_RESPONSE_INDEX[a]],
+            ab[:, _BLOCK_INDEX[b[0]], _BLOCK_INDEX[b[1]]],
+            resp_b[_RESPONSE_INDEX[c]],
+            ba[:, _BLOCK_INDEX[d[0]], _BLOCK_INDEX[d[1]]])
+            for a, b, c, d in traces)
+        return (sign / _PI) * total
+
+    return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
+
+
 def u_ec_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
                 provider=None, spec: Optional[QuadSpec] = None) -> QuadResult:
     """Electric-chiral component as a single combined trace."""
-    if provider is None:
-        provider = free_space_provider()
-    r_a, r_b = sep.r_a, sep.r_b
-
-    def integrand(xis):
-        xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        alpha_a, _, _, _ = response_arrays(mol_a, xis)
-        _, _, chi_em_b, _ = response_arrays(mol_b, xis)
-        ab, ba = _provider_blocks(provider, r_a, r_b, xis)
-        return (1.0 / _PI) * kernels.trace4(
-            np.ascontiguousarray(alpha_a), ab[:, 0, 0],
-            np.ascontiguousarray(chi_em_b), ba[:, 0, 1])
-
-    return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
-
-
-def _u_mc_direct_mode(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                      provider, spec: Optional[QuadSpec],
-                      beta_mode_a: str) -> QuadResult:
-    if provider is None:
-        provider = free_space_provider()
-    r_a, r_b = sep.r_a, sep.r_b
-
-    def integrand(xis):
-        xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        _, beta_a, _, _ = response_arrays(mol_a, xis, beta_mode_a)
-        _, _, _, chi_me_b = response_arrays(mol_b, xis)
-        ab, ba = _provider_blocks(provider, r_a, r_b, xis)
-        return (1.0 / _PI) * kernels.trace4(
-            np.ascontiguousarray(beta_a), ab[:, 1, 1],
-            np.ascontiguousarray(chi_me_b), ba[:, 1, 0])
-
-    return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
+    return _direct("EC", mol_a, mol_b, sep, provider, spec)
 
 
 def u_mc_direct(mol_a, mol_b, sep, provider=None, spec=None) -> QuadResult:
     """Magnetic-chiral component as a single combined trace."""
-    return _u_mc_direct_mode(mol_a, mol_b, sep, provider, spec, "full")
+    return _direct("MC", mol_a, mol_b, sep, provider, spec)
 
 
 def u_pc_direct(mol_a, mol_b, sep, provider=None, spec=None) -> QuadResult:
     """Paramagnetic-chiral component as a single combined trace."""
-    return _u_mc_direct_mode(mol_a, mol_b, sep, provider, spec, "para")
+    return _direct("MC", mol_a, mol_b, sep, provider, spec, "para")
 
 
 def u_dc_direct(mol_a, mol_b, sep, provider=None, spec=None) -> QuadResult:
     """Diamagnetic-chiral component as a single combined trace."""
-    return _u_mc_direct_mode(mol_a, mol_b, sep, provider, spec, "dia")
+    return _direct("MC", mol_a, mol_b, sep, provider, spec, "dia")
 
 
 def u_cc_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
                 provider=None, spec: Optional[QuadSpec] = None) -> QuadResult:
     """Chiral-chiral component as two combined traces."""
-    if provider is None:
-        provider = free_space_provider()
-    r_a, r_b = sep.r_a, sep.r_b
-
-    def integrand(xis):
-        xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        _, _, chi_em_a, _ = response_arrays(mol_a, xis)
-        _, _, chi_em_b, chi_me_b = response_arrays(mol_b, xis)
-        ab, ba = _provider_blocks(provider, r_a, r_b, xis)
-        ca = np.ascontiguousarray(chi_em_a)
-        term1 = kernels.trace4(ca, ab[:, 1, 1],
-                               np.ascontiguousarray(chi_me_b), ba[:, 0, 0])
-        term2 = kernels.trace4(ca, ab[:, 0, 1],
-                               np.ascontiguousarray(chi_em_b), ba[:, 0, 1])
-        return -(1.0 / _PI) * (term1 + term2)
-
-    return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
+    return _direct("CC", mol_a, mol_b, sep, provider, spec)
 
 
 def _isotropic_rotatory(mol: Molecule, ks: np.ndarray) -> np.ndarray:

@@ -12,11 +12,13 @@ frequency axis, and the cross responses obey chi_me = -(chi_em)^T.
 Every dynamic tensor is a transition sum of a frequency weight times an
 outer product (d d^T, m m^T or d m^T) that does not depend on frequency, so
 a ``Molecule`` holds validated transition arrays and builds the (T, 27)
-table of those products once.  ``response_arrays`` sums them in two
-matrix products, (n, T) @ (T, 18) for alpha and the paramagnetic beta and
-(n, T) @ (T, 9) for chi_em; the potentials lay them out once in the 6x6
-form A = [[alpha, chi_em], [chi_me, beta]] (``response_table``) and form A
-on n frequencies as one product (``response_from_table``).
+table of those products once.  On n frequencies (one xi is ``[xi]``),
+``response_arrays`` sums them in two matrix products, (n, T) @ (T, 18)
+for alpha and the paramagnetic beta and (n, T) @ (T, 9) for chi_em, and
+``rotate_molecule_tensors`` rotates them by an electric-magnetic duality
+angle; the potentials lay them out once in the 6x6 form
+A = [[alpha, chi_em], [chi_me, beta]] (``response_table``) and form A on
+n frequencies as one product (``response_from_table``).
 
 Internally everything is in natural units (hbar = c = eps0 = mu0 = 1); the
 file-ingestion layer converts SI or atomic-unit input on load.
@@ -36,17 +38,12 @@ from chivdw import kernels
 __all__ = [
     "Transition",
     "Molecule",
-    "ResponseSet",
-    "DualityAngle",
-    "eval_response",
+    "response_arrays",
+    "rotate_molecule_tensors",
     "response_table",
     "response_from_table",
     "static_limits",
-    "dual_polarisability",
-    "duality_rotate",
 ]
-
-_LLOYD_TOL = 1e-12
 
 _BETA_MODES = ("full", "para", "dia")
 
@@ -183,53 +180,6 @@ class Molecule:
                                     self.beta_dia)
 
 
-@dataclass(frozen=True)
-class ResponseSet:
-    """The four 3x3 response tensors evaluated at one imaginary frequency.
-
-    Constructed from a molecule the set satisfies chi_me = -(chi_em)^T
-    exactly; sets produced by duality rotations may violate that relation
-    (see :func:`duality_rotate`), which ``satisfies_lloyd`` reports.
-    """
-
-    xi: float
-    alpha: np.ndarray
-    beta: np.ndarray
-    chi_em: np.ndarray
-    chi_me: np.ndarray
-
-    def __post_init__(self) -> None:
-        xi = float(self.xi)
-        if not (math.isfinite(xi) and xi >= 0.0):
-            raise ValueError("xi must be non-negative and finite")
-        object.__setattr__(self, "xi", xi)
-        for name in ("alpha", "beta", "chi_em", "chi_me"):
-            object.__setattr__(self, name, _as_mat3(getattr(self, name), name))
-
-    @property
-    def lloyd_defect(self) -> float:
-        """Max-norm of chi_me + chi_em^T (zero for transition-built sets)."""
-        return float(np.max(np.abs(self.chi_me + self.chi_em.T)))
-
-    def satisfies_lloyd(self, tol: float = _LLOYD_TOL) -> bool:
-        scale = max(float(np.max(np.abs(self.chi_em))),
-                    float(np.max(np.abs(self.chi_me))), 1.0)
-        return self.lloyd_defect <= tol * scale
-
-
-@dataclass(frozen=True)
-class DualityAngle:
-    """Rotation angle in the two-dimensional electric-magnetic index space."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
-
-
 def response_arrays(mol: Molecule, xis: np.ndarray, beta_mode: str = "full"):
     """Batched response tensors over a frequency array.
 
@@ -259,7 +209,7 @@ def response_table(mol: Molecule, beta_mode: str = "full",
     (e, e) and, unless ``beta_mode`` is ``"dia"``, m m^T at (m, m); rows
     T..2T-1 d m^T at (e, m) and -(d m^T)^T at (m, e); row 2T ``beta_dia``
     at (m, m) unless ``beta_mode`` is ``"para"``.  A ``duality`` angle
-    rotates the table as ``duality_rotate`` rotates a response set."""
+    rotates the table as ``rotate_molecule_tensors`` rotates the tensors."""
     if beta_mode not in _BETA_MODES:
         raise ValueError(f"unknown beta_mode {beta_mode!r}")
     count = mol.omegas.shape[0]
@@ -285,20 +235,6 @@ def response_from_table(mol: Molecule, table: np.ndarray, rows: slice,
     return kernels.frequency_weights(mol.omegas, xis)[:, rows] @ table
 
 
-def eval_response(mol: Molecule, xi: float) -> ResponseSet:
-    """Evaluate all four response tensors of ``mol`` at frequency ``xi``.
-
-    For an empty transition list the dynamic tensors are zero and beta is
-    the static diamagnetic tensor alone.
-    """
-    xi = float(xi)
-    if xi < 0.0:
-        raise ValueError("xi must be non-negative")
-    alpha, beta, chi_em, chi_me = response_arrays(mol, np.array([xi]))
-    return ResponseSet(xi=xi, alpha=alpha[0], beta=beta[0],
-                       chi_em=chi_em[0], chi_me=chi_me[0])
-
-
 def static_limits(mol: Molecule):
     """Zero-frequency limits: (alpha0, beta0, chi_prime).
 
@@ -318,21 +254,6 @@ def static_limits(mol: Molecule):
     return alpha0, beta0, chi_prime
 
 
-def dual_polarisability(rs: ResponseSet, lam: str, lamp: str) -> np.ndarray:
-    """The (lam, lamp) block of the 2x2 duality-space polarisability.
-
-    In natural units (c = 1) the blocks are the bare tensors:
-    (e,e) -> alpha, (e,m) -> chi_em, (m,e) -> chi_me, (m,m) -> beta.
-    """
-    key = (lam, lamp)
-    table = {("e", "e"): rs.alpha, ("e", "m"): rs.chi_em,
-             ("m", "e"): rs.chi_me, ("m", "m"): rs.beta}
-    try:
-        return table[key]
-    except KeyError:
-        raise ValueError(f"block labels must be 'e' or 'm', got {key!r}")
-
-
 def _cos_sin(theta: float):
     """cos/sin with values within one rounding step of 0 or +-1 snapped.
 
@@ -350,11 +271,9 @@ def _cos_sin(theta: float):
 def _rotate_blocks(theta, alpha, beta, chi_em, chi_me):
     """D(theta) A D(theta)^T for the block matrix A = [[alpha, chi_em],
     [chi_me, beta]], with D = [[cos, sin], [-sin, cos]] acting on the
-    electric-magnetic block indices.  The blocks may be (3, 3) tensors or
-    (n, 3, 3) stacks; returns the rotated (alpha, beta, chi_em, chi_me).
+    electric-magnetic block indices, for (n, 3, 3) stacks of blocks;
+    returns the rotated (alpha, beta, chi_em, chi_me).
     """
-    if isinstance(theta, DualityAngle):
-        theta = theta.theta
     c, s = _cos_sin(theta)
     D = np.array([[c, s], [-s, c]])
     blk = np.array([[alpha, chi_em], [chi_me, beta]])
@@ -362,31 +281,17 @@ def _rotate_blocks(theta, alpha, beta, chi_em, chi_me):
     return rot[0, 0], rot[1, 1], rot[0, 1], rot[1, 0]
 
 
-def duality_rotate(rs: ResponseSet, theta) -> ResponseSet:
-    """Rotate the 2x2 block matrix of dual polarisabilities by ``theta``.
-
-    Applies A' = D(theta) A D(theta)^T on the electric-magnetic block
-    indices, with D = [[cos, sin], [-sin, cos]].  At theta = pi/2 this
-    swaps alpha with beta and maps chi_em -> -chi_me, chi_me -> -chi_em,
-    exactly (see :func:`_cos_sin`).
-
-    The rotated set is returned raw: for generic inputs it can violate the
-    chi_me = -(chi_em)^T constraint that transition-built responses obey
-    (check with ``ResponseSet.satisfies_lloyd``); such sets are still valid
-    inputs to every potential formula.
-    """
-    alpha, beta, chi_em, chi_me = _rotate_blocks(
-        theta, rs.alpha, rs.beta, rs.chi_em, rs.chi_me)
-    return ResponseSet(xi=rs.xi, alpha=alpha, beta=beta, chi_em=chi_em,
-                       chi_me=chi_me)
-
-
 def rotate_molecule_tensors(mol: Molecule, theta, xis: np.ndarray,
                             beta_mode: str = "full"):
-    """Batched duality-rotated response tensors for ``mol`` at ``xis``.
+    """Duality-rotated response tensors for ``mol`` at ``xis``.
 
-    Returns (alpha, beta, chi_em, chi_me) arrays of shape (n, 3, 3) after
-    applying the 2x2 duality rotation at every frequency, without
-    materialising one ResponseSet per frequency.
+    Returns the (alpha, beta, chi_em, chi_me) of ``response_arrays``, each
+    (n, 3, 3), rotated as A' = D(theta) A D(theta)^T on the
+    electric-magnetic block indices, with D = [[cos, sin], [-sin, cos]].
+    At theta = pi/2 this swaps alpha with beta and maps chi_em -> -chi_me,
+    chi_me -> -chi_em, exactly (see :func:`_cos_sin`).  For a generic angle
+    the rotated tensors can violate the chi_me = -(chi_em)^T relation that
+    transition-built responses obey; they are still valid inputs to every
+    potential formula.
     """
     return _rotate_blocks(theta, *response_arrays(mol, xis, beta_mode))

@@ -265,6 +265,15 @@ def test_curve_zero_response_pair(tmp_path, capsys):
     assert all(row[4] == "1" for row in rows)
 
 
+def test_curve_beyond_the_cube_overflow_exits_ok(pair_files, capsys):
+    a, b = pair_files
+    code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "EE",
+                 "--rmin", "1e103", "--rmax", "1e104", "--points", "2"])
+    assert code == 0
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert [(float(row[2]), row[4]) for row in rows] == [(0.0, "1")] * 2
+
+
 def test_curve_rmin_rmax_interpreted_in_file_units(tmp_path, capsys):
     mol_a, mol_b = bundled_pair()
     path_a = tmp_path / "a_au.json"

@@ -44,6 +44,12 @@ class TestPythonBackend:
         expected = np.einsum('nij,njk,nkl,nli->n', a, b, c, d)
         np.testing.assert_allclose(kernels.trace4(a, b, c, d), expected,
                                    rtol=1e-13)
+        # the direct forms pass strided views of block stacks, as ab[:, 0, 1]
+        ab, ba = (rng.normal(size=(5, 2, 2, 3, 3)) for _ in range(2))
+        views = (a.transpose(0, 2, 1), ab[:, 0, 1], c[::-1], ba[:, 1, 0])
+        expected = np.einsum('nij,njk,nkl,nli->n', *views)
+        np.testing.assert_allclose(kernels.trace4(*views), expected,
+                                   rtol=1e-13)
 
     def test_free_scaled_and_cross_zero_frequency(self):
         rvec = np.array([0.0, 0.0, 2.0])

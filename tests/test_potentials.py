@@ -739,6 +739,18 @@ def test_tail_breakpoint_in_subnormal_band_is_dropped():
     assert res.value == pytest.approx(reference, rel=1e-9)
 
 
+@pytest.mark.parametrize("label", ["EE", "TOTAL"])
+def test_separations_beyond_the_cube_overflow_give_zero(label):
+    # R**3 overflows a float from R ~ 5.6e102 on, while the potential has
+    # underflowed to 0 long before: the propagator prefactor 1/(4 pi R^3)
+    # is 0 there, and so is the converged value
+    a, b = bundled_pair()
+    for k in range(100, 151):
+        sep = Separation(np.array([0.0, 0.0, 10.0 ** k]), np.zeros(3))
+        res = u_named(a, b, sep, label)
+        assert (res.value, res.converged) == (0.0, True), k
+
+
 # ---------------------------------------------------------------------------
 # A curve's separations integrated together against one run per separation
 # ---------------------------------------------------------------------------

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chivdw.response import (
-    DualityAngle,
     Molecule,
-    ResponseSet,
     Transition,
-    dual_polarisability,
-    duality_rotate,
-    eval_response,
+    _rotate_blocks,
     response_arrays,
     response_from_table,
     response_table,
@@ -31,6 +27,15 @@ def single_z_molecule(m_scale=1.0):
         name="single-z",
         transitions=(Transition(omega=1.0, d=EZ, m_tilde=m_scale * EZ),),
     )
+
+
+def at_xi(mol, xi, theta=None):
+    """(alpha, beta, chi_em, chi_me) of ``mol`` at the one frequency xi,
+    rotated by the duality angle ``theta`` when one is given."""
+    xis = np.array([xi])
+    tensors = (response_arrays(mol, xis) if theta is None
+               else rotate_molecule_tensors(mol, theta, xis))
+    return tuple(t[0] for t in tensors)
 
 
 def generic_molecule(seed=0, n=3, with_dia=True):
@@ -86,18 +91,14 @@ class TestConstruction:
             assert np.array_equal(mol.dipoles[i], t.d)
             assert np.array_equal(mol.magnetic_dipoles[i], t.m_tilde)
 
-    def test_eval_rejects_negative_xi(self):
-        with pytest.raises(ValueError):
-            eval_response(single_z_molecule(), -0.5)
-
 
 class TestPinnedValues:
     def test_alpha_single_transition_at_unit_frequency(self):
         # omega = 1, d = z-hat: alpha_zz(i*1) = 2*1*1/(1+1) = 1
-        rs = eval_response(single_z_molecule(), 1.0)
-        assert rs.alpha[2, 2] == pytest.approx(ALPHA_SINGLE_ZZ, abs=1e-15)
+        alpha = at_xi(single_z_molecule(), 1.0)[0]
+        assert alpha[2, 2] == pytest.approx(ALPHA_SINGLE_ZZ, abs=1e-15)
         expected = np.diag([0.0, 0.0, ALPHA_SINGLE_ZZ])
-        np.testing.assert_allclose(rs.alpha, expected, atol=1e-15)
+        np.testing.assert_allclose(alpha, expected, atol=1e-15)
 
     def test_static_alpha_single_transition(self):
         alpha0, beta0, chi_prime = static_limits(single_z_molecule())
@@ -110,9 +111,9 @@ class TestPinnedValues:
         assert chi_prime[2, 2] == pytest.approx(CHI_PRIME_SINGLE_ZZ, abs=1e-15)
 
     def test_chi_em_vanishes_at_zero_frequency(self):
-        rs = eval_response(generic_molecule(seed=1), 0.0)
-        np.testing.assert_allclose(rs.chi_em, 0.0, atol=1e-300)
-        np.testing.assert_allclose(rs.chi_me, 0.0, atol=1e-300)
+        _, _, chi_em, chi_me = at_xi(generic_molecule(seed=1), 0.0)
+        np.testing.assert_allclose(chi_em, 0.0, atol=1e-300)
+        np.testing.assert_allclose(chi_me, 0.0, atol=1e-300)
 
     def test_against_independent_oracle_tensors(self):
         mol = generic_molecule(seed=2)
@@ -132,15 +133,13 @@ class TestInvariants:
     def test_lloyd_relation_exact(self):
         mol = generic_molecule(seed=3)
         for xi in (0.0, 0.4, 2.5):
-            rs = eval_response(mol, xi)
-            assert rs.lloyd_defect == 0.0
-            assert rs.satisfies_lloyd()
+            _, _, chi_em, chi_me = at_xi(mol, xi)
+            assert np.array_equal(chi_me, -chi_em.T)
 
     def test_alpha_positive_semidefinite_everywhere(self):
         mol = generic_molecule(seed=4)
         for xi in (0.0, 0.1, 1.0, 10.0, 1e4):
-            rs = eval_response(mol, xi)
-            eig = np.linalg.eigvalsh(rs.alpha)
+            eig = np.linalg.eigvalsh(at_xi(mol, xi)[0])
             assert np.min(eig) >= -1e-15
 
     def test_alpha_eigenvalues_monotone_in_frequency(self):
@@ -152,27 +151,28 @@ class TestInvariants:
 
     def test_zero_frequency_matches_static_limits(self):
         mol = generic_molecule(seed=7)
-        rs = eval_response(mol, 0.0)
+        alpha, beta, _, _ = at_xi(mol, 0.0)
         alpha0, beta0, _ = static_limits(mol)
-        np.testing.assert_allclose(rs.alpha, alpha0, rtol=1e-14)
-        np.testing.assert_allclose(rs.beta, beta0, rtol=1e-14)
+        np.testing.assert_allclose(alpha, alpha0, rtol=1e-14)
+        np.testing.assert_allclose(beta, beta0, rtol=1e-14)
 
     def test_enantiomer_flips_cross_response_only(self):
         mol = generic_molecule(seed=8)
         mirror = mol.enantiomer()
-        rs, rm = eval_response(mol, 0.7), eval_response(mirror, 0.7)
-        np.testing.assert_allclose(rm.alpha, rs.alpha, atol=1e-300)
-        np.testing.assert_allclose(rm.beta, rs.beta, atol=1e-300)
-        np.testing.assert_allclose(rm.chi_em, -rs.chi_em, atol=1e-300)
-        np.testing.assert_allclose(rm.chi_me, -rs.chi_me, atol=1e-300)
+        al, be, ce, cm = at_xi(mol, 0.7)
+        al_m, be_m, ce_m, cm_m = at_xi(mirror, 0.7)
+        np.testing.assert_allclose(al_m, al, atol=1e-300)
+        np.testing.assert_allclose(be_m, be, atol=1e-300)
+        np.testing.assert_allclose(ce_m, -ce, atol=1e-300)
+        np.testing.assert_allclose(cm_m, -cm, atol=1e-300)
 
     def test_empty_molecule_has_only_diamagnetic_response(self):
         bd = -0.3 * np.eye(3)
         mol = Molecule(name="empty", transitions=(), beta_dia=bd)
-        rs = eval_response(mol, 1.3)
-        np.testing.assert_allclose(rs.alpha, 0.0, atol=1e-300)
-        np.testing.assert_allclose(rs.chi_em, 0.0, atol=1e-300)
-        np.testing.assert_allclose(rs.beta, bd, atol=1e-300)
+        alpha, beta, chi_em, _ = at_xi(mol, 1.3)
+        np.testing.assert_allclose(alpha, 0.0, atol=1e-300)
+        np.testing.assert_allclose(chi_em, 0.0, atol=1e-300)
+        np.testing.assert_allclose(beta, bd, atol=1e-300)
 
     def test_beta_modes(self):
         mol = generic_molecule(seed=9)
@@ -209,61 +209,44 @@ class TestResponseTable:
 
 
 class TestDuality:
-    def test_block_lookup(self):
-        rs = eval_response(generic_molecule(seed=10), 0.9)
-        assert dual_polarisability(rs, "e", "e") is rs.alpha
-        assert dual_polarisability(rs, "e", "m") is rs.chi_em
-        assert dual_polarisability(rs, "m", "e") is rs.chi_me
-        assert dual_polarisability(rs, "m", "m") is rs.beta
-        with pytest.raises(ValueError):
-            dual_polarisability(rs, "e", "x")
-
     def test_quarter_turn_swaps_blocks(self):
-        rs = eval_response(generic_molecule(seed=11), 1.1)
-        rot = duality_rotate(rs, math.pi / 2)
-        np.testing.assert_allclose(rot.alpha, rs.beta, atol=1e-15)
-        np.testing.assert_allclose(rot.beta, rs.alpha, atol=1e-15)
-        np.testing.assert_allclose(rot.chi_em, -rs.chi_me, atol=1e-15)
-        np.testing.assert_allclose(rot.chi_me, -rs.chi_em, atol=1e-15)
+        mol = generic_molecule(seed=11)
+        al, be, ce, cm = at_xi(mol, 1.1)
+        al_r, be_r, ce_r, cm_r = at_xi(mol, 1.1, math.pi / 2)
+        np.testing.assert_allclose(al_r, be, atol=1e-15)
+        np.testing.assert_allclose(be_r, al, atol=1e-15)
+        np.testing.assert_allclose(ce_r, -cm, atol=1e-15)
+        np.testing.assert_allclose(cm_r, -ce, atol=1e-15)
 
     def test_rotation_matches_written_out_blocks(self):
         # A' = D A D^T with D = [[c, s], [-s, c]], block by block
-        rs = eval_response(generic_molecule(seed=16), 0.7)
+        mol = generic_molecule(seed=16)
         theta = 0.53
         c, s = math.cos(theta), math.sin(theta)
-        al, be, ce, cm = rs.alpha, rs.beta, rs.chi_em, rs.chi_me
-        expected = {
-            "alpha": c * c * al + c * s * (ce + cm) + s * s * be,
-            "beta": s * s * al - c * s * (ce + cm) + c * c * be,
-            "chi_em": -c * s * al + c * c * ce - s * s * cm + c * s * be,
-            "chi_me": -c * s * al - s * s * ce + c * c * cm + c * s * be,
-        }
-        rot = duality_rotate(rs, theta)
-        for name, value in expected.items():
-            np.testing.assert_allclose(getattr(rot, name), value,
-                                       rtol=1e-13, atol=1e-14)
+        al, be, ce, cm = at_xi(mol, 0.7)
+        expected = (
+            c * c * al + c * s * (ce + cm) + s * s * be,           # alpha
+            s * s * al - c * s * (ce + cm) + c * c * be,           # beta
+            -c * s * al + c * c * ce - s * s * cm + c * s * be,    # chi_em
+            -c * s * al - s * s * ce + c * c * cm + c * s * be,    # chi_me
+        )
+        for got, value in zip(at_xi(mol, 0.7, theta), expected):
+            np.testing.assert_allclose(got, value, rtol=1e-13, atol=1e-14)
 
     def test_rotation_roundtrip(self):
-        rs = eval_response(generic_molecule(seed=12), 0.6)
+        mol = generic_molecule(seed=12)
         theta = 0.37
-        back = duality_rotate(duality_rotate(rs, theta), -theta)
-        for name in ("alpha", "beta", "chi_em", "chi_me"):
-            np.testing.assert_allclose(
-                getattr(back, name), getattr(rs, name), atol=1e-14)
+        rotated = rotate_molecule_tensors(mol, theta, np.array([0.6]))
+        back = _rotate_blocks(-theta, *rotated)
+        for got, want in zip(back, response_arrays(mol, np.array([0.6]))):
+            np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_rotated_set_may_break_lloyd(self):
         # generic molecules have alpha != beta, so a rotation mixes them
         # into the off-diagonal blocks asymmetrically
-        rs = eval_response(generic_molecule(seed=13), 0.5)
-        rot = duality_rotate(rs, math.pi / 4)
-        assert rot.lloyd_defect > 1e-6
-        assert not rot.satisfies_lloyd()
-
-    def test_duality_angle_wrapper(self):
-        rs = eval_response(generic_molecule(seed=14), 0.8)
-        a = duality_rotate(rs, DualityAngle(0.21))
-        b = duality_rotate(rs, 0.21)
-        np.testing.assert_allclose(a.alpha, b.alpha, atol=1e-300)
+        _, _, chi_em, chi_me = at_xi(generic_molecule(seed=13), 0.5,
+                                     math.pi / 4)
+        assert np.max(np.abs(chi_me + chi_em.T)) > 1e-6
 
     def test_batched_rotation_matches_per_frequency(self):
         mol = generic_molecule(seed=15)
@@ -271,11 +254,11 @@ class TestDuality:
         theta = 0.77
         al, be, ce, cm = rotate_molecule_tensors(mol, theta, xis)
         for i, xi in enumerate(xis):
-            rot = duality_rotate(eval_response(mol, xi), theta)
-            np.testing.assert_allclose(al[i], rot.alpha, atol=1e-14)
-            np.testing.assert_allclose(be[i], rot.beta, atol=1e-14)
-            np.testing.assert_allclose(ce[i], rot.chi_em, atol=1e-14)
-            np.testing.assert_allclose(cm[i], rot.chi_me, atol=1e-14)
+            rot = at_xi(mol, xi, theta)
+            np.testing.assert_allclose(al[i], rot[0], atol=1e-14)
+            np.testing.assert_allclose(be[i], rot[1], atol=1e-14)
+            np.testing.assert_allclose(ce[i], rot[2], atol=1e-14)
+            np.testing.assert_allclose(cm[i], rot[3], atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -287,9 +270,9 @@ class TestDuality:
 def test_single_transition_alpha_closed_form(omega, xi, dz):
     d = np.array([0.0, 0.0, dz])
     mol = Molecule(name="h", transitions=(Transition(omega, d, EZ),))
-    rs = eval_response(mol, xi)
+    alpha = at_xi(mol, xi)[0]
     expected = 2.0 * omega * dz * dz / (omega**2 + xi**2)
-    assert rs.alpha[2, 2] == pytest.approx(expected, rel=1e-13, abs=1e-300)
+    assert alpha[2, 2] == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,10 +280,11 @@ def test_single_transition_alpha_closed_form(omega, xi, dz):
 def test_rotation_preserves_block_trace_sum(theta, xi):
     # tr(alpha) + tr(beta) is the trace of the 6x6 block matrix and is
     # invariant under the orthogonal duality rotation
-    rs = eval_response(generic_molecule(seed=16), xi)
-    rot = duality_rotate(rs, theta)
-    before = np.trace(rs.alpha) + np.trace(rs.beta)
-    after = np.trace(rot.alpha) + np.trace(rot.beta)
+    mol = generic_molecule(seed=16)
+    alpha, beta, _, _ = at_xi(mol, xi)
+    alpha_r, beta_r, _, _ = at_xi(mol, xi, theta)
+    before = np.trace(alpha) + np.trace(beta)
+    after = np.trace(alpha_r) + np.trace(beta_r)
     assert after == pytest.approx(before, rel=1e-12, abs=1e-15)
 
 

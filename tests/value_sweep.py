@@ -1,13 +1,16 @@
 """The potentials on a fixed sweep, dumped to JSON and compared between
 two versions of chivdw.
 
-The sweep is 4 pairs x 24 requests x 21 separations = 2,016 values:
+The sweep is 4 pairs x 29 requests x 21 separations = 2,436 values:
 
 - the pairs: the bundled pair; two generic 2-transition molecules; a
   seeded 16- and 64-transition pair; a pair with omega 1e-4, 1 and 1e-2,
   1e4;
 - the requests: ``u_named`` for the 12 components, ``u_row`` for the 10
-  rows, and TOTAL and EC at ``duality=pi/5``;
+  rows, and TOTAL and EC at ``duality=pi/5`` (2,016 values on the product
+  route); the five direct single-trace forms ``u_ec_direct``,
+  ``u_mc_direct``, ``u_pc_direct``, ``u_dc_direct`` and ``u_cc_direct``
+  (420 values);
 - the separations: R = 1e-3 ... 1e3, 21 values, along (1, -2, 2)/3.
 
 ``chivdw`` is imported from ``PYTHONPATH``, so one script dumps any
@@ -73,7 +76,8 @@ def pairs() -> dict:
 
 
 def requests() -> list:
-    """(name, function of (a, b, sep)) for the 24 requests."""
+    """(name, function of (a, b, sep)) for the 29 requests."""
+    from chivdw import potentials
     from chivdw.potentials import ROW_NAMES, ComponentLabel, u_named, u_row
 
     out = [(label.value, lambda a, b, s, l=label: u_named(a, b, s, l))
@@ -83,6 +87,8 @@ def requests() -> list:
     out += [(f"{label} duality", lambda a, b, s, l=label:
              u_named(a, b, s, l, duality=DUALITY))
             for label in ("TOTAL", "EC")]
+    out += [(f"{form} direct", getattr(potentials, f"u_{form.lower()}_direct"))
+            for form in ("EC", "MC", "PC", "DC", "CC")]
     return out
 
 
