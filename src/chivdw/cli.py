@@ -60,7 +60,7 @@ from .molfiles import (
     load_molecule,
 )
 from .green import Separation
-from .potentials import ROW_NAMES, ROW_SPECS, PotentialCurve, _summed, \
+from .potentials import _ROW_PLANS, ROW_NAMES, PotentialCurve, _summed, \
     compute_curve
 from .quad import NonFiniteIntegrandError
 from .response import Molecule
@@ -237,7 +237,7 @@ def _table_cell(mol_a: Molecule, mol_b: Molecule, row: str, regime: str,
     r_values = _window_grid(regime, mol_a, mol_b, n_points)
     origin = np.zeros(3)
     seps = [Separation(R * direction, origin) for R in r_values]
-    results = _summed(mol_a, mol_b, seps, ROW_SPECS[row])
+    results = _summed(mol_a, mol_b, seps, _ROW_PLANS[row])
     converged = all(res.converged for res in results)
     try:
         fit = fit_power_law(r_values, [res.value for res in results])

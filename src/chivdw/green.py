@@ -73,7 +73,7 @@ class Separation:
         if not (np.all(np.isfinite(ra)) and np.all(np.isfinite(rb))):
             raise ValueError("positions must be finite")
         diff = ra - rb
-        dist = float(np.linalg.norm(diff))
+        dist = kernels.vector_norm(diff)
         if dist <= 0.0:
             raise ValueError("positions must be distinct")
         ra.setflags(write=False)
@@ -184,7 +184,7 @@ class FreeSpaceProvider:
             raise ValueError("positions must be 3-vectors")
         xis, _ = _prepare_xi(xis, allow_zero=True)
         rvec = r_a - r_b
-        if not float(np.linalg.norm(rvec)) > 0.0:
+        if not kernels.vector_norm(rvec) > 0.0:
             raise ValueError("points must be distinct")
         n = xis.shape[0]
         prefactor = kernels.free_prefactor(rvec, xis)
@@ -204,7 +204,7 @@ class FreeSpaceProvider:
             raise ValueError("positions must be 3-vectors")
         xis, scalar = _prepare_xi(xi, allow_zero=True)
         rvec = r - rp
-        if not float(np.linalg.norm(rvec)) > 0.0:
+        if not kernels.vector_norm(rvec) > 0.0:
             raise ValueError("points must be distinct")
         if lam not in ("e", "m") or lamp not in ("e", "m"):
             raise ValueError(f"block labels must be 'e' or 'm', got {(lam, lamp)!r}")

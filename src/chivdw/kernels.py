@@ -78,13 +78,34 @@ def response_tensors(omegas: np.ndarray, products: np.ndarray,
             chi_em.reshape(-1, 3, 3))
 
 
+# e^{-x} is exactly 0 from x ~ 745.2 on
+_X_CUT = 746.0
+
+# within this range of its largest entry, a vector's squared norm is a
+# normal float
+_PLAIN_NORM = (2.0 ** -500, 2.0 ** 500)
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """|v| of a finite vector, without over- or underflow: sqrt(v . v)
+    where v . v is a normal float, else that of v scaled by a power of
+    two, which is exact."""
+    big = max(abs(c) for c in v.tolist())
+    if _PLAIN_NORM[0] <= big <= _PLAIN_NORM[1] or big == 0.0:
+        return math.sqrt(float(v @ v))
+    scale = math.frexp(big)[1]
+    v = np.ldexp(v, -scale)
+    return math.ldexp(math.sqrt(float(v @ v)), scale)
+
+
 def free_prefactor(rvec: np.ndarray, xis: np.ndarray):
     """(R, x, e^{-x}/(4 pi R^3)) with x = xi R, over the frequency batch
     ``xis`` (n,) for the separation ``rvec``: the factors that S and X
-    share."""
+    share.  Where e^{-x} is 0, x is cut to ``_X_CUT``, so neither x nor
+    the polynomials in x of S and X overflow."""
     rvec = np.asarray(rvec, dtype=float)
-    R = math.sqrt(float(rvec @ rvec))
-    x = np.asarray(xis, dtype=float) * R
+    R = vector_norm(rvec)
+    x = np.minimum(np.asarray(xis, dtype=float), _X_CUT / R) * R
     try:
         cube = R**3
     except OverflowError:       # R above ~5.6e102: the factor underflows to 0

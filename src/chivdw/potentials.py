@@ -41,19 +41,32 @@ polarisability [[alpha, chi_em], [chi_me, beta]] restricted to the
 blocks the terms use: within a column, the terms of equal weight and
 beta modes whose A_a blocks pair with the same set of A_b blocks are one
 product.  A named component, TOTAL included, is one product, a row at
-most two.  Per transition, A is linear in 2 omega/(omega^2 + xi^2),
-2 xi/(omega^2 + xi^2) and 1, so each molecule's restricted blocks, with
-their beta modes and any duality rotation, are cut from its
-``response_table`` once per request.  Per node batch, each molecule's
-responses are one product with those weights, the provider is asked once
-per separation for both block matrices (``blocks``, see
-``chivdw.green``), each half product is one batched matrix product (6x6
-for TOTAL, 3x3 for one tuple), each trace one contraction, and the
-columns one product with the weights.  ``u_terms`` weights by the
-identity, so each term is its own column and is converged on its own; a
-summed request (a named component, a row, a raw tuple) weights by a row
-of ones and integrates only its sum, held to the tolerance in its own
-right.  The ``evals`` of a multi-term result counts shared nodes.
+most two.  That factorisation depends on the terms alone, not on the
+molecules: a request's plan (``_plan``) holds the product weights, each
+product's pair of half products and, per side, the beta modes, one
+gather index into a molecule's flattened ``response_table`` and the
+shape and propagator entries of each half.  The plans of the twelve
+named components and the ten rows are module constants, built at import
+(``_LABEL_PLANS``, ``_ROW_PLANS``); ``u_terms``, ``u_unified`` and a raw
+tuple of ``compute_curve`` plan their checked terms when called.
+
+Per request, what remains is the molecules' part: per side one
+``response_table`` per beta mode, with any duality rotation, one gather
+of the halves' columns from it and the trim to its non-zero rows.  Per
+transition, A is linear in 2 omega/(omega^2 + xi^2), 2 xi/(omega^2 + xi^2)
+and 1, so per node batch each molecule's responses are one product with
+those weights, the provider is asked once per separation for both block
+matrices (``blocks``, see ``chivdw.green``), each half product is one
+batched matrix product (6x6 for TOTAL, 3x3 for one tuple), each trace
+one contraction, and the columns one product with the weights.
+``u_terms`` weights by the identity, so each term is its own column and
+is converged on its own; a summed request (a named component, a row, a
+raw tuple) weights by a row of ones and integrates only its sum, held to
+the tolerance in its own right.  The ``evals`` of a multi-term result
+counts shared nodes.  Where the potential leaves float range, at tiny
+separations, the request raises ``NonFiniteIntegrandError`` naming the
+separation, without floating point warnings; at separations so large
+that the propagator underflows it is 0.
 
 A curve (``compute_curve``, and the CLI's ``curve``, ``powerlaw`` and
 ``table1`` windows) integrates its separations together: the responses,
@@ -81,13 +94,15 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from chivdw import kernels
 from chivdw.green import FreeSpaceProvider, Separation, free_space_provider
-from chivdw.quad import QuadResult, QuadSpec, integrate_halfline
+from chivdw.quad import (NonFiniteIntegrandError, QuadResult, QuadSpec,
+                         integrate_halfline)
 from chivdw.response import (Molecule, response_arrays, response_from_table,
                              response_table)
 
@@ -249,7 +264,8 @@ def _halfline(mol_a: Molecule, mol_b: Molecule, rs: Iterable[float],
     through here."""
     if spec is None:
         spec = _default_spec()
-    scales = [*mol_a.omegas, *mol_b.omegas, *(1.0 / R for R in rs)]
+    scales = [*mol_a.omegas.tolist(), *mol_b.omegas.tolist(),
+              *(1.0 / R for R in rs)]
     return integrate_halfline(integrand, spec, breakpoints=scales)
 
 
@@ -358,63 +374,135 @@ def _products(terms: Sequence[Tuple[str, str, str]],
     return list(index), product_weights
 
 
-def _side(mol: Molecule, halves: Sequence[tuple],
-          duality: Optional[float]) -> Tuple[np.ndarray, list]:
-    """One side's halves (mode, S, R_out), each A|S[R, C] @ B[C, R_out]
-    with R, C the rows and columns of the blocks S and R_out the other
-    side's rows: the side's table, with one column group A|S[R, C] per half
-    cut from ``response_table``, trimmed to its non-zero rows; those rows;
-    per half (its columns, (3 |R|, 3 |C|), the entries of B[C, R_out])."""
-    tables = {mode: response_table(mol, mode, duality).reshape(-1, 2, 3, 2, 3)
-              for mode in {mode for mode, _, _ in halves}}
-    columns, specs, first = [], [], 0
+class _Side(NamedTuple):
+    """One side's half products, independent of the molecule.
+
+    ``modes`` are its beta modes.  ``index`` gathers every half's
+    A|S[R, C] from the side's flattened response tables: 36 columns per
+    mode, followed, when ``zeros`` (some S leaves out a block of its rows
+    and columns), by one zero column for the entries outside S.
+    ``specs`` holds per half its columns, (3 |R|, 3 |C|) and the entries
+    of B[C, R_out]."""
+
+    modes: tuple
+    zeros: bool
+    index: np.ndarray
+    specs: tuple
+
+
+class _Plan(NamedTuple):
+    """A request's unified-form products (``_products``): the (J, Q)
+    product weights, each product's (left, right) half products and the
+    two sides' halves."""
+
+    weights: np.ndarray
+    pairs: tuple
+    side_a: _Side
+    side_b: _Side
+
+
+def _side_plan(halves: Sequence[tuple]) -> _Side:
+    """The ``_Side`` of halves (mode, S, R_out), each A|S[R, C] @
+    B[C, R_out] with R, C the rows and columns of the blocks S and R_out
+    the other side's rows."""
+    modes = tuple(dict.fromkeys(mode for mode, _, _ in halves))
+    entries = np.arange(36).reshape(2, 3, 2, 3)
+    index, specs, first = [], [], 0
     for mode, blocks, rows_out in halves:
-        index = [(_BLOCK_INDEX[row], _BLOCK_INDEX[col]) for row, col in blocks]
-        rows = sorted({i for i, _ in index})
-        cols = sorted({j for _, j in index})
-        part = np.zeros((len(tables[mode]), len(rows), 3, len(cols), 3))
-        for i, j in index:
-            part[:, i - rows[0], :, j - cols[0]] = tables[mode][:, i, :, j]
-        columns.append(part.reshape(len(part), -1))
-        specs.append((slice(first, first + columns[-1].shape[1]),
+        ij = [(_BLOCK_INDEX[row], _BLOCK_INDEX[col]) for row, col in blocks]
+        rows = sorted({i for i, _ in ij})
+        cols = sorted({j for _, j in ij})
+        part = np.full((len(rows), 3, len(cols), 3), 36 * len(modes))
+        for i, j in ij:
+            part[i - rows[0], :, j - cols[0]] = (36 * modes.index(mode)
+                                                 + entries[i, :, j])
+        index.append(part.ravel())
+        specs.append((slice(first, first + part.size),
                       (3 * len(rows), 3 * len(cols)),
                       _BLOCK_ENTRIES[(tuple(cols), rows_out)]))
-        first += columns[-1].shape[1]
-    table = np.concatenate(columns, axis=1)
-    used = np.flatnonzero(table.any(axis=1))
-    kept = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
-    return table[kept], kept, specs
+        first += part.size
+    index = np.concatenate(index)
+    index.setflags(write=False)
+    return _Side(modes, bool(index.max() == 36 * len(modes)), index,
+                 tuple(specs))
 
 
-def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
-                     seps: Sequence[Separation],
-                     terms: Sequence[Tuple[str, str, str]], provider,
-                     duality: Optional[float], weights: np.ndarray) -> Callable:
-    """Integrand returning J weighted sums of the traces of ``terms`` at
-    every separation in ``seps`` on shared nodes.
-
-    Each term ``(tuple, beta_mode_a, beta_mode_b)`` has the trace
-    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}]; the (J, K)
-    matrix ``weights`` maps the K term traces to J columns per separation,
-    so the output is (n, P J) for P separations, separation-major.
-
-    Product q of ``_products`` is tr[A_a|S_a B(r_a, r_b) A_b|S_b
-    B(r_b, r_a)]; each side's halves are cut from the response tables
-    once (``_side``), and per node batch each molecule's A|S are one
-    product (``response_from_table``).
-    """
+def _plan(terms: Sequence[Tuple[str, str, str]],
+          weights: np.ndarray) -> _Plan:
+    """The ``_Plan`` of the weighted terms; a half product is keyed by
+    (mode, S, the other side's rows), so shared halves are formed once."""
     products, product_weights = _products(terms, weights)
-    # a half product is keyed by (mode, S, the other side's rows)
-    lefts, rights, pairs_q = {}, {}, []
+    lefts, rights, pairs = {}, {}, []
     for mode_a, blocks_a, mode_b, blocks_b in products:
         rows_a = tuple(sorted({_BLOCK_INDEX[lam] for lam, _ in blocks_a}))
         rows_b = tuple(sorted({_BLOCK_INDEX[lam] for lam, _ in blocks_b}))
-        pairs_q.append(
+        pairs.append(
             (lefts.setdefault((mode_a, blocks_a, rows_b), len(lefts)),
              rights.setdefault((mode_b, blocks_b, rows_a), len(rights))))
-    table_a, kept_a, lefts = _side(mol_a, list(lefts), duality)
-    table_b, kept_b, rights = _side(mol_b, list(rights), duality)
-    n_sep, n_prod = len(seps), len(products)
+    product_weights.setflags(write=False)
+    return _Plan(product_weights, tuple(pairs), _side_plan(list(lefts)),
+                 _side_plan(list(rights)))
+
+
+def _sum_plan(terms: Sequence[Tuple[str, str, str]]) -> _Plan:
+    """The plan of the sum of ``terms``: one column weighted by ones."""
+    return _plan(terms, np.ones((1, len(terms))))
+
+
+def _side_table(mol: Molecule, side: _Side,
+                duality: Optional[float]) -> Tuple[np.ndarray, slice]:
+    """The side's table, one column group A|S[R, C] per half gathered from
+    ``mol``'s ``response_table`` of each mode, trimmed to its non-zero
+    rows; and those rows."""
+    tables = [response_table(mol, mode, duality).reshape(-1, 36)
+              for mode in side.modes]
+    if side.zeros:
+        tables.append(np.zeros((tables[0].shape[0], 1)))
+    table = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+    table = table.take(side.index, axis=1)
+    used = table.any(axis=1).nonzero()[0]
+    kept = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
+    return table[kept], kept
+
+
+def _overflow(R: float) -> NonFiniteIntegrandError:
+    return NonFiniteIntegrandError(
+        f"the potential overflows float range at R = {R!r}")
+
+
+def _check_columns(columns: np.ndarray, seps: Sequence[Separation],
+                   pairs: list) -> None:
+    """Raise ``_overflow`` at the first separation whose columns (n, P, J)
+    are not finite, unless the provider's blocks there hold a NaN and no
+    infinity: that is the provider's fault, and the quadrature names the
+    abscissa."""
+    for p, sep in enumerate(seps):
+        if np.isfinite(columns[:, p]).all():
+            continue
+        blocks = np.stack(pairs[p])
+        if np.isnan(blocks).any() and not np.isinf(blocks).any():
+            return
+        raise _overflow(sep.R)
+
+
+def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
+                    seps: Sequence[Separation], plan: _Plan, provider,
+                    duality: Optional[float]) -> Callable:
+    """Integrand returning the J columns of ``plan`` at every separation in
+    ``seps`` on shared nodes, (n, P J) for P separations,
+    separation-major.
+
+    Product q is tr[A_a|S_a B(r_a, r_b) A_b|S_b B(r_b, r_a)]; each side's
+    halves are gathered from the response tables once (``_side_table``),
+    and per node batch each molecule's A|S are one product
+    (``response_from_table``).  Columns that are not finite raise
+    ``_check_columns``' overflow.
+    """
+    table_a, kept_a = _side_table(mol_a, plan.side_a, duality)
+    table_b, kept_b = _side_table(mol_b, plan.side_b, duality)
+    lefts, rights = plan.side_a.specs, plan.side_b.specs
+    product_weights, pairs_q = plan.weights, plan.pairs
+    n_sep, n_prod = len(seps), len(pairs_q)
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
@@ -438,9 +526,29 @@ def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
         # formed as (J, P n) so each column is contiguous over the nodes:
         # the rounding of the panel sums depends on that layout
         out = product_weights @ traces.reshape(n_prod, -1)
-        return out.reshape(-1, n_sep, n).T.reshape(n, -1)
+        out = out.reshape(-1, n_sep, n).T.reshape(n, -1)
+        if not np.isfinite(out).all():
+            _check_columns(out.reshape(n, n_sep, -1), seps, pairs)
+        return out
 
     return integrand
+
+
+def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
+                     seps: Sequence[Separation],
+                     terms: Sequence[Tuple[str, str, str]], provider,
+                     duality: Optional[float], weights: np.ndarray) -> Callable:
+    """Integrand returning J weighted sums of the traces of ``terms`` at
+    every separation in ``seps`` on shared nodes.
+
+    Each term ``(tuple, beta_mode_a, beta_mode_b)`` has the trace
+    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}]; the (J, K)
+    matrix ``weights`` maps the K term traces to J columns per separation,
+    so the output is (n, P J) for P separations, separation-major: the
+    ``_plan_integrand`` of their ``_plan``.
+    """
+    return _plan_integrand(mol_a, mol_b, seps, _plan(terms, weights),
+                           provider, duality)
 
 
 def _checked_terms(terms: Iterable) -> list:
@@ -452,17 +560,33 @@ def _checked_terms(terms: Iterable) -> list:
 
 
 def _terms_quadrature(mol_a: Molecule, mol_b: Molecule,
-                      seps: Sequence[Separation], terms: list, provider,
-                      spec: Optional[QuadSpec], duality: Optional[float],
-                      weights: np.ndarray) -> QuadResult:
-    """One pass over the checked ``terms``, weighted by ``weights``, at
-    every separation of ``seps``, on the panel layout of their joint
-    scales (see ``_terms_integrand`` for the column order)."""
+                      seps: Sequence[Separation], plan: _Plan, provider,
+                      spec: Optional[QuadSpec],
+                      duality: Optional[float]) -> QuadResult:
+    """One pass over ``plan`` at every separation of ``seps``, on the panel
+    layout of their joint scales (see ``_plan_integrand`` for the column
+    order).
+
+    Where the potential leaves float range the pass raises
+    ``NonFiniteIntegrandError`` naming the separation, and no floating
+    point warning escapes: an integrand column that overflows names its
+    own, an integrand whose integral overflows the smallest of ``seps``,
+    where the potential is largest."""
     if provider is None:
         provider = free_space_provider()
-    integrand = _terms_integrand(mol_a, mol_b, seps, terms, provider,
-                                 duality, weights)
-    return _halfline(mol_a, mol_b, [s.R for s in seps], integrand, spec)
+    integrand = _plan_integrand(mol_a, mol_b, seps, plan, provider, duality)
+    rs = [s.R for s in seps]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            res = _halfline(mol_a, mol_b, rs, integrand, spec)
+        except NonFiniteIntegrandError as exc:
+            if exc.mapped:
+                raise _overflow(min(rs)) from exc
+            raise
+    if not np.isfinite(res.value).all():
+        finite = np.isfinite(np.reshape(res.value, (len(rs), -1)))
+        raise _overflow(rs[int(np.argmin(finite.all(axis=1)))])
+    return res
 
 
 def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
@@ -479,15 +603,17 @@ def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     converged.
     """
     terms = _checked_terms(terms)
-    return _terms_quadrature(mol_a, mol_b, [sep], terms, provider, spec,
-                             duality, np.eye(len(terms)))
+    return _terms_quadrature(mol_a, mol_b, [sep],
+                             _plan(terms, np.eye(len(terms))), provider,
+                             spec, duality)
 
 
 def _summed(mol_a: Molecule, mol_b: Molecule, seps: Sequence[Separation],
-            terms: Iterable, provider=None, spec: Optional[QuadSpec] = None,
+            plan: _Plan, provider=None, spec: Optional[QuadSpec] = None,
             duality: Optional[float] = None) -> list:
-    """The sum of ``terms`` at each separation; one ``QuadResult`` per
-    separation.
+    """The one column of a sum's ``plan`` (``_sum_plan``, or a constant of
+    ``_LABEL_PLANS`` and ``_ROW_PLANS``) at each separation; one
+    ``QuadResult`` per separation.
 
     The separations are integrated together, one pass per group of
     ``_layout_groups``, and each pass integrates only the sums: one column
@@ -495,14 +621,12 @@ def _summed(mol_a: Molecule, mol_b: Molecule, seps: Sequence[Separation],
     cancels is reported unconverged however well its terms are known.
     ``evals`` counts the shared nodes of the separation's group's pass.
     """
-    terms = _checked_terms(terms)
     if spec is None:
         spec = _default_spec()
     results = [None] * len(seps)
     for group in _layout_groups(mol_a, mol_b, [s.R for s in seps]):
         res = _terms_quadrature(mol_a, mol_b, [seps[i] for i in group],
-                                terms, provider, spec, duality,
-                                np.ones((1, len(terms))))
+                                plan, provider, spec, duality)
         for i, value, err in zip(group, res.value.tolist(),
                                  res.error_estimate.tolist()):
             converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
@@ -522,18 +646,31 @@ def u_unified(mol_a: Molecule, mol_b: Molecule, sep: Separation, tup,
     panels are laid out in ln(xi) across the pair's scales, the
     transition frequencies and 1/R (see ``integrate_halfline``).
     """
-    term = (tup, beta_mode_a, beta_mode_b)
-    return _summed(mol_a, mol_b, [sep], [term], provider, spec, duality)[0]
+    plan = _sum_plan(_checked_terms([(tup, beta_mode_a, beta_mode_b)]))
+    return _summed(mol_a, mol_b, [sep], plan, provider, spec, duality)[0]
 
 
-def _label_terms(label, duality: Optional[float]) -> list:
+def _checked_label(label, duality: Optional[float]) -> ComponentLabel:
     label = ComponentLabel(label)
-    beta_mode_a = _LABEL_BETA_MODE_A.get(label, "full")
     if duality is not None and label in _LABEL_BETA_MODE_A:
         raise ValueError(
             "duality rotation is undefined for para/dia-restricted "
             "components")
+    return label
+
+
+def _label_terms(label, duality: Optional[float]) -> list:
+    label = _checked_label(label, duality)
+    beta_mode_a = _LABEL_BETA_MODE_A.get(label, "full")
     return [(tup, beta_mode_a, "full") for tup in LABEL_TUPLES[label]]
+
+
+# The plans of the named components and the rows depend only on their
+# terms, so they are built here, once; a request pays only for its
+# molecules' response tables (``_side_table``).
+_LABEL_PLANS = {label: _sum_plan(_label_terms(label, None))
+                for label in ComponentLabel}
+_ROW_PLANS = {row: _sum_plan(terms) for row, terms in ROW_SPECS.items()}
 
 
 def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
@@ -545,8 +682,8 @@ def u_named(mol_a: Molecule, mol_b: Molecule, sep: Separation, label,
     result is the sum's (value, error estimate, ``converged``) and
     ``evals`` counts the shared nodes.
     """
-    terms = _label_terms(label, duality)
-    return _summed(mol_a, mol_b, [sep], terms, provider, spec, duality)[0]
+    plan = _LABEL_PLANS[_checked_label(label, duality)]
+    return _summed(mol_a, mol_b, [sep], plan, provider, spec, duality)[0]
 
 
 def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
@@ -560,7 +697,7 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
     row = str(row).upper()
     if row not in ROW_SPECS:
         raise ValueError(f"unknown row {row!r}; expected one of {ROW_NAMES}")
-    return _summed(mol_a, mol_b, [sep], ROW_SPECS[row], provider, spec)[0]
+    return _summed(mol_a, mol_b, [sep], _ROW_PLANS[row], provider, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -732,14 +869,14 @@ def compute_curve(mol_a: Molecule, mol_b: Molecule, orientation,
 
     kind, key = resolve_component(component)
     if kind == "label":
-        terms = _label_terms(key, None)
+        plan = _LABEL_PLANS[ComponentLabel(key)]
     elif kind == "row":
-        terms = ROW_SPECS[key]
+        plan = _ROW_PLANS[key]
     else:
-        terms = [(key, "full", "full")]
+        plan = _sum_plan([(key, "full", "full")])
     origin = np.zeros(3)
     seps = [Separation(R * direction, origin) for R in r_values]
-    results = _summed(mol_a, mol_b, seps, terms, provider, spec)
+    results = _summed(mol_a, mol_b, seps, plan, provider, spec)
     return PotentialCurve(
         component=key, r_values=r_values,
         u_values=np.array([res.value for res in results]),

@@ -150,7 +150,12 @@ class QuadResult:
 
 class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or an infinity; the message names the
-    abscissa."""
+    abscissa.  ``mapped`` is true when the integrand was finite and only
+    its product with a map's Jacobian, or a folded sum, overflowed."""
+
+    def __init__(self, message: str, mapped: bool = False):
+        super().__init__(message)
+        self.mapped = mapped
 
 
 class _VectorisedCall:
@@ -271,7 +276,7 @@ def _adaptive(f: Callable, edges: Sequence[float],
             # is a map's Jacobian or a folded sum overflowing
             bad = float(flat[~np.isfinite(fv).all(axis=1)][0])
             raise NonFiniteIntegrandError(
-                f"mapped integrand overflowed at t={bad!r}")
+                f"mapped integrand overflowed at t={bad!r}", mapped=True)
         evals += flat.size
         new = _panel_sums(fv.reshape(nodes.shape + (-1,)), half)
         sums = new if sums is None else np.concatenate([sums, new], axis=1)

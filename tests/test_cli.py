@@ -102,6 +102,28 @@ def test_curve_non_finite_provider_exits_numerical(pair_files, capsys,
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_curve_beyond_the_squared_range_gives_zero(pair_files, capsys):
+    a, b = pair_files
+    code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "EE",
+                 "--rmin", "1e151", "--rmax", "1e300", "--points", "6",
+                 "--log"])
+    assert code == 0
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert [(float(row[2]), row[4]) for row in rows] == [(0.0, "1")] * 6
+
+
+def test_curve_where_the_potential_overflows_exits_numerical(pair_files,
+                                                             capsys):
+    a, b = pair_files
+    code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "TOTAL",
+                 "--rmin", "1e-160", "--rmax", "1e-100", "--points", "4",
+                 "--log"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "overflows float range at R = 1e-160" in err
+    assert "Traceback" not in err
+
+
 def _unconverged_curves(monkeypatch):
     """Make every curve of the CLI report its points unconverged."""
     from chivdw.potentials import PotentialCurve

@@ -43,6 +43,14 @@ class TestSeparation:
         with pytest.raises(ValueError):
             Separation(r_a=[1.0, 2.0], r_b=[0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("k", [-300, -200, -160, -155, 155, 200, 300])
+    def test_distance_beyond_the_squared_range(self, k):
+        # r . r under- or overflows here; the distance does not
+        R = 10.0 ** k
+        sep = Separation(r_a=[0.0, 0.6 * R, -0.8 * R], r_b=np.zeros(3))
+        assert sep.R == pytest.approx(R, rel=1e-15)
+        np.testing.assert_allclose(sep.r_hat, [0.0, 0.6, -0.8], rtol=1e-15)
+
 
 class TestGreenTensor:
     def test_hand_values_unit_configuration(self):

@@ -1,5 +1,7 @@
 """The numpy hot kernels: response sums, free-space blocks, trace."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,26 @@ class TestPythonBackend:
         np.testing.assert_allclose(
             np.einsum('ijk,j,k->i', kernels.LEVI_CIVITA, v, u), expected,
             rtol=1e-14)
+
+    def test_vector_norm_is_plain_where_the_square_is_normal(self):
+        rng = np.random.default_rng(9)
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            for v in scale * rng.normal(size=(50, 3)):
+                assert kernels.vector_norm(v) == math.sqrt(float(v @ v))
+
+    @pytest.mark.parametrize("k", [-320, -300, -160, 160, 300, 307])
+    def test_vector_norm_scales_beyond_it(self, k):
+        v = 10.0 ** k * np.array([0.0, 0.6, -0.8])
+        assert kernels.vector_norm(v) == pytest.approx(10.0 ** k, rel=1e-15)
+        assert kernels.vector_norm(np.zeros(3)) == 0.0
+
+    def test_free_blocks_stay_finite_where_the_exponential_is_zero(self):
+        # x = xi R up to 1e300: x^2 and xi R itself would overflow
+        xis = np.array([0.0, 1e-3, 1.0, 1e140, 1e299])
+        for R in (1.0, 1e151, 1e300):
+            rvec = np.array([0.0, 0.0, R])
+            S = kernels.free_scaled(rvec, xis)
+            X = kernels.free_cross(rvec, xis)
+            assert np.isfinite(S).all() and np.isfinite(X).all()
+            assert not S[3:].any() and not X[3:].any()
+

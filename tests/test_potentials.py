@@ -1,6 +1,7 @@
 """Tests for the pair-potential assembly."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -29,9 +30,9 @@ from chivdw.potentials import (
     u_terms,
     u_unified,
 )
-from chivdw.quad import QuadSpec
+from chivdw.quad import NonFiniteIntegrandError, QuadSpec
 from chivdw.response import (Molecule, Transition, response_arrays,
-                             rotate_molecule_tensors)
+                             response_table, rotate_molecule_tensors)
 from chivdw.verify import _random_pair
 
 EYE = np.eye(3)
@@ -749,6 +750,186 @@ def test_separations_beyond_the_cube_overflow_give_zero(label):
         sep = Separation(np.array([0.0, 0.0, 10.0 ** k]), np.zeros(3))
         res = u_named(a, b, sep, label)
         assert (res.value, res.converged) == (0.0, True), k
+
+
+def test_separations_beyond_the_square_overflow_give_zero():
+    # from R ~ 1e151 on (xi R)^2 and, from R ~ 1e155 on, r . r overflow a
+    # float; the propagator is exactly 0 there, and so is the value
+    a, b = bundled_pair()
+    for k in range(151, 301):
+        sep = Separation(np.array([0.0, 0.0, 10.0 ** k]), np.zeros(3))
+        res = u_named(a, b, sep, "EE")
+        assert (res.value, res.converged) == (0.0, True), k
+
+
+@pytest.mark.parametrize("label", ["EE", "TOTAL"])
+def test_separations_where_the_potential_overflows_are_named(label):
+    # |U_EE| ~ 1e294 at R = 1e-50 for the bundled pair; far below that the
+    # value leaves float range, and the error says so at the separation
+    # (every floating point warning is an error in this suite)
+    a, b = bundled_pair()
+    for k in range(-160, -99):
+        R = 10.0 ** k
+        sep = Separation(np.array([0.0, 0.0, R]), np.zeros(3))
+        with pytest.raises(NonFiniteIntegrandError) as info:
+            u_named(a, b, sep, label)
+        assert str(info.value) == (
+            f"the potential overflows float range at R = {R!r}"), k
+
+
+@pytest.mark.parametrize("k", [-44.68, -44.8, -52.1])
+def test_each_overflow_of_the_potential_is_named(k):
+    # row DD of the bundled pair is -1.34e308 at R = 10**-44.64; closer,
+    # first its sum over the panels overflows (k = -44.68), then the
+    # integrand times the map's Jacobian (-44.8), then the integrand
+    # itself (-52.1)
+    a, b = bundled_pair()
+    res = u_row(a, b, Separation(np.array([0.0, 0.0, 10.0 ** -44.64]),
+                                 np.zeros(3)), "DD")
+    assert res.converged and -1.8e308 < res.value < -1e308
+    R = 10.0 ** k
+    with pytest.raises(NonFiniteIntegrandError) as info:
+        u_row(a, b, Separation(np.array([0.0, 0.0, R]), np.zeros(3)), "DD")
+    assert str(info.value) == (
+        f"the potential overflows float range at R = {R!r}")
+
+
+def test_curve_names_the_separation_that_overflows():
+    a, b = bundled_pair()
+    with pytest.raises(NonFiniteIntegrandError,
+                       match="overflows float range at R = 1e-120"):
+        compute_curve(a, b, (0.0, 0.0, 1.0), [1.0, 1e-120], "EE")
+
+
+# ---------------------------------------------------------------------------
+# The plans of the named components and the rows, built at import
+# ---------------------------------------------------------------------------
+
+def _same(x, y) -> bool:
+    """Equality of plans: tuples (named ones included) entry by entry,
+    arrays by dtype and entries, anything else by ``==``."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return (type(x) is type(y) and x.dtype == y.dtype
+                and np.array_equal(x, y))
+    if isinstance(x, tuple):
+        return (type(x) is type(y) and len(x) == len(y)
+                and all(map(_same, x, y)))
+    return x == y
+
+
+def _zero_and_assign_side(mol, halves, duality):
+    """A side's table and kept rows as built per request before the plans:
+    per half (mode, S, R_out) a zeroed (2T+1, |R|, 3, |C|, 3) column group
+    with the blocks of S assigned one by one from ``response_table``,
+    concatenated and trimmed to the span of its non-zero rows."""
+    tables = {mode: response_table(mol, mode, duality).reshape(-1, 2, 3, 2, 3)
+              for mode in {mode for mode, _, _ in halves}}
+    slot = {"e": 0, "m": 1}
+    columns = []
+    for mode, blocks, _ in halves:
+        index = [(slot[row], slot[col]) for row, col in blocks]
+        rows = sorted({i for i, _ in index})
+        cols = sorted({j for _, j in index})
+        part = np.zeros((len(tables[mode]), len(rows), 3, len(cols), 3))
+        for i, j in index:
+            part[:, i - rows[0], :, j - cols[0]] = tables[mode][:, i, :, j]
+        columns.append(part.reshape(len(part), -1))
+    table = np.concatenate(columns, axis=1)
+    used = np.flatnonzero(table.any(axis=1))
+    kept = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
+    return table[kept], kept
+
+
+# every non-empty block set S of the 6x6 response
+_BLOCK_SETS = [subset for size in range(1, 5)
+               for subset in itertools.combinations(("ee", "em", "me", "mm"),
+                                                    size)]
+
+
+def _side_cases():
+    """(id, halves): per beta mode every block set, against both rows of
+    the other side; and one side mixing the three modes."""
+    cases = [(mode, [(mode, blocks, rows_out) for blocks in _BLOCK_SETS
+                     for rows_out in ((0,), (1,), (0, 1))])
+             for mode in ("full", "para", "dia")]
+    cases.append(("mixed", [(mode, blocks, (0, 1))
+                            for mode, blocks in zip(
+                                itertools.cycle(("dia", "full", "para")),
+                                _BLOCK_SETS)]))
+    return cases
+
+
+def _transitions_molecule(count):
+    rng = np.random.default_rng(count)
+    m = rng.normal(size=(3, 3))
+    return Molecule.from_arrays(f"t{count}", rng.uniform(0.5, 2.5, count),
+                                rng.normal(size=(count, 3)),
+                                rng.normal(size=(count, 3)), -0.03 * (m @ m.T))
+
+
+class TestPlanConstants:
+    @pytest.mark.parametrize("label", list(ComponentLabel))
+    def test_label_plan_is_its_terms_plan(self, label):
+        mode_a = {"PC": "para", "DC": "dia"}.get(label.value, "full")
+        terms = [(tup, mode_a, "full") for tup in LABEL_TUPLES[label]]
+        plan = potentials._LABEL_PLANS[label]
+        assert _same(plan, potentials._plan(terms, np.ones((1, len(terms)))))
+        assert len(plan.pairs) == 1 and plan.weights.shape == (1, 1)
+
+    @pytest.mark.parametrize("row", ROW_NAMES)
+    def test_row_plan_is_its_terms_plan(self, row):
+        terms = ROW_SPECS[row]
+        plan = potentials._ROW_PLANS[row]
+        assert _same(plan, potentials._plan(terms, np.ones((1, len(terms)))))
+        assert 1 <= len(plan.pairs) <= 2
+        assert plan.weights.shape == (1, len(plan.pairs))
+
+    def test_every_label_and_row_has_a_plan(self):
+        assert set(potentials._LABEL_PLANS) == set(ComponentLabel)
+        assert tuple(potentials._ROW_PLANS) == ROW_NAMES
+
+    @pytest.mark.parametrize("count", [0, 1, 64])
+    @pytest.mark.parametrize("duality", [None, math.pi / 5])
+    @pytest.mark.parametrize("name,halves", _side_cases(),
+                             ids=[c[0] for c in _side_cases()])
+    def test_gathered_side_equals_zero_and_assign(self, name, halves,
+                                                  duality, count):
+        mol = _transitions_molecule(count)
+        table, kept = potentials._side_table(
+            mol, potentials._side_plan(halves), duality)
+        want, want_kept = _zero_and_assign_side(mol, halves, duality)
+        assert kept == want_kept
+        assert table.shape == want.shape
+        # entry for entry, signed zeros included
+        assert table.tobytes() == want.tobytes()
+
+    def test_empty_side_table_keeps_no_rows(self):
+        mol = _transitions_molecule(0)
+        side = potentials._side_plan([("para", ("mm",), (0, 1))])
+        table, kept = potentials._side_table(mol, side, None)
+        assert kept == slice(0, 0) and table.shape == (0, 9)
+
+    def test_requests_build_no_plan(self, monkeypatch):
+        def no_plan(terms, weights):
+            raise AssertionError("a plan was built at request time")
+
+        a, b = bundled_pair()
+        sep = Separation(np.array([0.3, -0.4, 2.0]), np.zeros(3))
+        monkeypatch.setattr(potentials, "_products", no_plan)
+        for label in ComponentLabel:
+            assert u_named(a, b, sep, label).converged
+        assert u_named(a, b, sep, "TOTAL", duality=math.pi / 5).converged
+        for row in ROW_NAMES:
+            assert u_row(a, b, sep, row).converged
+        for component in ("TOTAL", "PC", "ED"):
+            curve = compute_curve(a, b, (0.3, -0.4, 2.0), [1.0, 2.0, 4.0],
+                                  component)
+            assert curve.converged.all()
+        # a list of terms the caller supplies is planned when it is called
+        with pytest.raises(AssertionError, match="request time"):
+            u_unified(a, b, sep, "eeem")
+        with pytest.raises(AssertionError, match="request time"):
+            compute_curve(a, b, (0.0, 0.0, 1.0), [2.0], "eeem")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """The potentials on a fixed sweep, dumped to JSON and compared between
 two versions of chivdw.
 
-The sweep is 4 pairs x 29 requests x 21 separations = 2,436 values:
+The sweep is 4 pairs x 45 requests x 21 separations = 3,780 values:
 
 - the pairs: the bundled pair; two generic 2-transition molecules; a
   seeded 16- and 64-transition pair; a pair with omega 1e-4, 1 and 1e-2,
   1e4;
 - the requests: ``u_named`` for the 12 components, ``u_row`` for the 10
-  rows, and TOTAL and EC at ``duality=pi/5`` (2,016 values on the product
-  route); the five direct single-trace forms ``u_ec_direct``,
-  ``u_mc_direct``, ``u_pc_direct``, ``u_dc_direct`` and ``u_cc_direct``
-  (420 values);
+  rows, TOTAL and EC at ``duality=pi/5`` and ``u_unified`` for the 16 raw
+  tuples (3,360 values on the product route); the five direct
+  single-trace forms ``u_ec_direct``, ``u_mc_direct``, ``u_pc_direct``,
+  ``u_dc_direct`` and ``u_cc_direct`` (420 values);
 - the separations: R = 1e-3 ... 1e3, 21 values, along (1, -2, 2)/3.
 
 ``chivdw`` is imported from ``PYTHONPATH``, so one script dumps any
@@ -20,10 +20,11 @@ checkout.  To check a change against its parent:
     PYTHONPATH=src python tests/value_sweep.py dump change.json
     python tests/value_sweep.py compare parent.json change.json
 
-``compare`` prints the worst and median relative deviation, the changed
-``converged`` flags and the eval totals.  It exits 1 when a value is off
-by more than 1e-12 relative and by more than the two error estimates
-together, or when a ``converged`` flag changed.
+``compare`` prints the worst and median relative deviation, how many
+values, error estimates and ``evals`` differ at all (bit for bit), the
+changed ``converged`` flags and the eval totals.  It exits 1 when a
+value is off by more than 1e-12 relative and by more than the two error
+estimates together, or when a ``converged`` flag changed.
 """
 
 from __future__ import annotations
@@ -76,9 +77,12 @@ def pairs() -> dict:
 
 
 def requests() -> list:
-    """(name, function of (a, b, sep)) for the 29 requests."""
+    """(name, function of (a, b, sep)) for the 45 requests."""
+    import itertools
+
     from chivdw import potentials
-    from chivdw.potentials import ROW_NAMES, ComponentLabel, u_named, u_row
+    from chivdw.potentials import (ROW_NAMES, ComponentLabel, u_named, u_row,
+                                   u_unified)
 
     out = [(label.value, lambda a, b, s, l=label: u_named(a, b, s, l))
            for label in ComponentLabel]
@@ -87,6 +91,8 @@ def requests() -> list:
     out += [(f"{label} duality", lambda a, b, s, l=label:
              u_named(a, b, s, l, duality=DUALITY))
             for label in ("TOTAL", "EC")]
+    out += [(tup, lambda a, b, s, t=tup: u_unified(a, b, s, t))
+            for tup in ("".join(t) for t in itertools.product("em", repeat=4))]
     out += [(f"{form} direct", getattr(potentials, f"u_{form.lower()}_direct"))
             for form in ("EC", "MC", "PC", "DC", "CC")]
     return out
@@ -135,11 +141,13 @@ def compare(parent_path: str, change_path: str) -> int:
     print(f"{len(rels)} values: worst relative deviation {rels[worst]:.2e} "
           f"({list(parent)[worst]}), median {float(np.median(rels)):.2e}, "
           f"{sum(r > REL for r in rels)} above {REL:g}")
+    differ = {field: sum(parent[k][field] != change[k][field] for k in parent)
+              for field in ("value", "error", "evals")}
+    print(f"bit for bit: {differ['value']} values, {differ['error']} error "
+          f"estimates and {differ['evals']} evals differ")
     print(f"{len(bad)} off by more than {REL:g} relative and the combined "
           f"error estimates; {len(flips)} converged flags changed")
-    print(f"evals: {evals[0]:,} parent, {evals[1]:,} change; "
-          f"{sum(parent[k]['evals'] != change[k]['evals'] for k in parent)} "
-          f"values with other evals")
+    print(f"evals: {evals[0]:,} parent, {evals[1]:,} change")
     for key in (bad + flips)[:10]:
         print("  ", key, parent[key], change[key])
     return 1 if bad or flips else 0
