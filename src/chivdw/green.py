@@ -51,8 +51,6 @@ __all__ = [
     "free_space_provider",
 ]
 
-_FOUR_PI = 4.0 * math.pi
-
 
 @dataclass(frozen=True)
 class Separation:
@@ -133,26 +131,18 @@ def g0_scaled(sep: Separation, xi) -> np.ndarray:
     return _maybe_squeeze(scaled, scalar)
 
 
-def _curl_prefactor(dist: float, xis: np.ndarray) -> np.ndarray:
-    x = xis * dist
-    return np.exp(-x) * (1.0 + x) / (_FOUR_PI * dist**3)
-
-
 def g0_curl_left(r: np.ndarray, rp: np.ndarray, xi) -> np.ndarray:
     """Curl of the Green tensor in its first argument, at (r, r').
 
     Equals ``pref * cross(r' - r)`` with
     pref = exp(-k s)(1 + k s) / (4 pi s^3), s = |r - r'|.
     """
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
     xis, scalar = _prepare_xi(xi, allow_zero=True)
-    diff = rp - r
-    s = float(np.linalg.norm(diff))
-    if s <= 0.0:
+    diff = np.asarray(rp, dtype=float) - np.asarray(r, dtype=float)
+    if not kernels.vector_norm(diff) > 0.0:
         raise ValueError("points must be distinct")
-    pref = _curl_prefactor(s, xis)
-    out = pref[:, None, None] * kernels.cross_matrix(diff)[None, :, :]
+    _, x, expf = kernels.free_prefactor(diff, xis)
+    out = np.multiply.outer(expf * (1.0 + x), kernels.cross_matrix(diff))
     return _maybe_squeeze(out, scalar)
 
 

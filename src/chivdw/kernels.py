@@ -1,12 +1,12 @@
 """The numerical hot kernels, in plain numpy.
 
-The frequency weights of the transition sums and the molecular response
-tensors built from them on a batch of imaginary frequencies, the
-free-space propagator blocks on the same batch, and the batched trace of
-four 3x3 factors that the direct single-trace forms integrate (one
-contraction of two half products).  The module also holds the Levi-Civita
-symbol and the cross-product matrix shared by the propagator and the
-asymptotic forms.
+The frequency weights of the transition sums on a batch of imaginary
+frequencies (the molecular response tensors are their product with a
+molecule's response table), the free-space propagator blocks on the same
+batch, and the batched trace of four 3x3 factors that the direct
+single-trace forms integrate (one contraction of two half products).  The
+module also holds the Levi-Civita symbol and the cross-product matrix
+shared by the propagator and the asymptotic forms.
 
 All arrays are float64.  Shapes: frequency batches are (n,), tensor batches
 are (n, 3, 3).
@@ -55,27 +55,6 @@ def frequency_weights(omegas: np.ndarray, xis: np.ndarray) -> np.ndarray:
     np.divide(2.0 * omegas, denom, out=out[:, :count])
     np.divide(2.0 * xis, denom, out=out[:, count:-1])
     return out
-
-
-def response_tensors(omegas: np.ndarray, products: np.ndarray,
-                     xis: np.ndarray):
-    """Batched dynamic response tensors from transition data.
-
-    Parameters: omegas (T,), the transitions' outer products (T, 27) of
-    ``transition_products``, frequencies xis (n,).
-
-    Returns (alpha, beta_para, chi_em), each (n, 3, 3):
-        alpha     = sum_t 2 w_t d_t d_t^T / (w_t^2 + xi^2)
-        beta_para = sum_t 2 w_t m_t m_t^T / (w_t^2 + xi^2)
-        chi_em    = sum_t 2 xi d_t m_t^T / (w_t^2 + xi^2)
-    as two products of ``frequency_weights``, (n, T) @ (T, 18) and
-    (n, T) @ (T, 9).
-    """
-    weights, count = frequency_weights(omegas, xis), omegas.shape[0]
-    even = weights[:, :count] @ products[:, :18]          # (n, 18)
-    chi_em = weights[:, count:-1] @ products[:, 18:]      # (n, 9)
-    return (even[:, :9].reshape(-1, 3, 3), even[:, 9:].reshape(-1, 3, 3),
-            chi_em.reshape(-1, 3, 3))
 
 
 # e^{-x} is exactly 0 from x ~ 745.2 on

@@ -255,18 +255,39 @@ def _default_spec() -> QuadSpec:
     return QuadSpec(rel_tol=val)
 
 
-def _halfline(mol_a: Molecule, mol_b: Molecule, rs: Iterable[float],
+def _overflow(R: float) -> NonFiniteIntegrandError:
+    return NonFiniteIntegrandError(
+        f"the potential overflows float range at R = {R!r}")
+
+
+def _halfline(mol_a: Molecule, mol_b: Molecule, rs: Sequence[float],
               integrand: Callable, spec: Optional[QuadSpec]) -> QuadResult:
     """``integrand`` over [0, inf) on the panel layout of the pair's scales,
     the transition frequencies (resonances) and 1/R (the propagator cutoff)
     at each separation R of ``rs``; ``spec`` defaults to
     ``_default_spec()``.  Every half-line route of this module integrates
-    through here."""
+    through here.
+
+    Where the potential leaves float range the pass raises
+    ``NonFiniteIntegrandError`` naming the separation, and no floating
+    point warning escapes: an integrand column that overflows names its
+    own (``_check_columns``), an integrand whose integral overflows the
+    smallest of ``rs``, where the potential is largest."""
     if spec is None:
         spec = _default_spec()
     scales = [*mol_a.omegas.tolist(), *mol_b.omegas.tolist(),
               *(1.0 / R for R in rs)]
-    return integrate_halfline(integrand, spec, breakpoints=scales)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            res = integrate_halfline(integrand, spec, breakpoints=scales)
+        except NonFiniteIntegrandError as exc:
+            if exc.mapped:
+                raise _overflow(min(rs)) from exc
+            raise
+    if not np.isfinite(res.value).all():
+        finite = np.isfinite(np.reshape(res.value, (len(rs), -1)))
+        raise _overflow(rs[int(np.argmin(finite.all(axis=1)))])
+    return res
 
 
 def _layout_groups(mol_a: Molecule, mol_b: Molecule,
@@ -465,11 +486,6 @@ def _side_table(mol: Molecule, side: _Side,
     return table[kept], kept
 
 
-def _overflow(R: float) -> NonFiniteIntegrandError:
-    return NonFiniteIntegrandError(
-        f"the potential overflows float range at R = {R!r}")
-
-
 def _check_columns(columns: np.ndarray, seps: Sequence[Separation],
                    pairs: list) -> None:
     """Raise ``_overflow`` at the first separation whose columns (n, P, J)
@@ -565,28 +581,11 @@ def _terms_quadrature(mol_a: Molecule, mol_b: Molecule,
                       duality: Optional[float]) -> QuadResult:
     """One pass over ``plan`` at every separation of ``seps``, on the panel
     layout of their joint scales (see ``_plan_integrand`` for the column
-    order).
-
-    Where the potential leaves float range the pass raises
-    ``NonFiniteIntegrandError`` naming the separation, and no floating
-    point warning escapes: an integrand column that overflows names its
-    own, an integrand whose integral overflows the smallest of ``seps``,
-    where the potential is largest."""
+    order)."""
     if provider is None:
         provider = free_space_provider()
     integrand = _plan_integrand(mol_a, mol_b, seps, plan, provider, duality)
-    rs = [s.R for s in seps]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            res = _halfline(mol_a, mol_b, rs, integrand, spec)
-        except NonFiniteIntegrandError as exc:
-            if exc.mapped:
-                raise _overflow(min(rs)) from exc
-            raise
-    if not np.isfinite(res.value).all():
-        finite = np.isfinite(np.reshape(res.value, (len(rs), -1)))
-        raise _overflow(rs[int(np.argmin(finite.all(axis=1)))])
-    return res
+    return _halfline(mol_a, mol_b, [s.R for s in seps], integrand, spec)
 
 
 def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
@@ -733,13 +732,15 @@ def _direct(form: str, mol_a: Molecule, mol_b: Molecule, sep: Separation,
         resp_a = response_arrays(mol_a, xis, beta_mode_a)
         resp_b = response_arrays(mol_b, xis)
         ab, ba = _provider_blocks(provider, sep.r_a, sep.r_b, xis)
-        total = sum(kernels.trace4(
+        total = (sign / _PI) * sum(kernels.trace4(
             resp_a[_RESPONSE_INDEX[a]],
             ab[:, _BLOCK_INDEX[b[0]], _BLOCK_INDEX[b[1]]],
             resp_b[_RESPONSE_INDEX[c]],
             ba[:, _BLOCK_INDEX[d[0]], _BLOCK_INDEX[d[1]]])
             for a, b, c, d in traces)
-        return (sign / _PI) * total
+        if not np.isfinite(total).all():
+            _check_columns(total.reshape(-1, 1, 1), [sep], [(ab, ba)])
+        return total
 
     return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
 
@@ -774,13 +775,11 @@ def u_cc_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
 def _isotropic_rotatory(mol: Molecule, ks: np.ndarray) -> np.ndarray:
     """Isotropically averaged cross-response scalar chi(i k).
 
-    For each transition the average of d m~^T over orientations is
-    (d . m~)/3 times the identity; the scalar response is then
-    chi(ik) = (2k/3) sum_t (d_t . m~_t) / (omega_t^2 + k^2).
+    The average of chi_em over orientations is tr(chi_em)/3 times the
+    identity, so chi(ik) = (2k/3) sum_t (d_t . m~_t) / (omega_t^2 + k^2).
     """
-    dots = np.einsum("ti,ti->t", mol.dipoles, mol.magnetic_dipoles)
-    return (2.0 * ks / 3.0) * ((1.0 / (mol.omegas**2 + ks[:, None]**2))
-                               @ dots)
+    chi_em = response_arrays(mol, ks)[2]
+    return np.trace(chi_em, axis1=1, axis2=2) / 3.0
 
 
 def u_cc_isotropic(mol_a: Molecule, mol_b: Molecule, R: float,
@@ -790,20 +789,25 @@ def u_cc_isotropic(mol_a: Molecule, mol_b: Molecule, R: float,
     Uses the reduced scalar kernel
     U = (1 / 8 pi^3 R^6) Int dk e^{-2 k R} chi_a chi_b (3 + 6 k R + 4 k^2 R^2)
     with the isotropic rotatory scalars chi(ik); depends only on the
-    distance R.
+    distance R.  e^{-kR}/(4 pi R^3) is the free-space ``free_prefactor``
+    p, so the kernel is (2/pi) p^2 chi_a chi_b (3 + 6 k R + 4 k^2 R^2): 0
+    where p underflows, a named overflow where the potential leaves float
+    range.
     """
     R = float(R)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError("R must be positive and finite")
-    pref = 1.0 / (8.0 * _PI**3 * R**6)
+    rvec = np.array([0.0, 0.0, R])
 
     def integrand(ks):
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        chi_a = _isotropic_rotatory(mol_a, ks)
-        chi_b = _isotropic_rotatory(mol_b, ks)
-        kr = ks * R
-        return pref * np.exp(-2.0 * kr) * chi_a * chi_b * (
-            3.0 + 6.0 * kr + 4.0 * kr**2)
+        _, kr, pref = kernels.free_prefactor(rvec, ks)
+        out = ((2.0 / _PI) * (pref * _isotropic_rotatory(mol_a, ks))
+               * (pref * _isotropic_rotatory(mol_b, ks))
+               * (3.0 + 6.0 * kr + 4.0 * kr * kr))
+        if not np.isfinite(out).all():
+            raise _overflow(R)
+        return out
 
     return _halfline(mol_a, mol_b, [R], integrand, spec)
 

@@ -100,6 +100,10 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 # its edges: some 500 floats or more, so that the outer nodes of its
 # halves, 0.0085 of a half-width inside their edges, stay clear of them.
 _MIN_WIDTH = 1024.0 * _EPS
+# The ratio xi_hi/xi_lo of a half-line layout whose scales' ratio
+# overflows a float; e times it is still a float, so e^(t - 1) is finite
+# for every t of the map.
+_MAX_SPAN = 2.0 ** 1020
 
 
 @dataclass(frozen=True)
@@ -346,7 +350,9 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
     ``breakpoints`` are the scales of the integrand in the original
     variable (e.g. resonance frequencies and an inverse distance); the
     positive finite ones (1 when there are none) fix one panel layout
-    from xi_lo = min(scales)/100 to xi_hi = 40 max(scales).  One variable
+    from xi_lo = min(scales)/100 to xi_hi = 40 max(scales); where
+    xi_hi/xi_lo is not a float, xi_lo is raised to xi_hi/2^1020 and the
+    scales below it share the head panel.  One variable
     t runs over [0, 2 + L], L = ln(xi_hi/xi_lo), in three pieces:
 
     * head  t in [0, 1]: xi = xi_lo t, one panel;
@@ -369,6 +375,9 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
         scales = [1.0]
     xi_lo = min(scales) / 100.0
     xi_hi = 40.0 * max(scales)
+    if xi_lo == 0.0 or xi_hi / xi_lo == math.inf:
+        # scales some 308 decades apart: the lowest share the head panel
+        xi_lo = xi_hi / _MAX_SPAN
     body = math.log(xi_hi / xi_lo)
     n_body = math.ceil(2.0 * math.log10(xi_hi / xi_lo))
     tail_start, end = 1.0 + body, 2.0 + body

@@ -12,13 +12,13 @@ frequency axis, and the cross responses obey chi_me = -(chi_em)^T.
 Every dynamic tensor is a transition sum of a frequency weight times an
 outer product (d d^T, m m^T or d m^T) that does not depend on frequency, so
 a ``Molecule`` holds validated transition arrays and builds the (T, 27)
-table of those products once.  On n frequencies (one xi is ``[xi]``),
-``response_arrays`` sums them in two matrix products, (n, T) @ (T, 18)
-for alpha and the paramagnetic beta and (n, T) @ (T, 9) for chi_em, and
-``rotate_molecule_tensors`` rotates them by an electric-magnetic duality
-angle; the potentials lay them out once in the 6x6 form
-A = [[alpha, chi_em], [chi_me, beta]] (``response_table``) and form A on
-n frequencies as one product (``response_from_table``).
+table of those products once.  ``response_table`` is the one place that
+lays them out in the 6x6 form A = [[alpha, chi_em], [chi_me, beta]], with
+the beta modes and any electric-magnetic duality rotation: a (2T+1, 6, 6)
+table whose product with ``kernels.frequency_weights`` is A on n
+frequencies.  ``response_arrays`` and ``rotate_molecule_tensors`` return
+the four 3x3 blocks of that product (one xi is ``[xi]``), and the
+potentials take columns of the table (``response_from_table``).
 
 Internally everything is in natural units (hbar = c = eps0 = mu0 = 1); the
 file-ingestion layer converts SI or atomic-unit input on load.
@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _BETA_MODES = ("full", "para", "dia")
+
+# the (row, column) block indices of alpha, beta, chi_em and chi_me in A
+_ROWS, _COLS = [0, 1, 0, 1], [0, 1, 1, 0]
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
@@ -185,20 +188,20 @@ def response_arrays(mol: Molecule, xis: np.ndarray, beta_mode: str = "full"):
 
     Returns (alpha, beta, chi_em, chi_me), each of shape (n, 3, 3), with
     ``beta`` the paramagnetic part plus ``beta_dia`` (``"full"``), the
-    first alone (``"para"``) or the second alone (``"dia"``).  The
-    transition sums are two matrix products over the molecule's cached
-    outer products (``kernels.response_tensors``).
+    first alone (``"para"``) or the second alone (``"dia"``): the blocks
+    of A on the frequencies, one product of the molecule's
+    ``response_table`` with its frequency weights.
     """
-    if beta_mode not in _BETA_MODES:
-        raise ValueError(f"unknown beta_mode {beta_mode!r}")
+    return _table_blocks(mol, xis, beta_mode, None)
+
+
+def _table_blocks(mol: Molecule, xis, beta_mode: str, duality):
+    """(alpha, beta, chi_em, chi_me) at xis (n,): the blocks of the one
+    product of the frequency weights with ``response_table``."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    alpha, beta, chi_em = kernels.response_tensors(
-        mol.omegas, mol.products, xis)
-    if beta_mode == "full":
-        beta = beta + mol.beta_dia
-    elif beta_mode == "dia":
-        beta = np.broadcast_to(mol.beta_dia, beta.shape)
-    return alpha, beta, chi_em, -np.transpose(chi_em, (0, 2, 1))
+    table = response_table(mol, beta_mode, duality).reshape(-1, 36)
+    blocks = response_from_table(mol, table, slice(None), xis)
+    return tuple(blocks.reshape(-1, 2, 3, 2, 3)[:, _ROWS, :, _COLS])
 
 
 def response_table(mol: Molecule, beta_mode: str = "full",
@@ -223,8 +226,8 @@ def response_table(mol: Molecule, beta_mode: str = "full",
     if beta_mode != "para":
         table[-1, 1, :, 1] = mol.beta_dia
     if duality is not None:
-        i, j = [0, 1, 0, 1], [0, 1, 1, 0]      # alpha, beta, chi_em, chi_me
-        table[:, i, :, j] = _rotate_blocks(duality, *table[:, i, :, j])
+        table[:, _ROWS, :, _COLS] = _rotate_blocks(
+            duality, *table[:, _ROWS, :, _COLS])
     return table.reshape(-1, 6, 6)
 
 
@@ -245,13 +248,15 @@ def static_limits(mol: Molecule):
     squared frequency in that denominator follows from the small-frequency
     expansion of the dynamic cross response; a commonly printed single-power
     variant is inconsistent with that expansion and is not used here.
+    All three are one product of ``response_table`` with the weights
+    [2/w_t | 2/w_t^2 | 1], the zero-frequency limits of
+    ``kernels.frequency_weights`` and of the cross weights' slope.
     """
     inv = 1.0 / mol.omegas
-    even = (2.0 * inv) @ mol.products[:, :18]
-    alpha0 = even[:9].reshape(3, 3)
-    beta0 = mol.beta_dia + even[9:].reshape(3, 3)
-    chi_prime = ((2.0 * inv * inv) @ mol.products[:, 18:]).reshape(3, 3)
-    return alpha0, beta0, chi_prime
+    weights = np.concatenate([2.0 * inv, 2.0 * inv * inv, [1.0]])
+    static = weights @ response_table(mol).reshape(-1, 36)
+    static = static.reshape(2, 3, 2, 3)
+    return static[0, :, 0], static[1, :, 1], static[0, :, 1]
 
 
 def _cos_sin(theta: float):
@@ -294,4 +299,4 @@ def rotate_molecule_tensors(mol: Molecule, theta, xis: np.ndarray,
     transition-built responses obey; they are still valid inputs to every
     potential formula.
     """
-    return _rotate_blocks(theta, *response_arrays(mol, xis, beta_mode))
+    return _table_blocks(mol, xis, beta_mode, theta)

@@ -112,6 +112,17 @@ def test_curve_beyond_the_squared_range_gives_zero(pair_files, capsys):
     assert [(float(row[2]), row[4]) for row in rows] == [(0.0, "1")] * 6
 
 
+def test_curve_beyond_the_layout_range_gives_zero(pair_files, capsys):
+    # from R ~ 3.5e304 on the frequency layout's own span is not a float
+    a, b = pair_files
+    code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "EE",
+                 "--rmin", "1e306", "--rmax", "1e308", "--points", "3",
+                 "--log"])
+    assert code == 0
+    _, rows = _parse_csv(capsys.readouterr().out)
+    assert [(float(row[2]), row[4]) for row in rows] == [(0.0, "1")] * 3
+
+
 def test_curve_where_the_potential_overflows_exits_numerical(pair_files,
                                                              capsys):
     a, b = pair_files

@@ -108,6 +108,12 @@ class TestCurls:
         C0 = g0_curl_left(r, rp, 0.0)
         assert C0[0, 1] == pytest.approx(CURL_PREF_K0, rel=1e-15)
 
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    def test_curl_beyond_the_cube_overflow_is_zero(self, xi):
+        # s**3 overflows a float from s ~ 5.6e102 on; the curl is 0 there
+        C = g0_curl_left(np.array([0.0, 0.0, 1e103]), np.zeros(3), xi)
+        assert C.shape == (3, 3) and not C.any()
+
     def test_curl_is_antisymmetric(self):
         r, rp = np.array([0.2, -0.4, 1.1]), np.array([-0.3, 0.8, 0.1])
         C = g0_curl_left(r, rp, 0.9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chivdw import kernels
+from chivdw.response import Molecule, response_arrays
 
 
 def random_inputs(seed=0, n_trans=4, n_xi=7):
@@ -24,17 +25,17 @@ def random_inputs(seed=0, n_trans=4, n_xi=7):
 class TestPythonBackend:
     def test_response_shapes(self):
         omegas, ds, mts, xis, _ = random_inputs()
-        alpha, beta_para, chi_em = kernels.response_tensors(
-            omegas, kernels.transition_products(ds, mts), xis)
-        assert alpha.shape == beta_para.shape == chi_em.shape == (7, 3, 3)
+        tensors = response_arrays(Molecule.from_arrays("m", omegas, ds, mts),
+                                  xis)
+        assert [t.shape for t in tensors] == [(7, 3, 3)] * 4
 
     def test_response_closed_form_single(self):
         omegas = np.array([2.0])
         ds = np.array([[1.0, 0.0, 0.0]])
         mts = np.array([[0.0, 1.0, 0.0]])
         xis = np.array([3.0])
-        alpha, beta_para, chi_em = kernels.response_tensors(
-            omegas, kernels.transition_products(ds, mts), xis)
+        alpha, beta_para, chi_em, _ = response_arrays(
+            Molecule.from_arrays("m", omegas, ds, mts), xis, "para")
         denom = 4.0 + 9.0
         assert alpha[0, 0, 0] == pytest.approx(2 * 2.0 / denom, rel=1e-15)
         assert beta_para[0, 1, 1] == pytest.approx(2 * 2.0 / denom, rel=1e-15)

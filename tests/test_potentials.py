@@ -753,10 +753,11 @@ def test_separations_beyond_the_cube_overflow_give_zero(label):
 
 
 def test_separations_beyond_the_square_overflow_give_zero():
-    # from R ~ 1e151 on (xi R)^2 and, from R ~ 1e155 on, r . r overflow a
-    # float; the propagator is exactly 0 there, and so is the value
+    # from R ~ 1e151 on (xi R)^2, from R ~ 1e155 on r . r and from
+    # R ~ 3.5e304 on the layout's xi_hi/xi_lo = 4000 max(omega) R overflow
+    # a float; the propagator is exactly 0 there, and so is the value
     a, b = bundled_pair()
-    for k in range(151, 301):
+    for k in range(151, 309):
         sep = Separation(np.array([0.0, 0.0, 10.0 ** k]), np.zeros(3))
         res = u_named(a, b, sep, "EE")
         assert (res.value, res.converged) == (0.0, True), k
@@ -799,6 +800,68 @@ def test_curve_names_the_separation_that_overflows():
     with pytest.raises(NonFiniteIntegrandError,
                        match="overflows float range at R = 1e-120"):
         compute_curve(a, b, (0.0, 0.0, 1.0), [1.0, 1e-120], "EE")
+
+
+@pytest.mark.parametrize("k", range(301, 309))
+def test_direct_form_beyond_the_layout_range_gives_zero(k):
+    a, b = bundled_pair()
+    res = u_cc_direct(a, b, Separation(np.array([0.0, 0.0, 10.0 ** k]),
+                                       np.zeros(3)))
+    assert (res.value, res.converged) == (0.0, True)
+
+
+@pytest.mark.parametrize("direct", [u_ec_direct, u_mc_direct, u_pc_direct,
+                                    u_dc_direct, u_cc_direct])
+def test_direct_forms_name_the_overflow(direct):
+    # as the product route does, without a floating point warning
+    a, b = bundled_pair()
+    R = 1e-100
+    with pytest.raises(NonFiniteIntegrandError) as info:
+        direct(a, b, Separation(np.array([0.0, 0.0, R]), np.zeros(3)))
+    assert str(info.value) == (
+        f"the potential overflows float range at R = {R!r}")
+
+
+@pytest.mark.parametrize("integral", [
+    lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
+    lambda a, b, s, p: u_ec_direct(a, b, s, provider=p),
+])
+def test_a_providers_nan_names_the_abscissa(pair, sep, integral):
+    base = FreeSpaceProvider()
+
+    class NaNAboveTwo:
+        def blocks(self, r_a, r_b, xis):
+            ab, ba = base.blocks(r_a, r_b, xis)
+            ab[xis > 2.0] = np.nan
+            return ab, ba
+
+    with pytest.raises(NonFiniteIntegrandError) as info:
+        integral(*pair, sep, NaNAboveTwo())
+    message = str(info.value)
+    assert message.startswith("integrand returned a non-finite value at x=")
+    assert float(message.rsplit("=", 1)[1]) > 2.0
+
+
+def test_isotropic_cc_over_the_whole_range():
+    # R^6 U is the near-zone constant where U is a float; closer, the
+    # overflow is named, and far out the value underflows to 0
+    a, b = bundled_pair()
+    values = {}
+    for k in range(-120, 301):
+        R = 10.0 ** k
+        try:
+            res = u_cc_isotropic(a, b, R)
+        except NonFiniteIntegrandError as exc:
+            assert str(exc) == (
+                f"the potential overflows float range at R = {R!r}"), k
+            assert not values, k
+            continue
+        assert res.converged and math.isfinite(res.value), k
+        values[k] = res.value
+    assert min(values) > -60 and values[40] == 0.0
+    assert all(values[k] == 0.0 for k in values if k >= 40)
+    near = [values[k] * (10.0 ** k) ** 6 for k in (-50, -40, -30, -20)]
+    assert near == pytest.approx([near[0]] * 4, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,15 @@ class TestHalfline:
         with pytest.raises(ValueError, match=r"shape \(\)"):
             integrate_halfline(lambda x: 1.0, SPEC)
 
+    @pytest.mark.parametrize("low", [1e-305, 1e-308, 5e-324])
+    def test_scales_whose_ratio_overflows_share_the_head_panel(self, low):
+        # 40 * 1e3 / (low / 100) is not a float: the layout starts at
+        # 2**-1020 of its top, and the scales below that lie in the head
+        res = integrate_halfline(lambda x: np.exp(-2.0 * x), SPEC,
+                                 breakpoints=[low, 1.0, 1e3])
+        assert res.converged
+        assert res.value == pytest.approx(0.5, rel=1e-12)
+
     def test_nan_raises_with_abscissa(self):
         def f(x):
             x = np.asarray(x)

@@ -1,7 +1,7 @@
 """The potentials on a fixed sweep, dumped to JSON and compared between
 two versions of chivdw.
 
-The sweep is 4 pairs x 45 requests x 21 separations = 3,780 values:
+The sweep is 4 pairs x 46 requests x 21 separations = 3,864 values:
 
 - the pairs: the bundled pair; two generic 2-transition molecules; a
   seeded 16- and 64-transition pair; a pair with omega 1e-4, 1 and 1e-2,
@@ -10,7 +10,8 @@ The sweep is 4 pairs x 45 requests x 21 separations = 3,780 values:
   rows, TOTAL and EC at ``duality=pi/5`` and ``u_unified`` for the 16 raw
   tuples (3,360 values on the product route); the five direct
   single-trace forms ``u_ec_direct``, ``u_mc_direct``, ``u_pc_direct``,
-  ``u_dc_direct`` and ``u_cc_direct`` (420 values);
+  ``u_dc_direct`` and ``u_cc_direct`` (420 values); the
+  orientation-averaged ``u_cc_isotropic`` (84 values);
 - the separations: R = 1e-3 ... 1e3, 21 values, along (1, -2, 2)/3.
 
 ``chivdw`` is imported from ``PYTHONPATH``, so one script dumps any
@@ -77,7 +78,7 @@ def pairs() -> dict:
 
 
 def requests() -> list:
-    """(name, function of (a, b, sep)) for the 45 requests."""
+    """(name, function of (a, b, sep)) for the 46 requests."""
     import itertools
 
     from chivdw import potentials
@@ -95,6 +96,8 @@ def requests() -> list:
             for tup in ("".join(t) for t in itertools.product("em", repeat=4))]
     out += [(f"{form} direct", getattr(potentials, f"u_{form.lower()}_direct"))
             for form in ("EC", "MC", "PC", "DC", "CC")]
+    out.append(("CC isotropic",
+                lambda a, b, s: potentials.u_cc_isotropic(a, b, s.R)))
     return out
 
 
