@@ -23,12 +23,14 @@ The em/me blocks obey the reciprocity relation
 plainly under argument exchange.
 
 A Green-tensor provider is any object with a method
-``blocks(r_a, r_b, xis)`` that, for a frequency array ``xis`` of shape
-(n,), returns the pair (B(r_a, r_b), B(r_b, r_a)) of 2x2 block matrices,
-each an (n, 2, 2, 3, 3) stack indexed [lam, lamp] with 0 = 'e' and
-1 = 'm'.  The potential integrators call it once per separation and node
-batch, raise ``ValueError`` on any other shape, raise ``TypeError`` for a
-provider without ``blocks`` and let the provider's own errors propagate.
+``blocks(r_a, r_b, xis)`` that, for P position pairs stacked as two (P, 3)
+arrays and a frequency array ``xis`` of shape (n,), returns the pair
+(B(r_a, r_b), B(r_b, r_a)) of 2x2 block matrices, each a
+(P, n, 2, 2, 3, 3) stack indexed [p, node, lam, lamp] with 0 = 'e' and
+1 = 'm'.  The potential integrators call it once per node batch with every
+separation of the pass (P = 1 for a single value), raise ``ValueError`` on
+any other shape, raise ``TypeError`` for a provider without ``blocks`` and
+let the provider's own errors propagate.
 ``FreeSpaceProvider`` is the bundled vacuum implementation; any structural
 look-alike (e.g. a cavity or surface-dressed provider) is accepted.
 """
@@ -139,11 +141,14 @@ def g0_curl_left(r: np.ndarray, rp: np.ndarray, xi) -> np.ndarray:
     """
     xis, scalar = _prepare_xi(xi, allow_zero=True)
     diff = np.asarray(rp, dtype=float) - np.asarray(r, dtype=float)
-    if not kernels.vector_norm(diff) > 0.0:
-        raise ValueError("points must be distinct")
     _, x, expf = kernels.free_prefactor(diff, xis)
     out = np.multiply.outer(expf * (1.0 + x), kernels.cross_matrix(diff))
     return _maybe_squeeze(out, scalar)
+
+
+# the entries of a flattened (2, 2, 3, 3) block matrix with every 3x3 block
+# transposed
+_TRANSPOSED_BLOCKS = np.arange(36).reshape(2, 2, 3, 3).swapaxes(2, 3).ravel()
 
 
 class FreeSpaceProvider:
@@ -158,34 +163,35 @@ class FreeSpaceProvider:
     """
 
     def blocks(self, r_a, r_b, xis) -> tuple[np.ndarray, np.ndarray]:
-        """(B(r_a, r_b), B(r_b, r_a)), each (n, 2, 2, 3, 3).
+        """(B(r_a, r_b), B(r_b, r_a)), each (P, n, 2, 2, 3, 3) for positions
+        stacked as (P, 3); the leading axes of the positions lead the
+        output, so a single pair (3,) gives (n, 2, 2, 3, 3).
 
-        All eight blocks come from one S and one X of the separation
-        r_a - r_b, which share one ``kernels.free_prefactor``:
-        B(r_a, r_b) = [[S, -X], [X, S]] and B(r_b, r_a) = [[S, -X^T],
-        [X^T, S]], where X^T = -X because X is a cross-product matrix.
-        Each block equals the corresponding ``block`` call exactly; where
-        the two positions share a coordinate, a zero entry of a cross
-        block of B(r_b, r_a) may carry the other sign.
+        All eight blocks of every separation r_a - r_b come from one S and
+        one X, which share one ``kernels.free_prefactor``:
+        B(r_a, r_b) = [[S, -X], [X, S]], and B(r_b, r_a) holds its
+        transposed blocks, [[S, -X^T], [X^T, S]] (S is symmetric entry for
+        entry, and X^T = -X because X is a cross-product matrix).  Each
+        block equals the corresponding ``block`` call exactly, and a stack
+        what its pairs give one by one; where the two positions share a
+        coordinate, a zero entry of a cross block of B(r_b, r_a) may carry
+        the other sign.
         """
-        r_a = np.asarray(r_a, dtype=float).reshape(-1)
-        r_b = np.asarray(r_b, dtype=float).reshape(-1)
-        if r_a.shape != (3,) or r_b.shape != (3,):
-            raise ValueError("positions must be 3-vectors")
+        r_a = np.asarray(r_a, dtype=float)
+        r_b = np.asarray(r_b, dtype=float)
+        if r_a.shape != r_b.shape or r_a.shape[-1:] != (3,):
+            raise ValueError("positions must be 3-vectors, or two equal "
+                             "stacks of them")
         xis, _ = _prepare_xi(xis, allow_zero=True)
         rvec = r_a - r_b
-        if not kernels.vector_norm(rvec) > 0.0:
-            raise ValueError("points must be distinct")
         n = xis.shape[0]
         prefactor = kernels.free_prefactor(rvec, xis)
-        scaled = kernels.free_scaled(rvec, xis, prefactor).reshape(n, 9)
-        cross = kernels.free_cross(rvec, xis, prefactor)
-        # the transpose of cross_matrix(v) is cross_matrix(-v) exactly
-        cross_t = cross.transpose(0, 2, 1).reshape(n, 9)
-        cross = cross.reshape(n, 9)
-        ab = np.concatenate([scaled, -cross, cross, scaled], axis=1)
-        ba = np.concatenate([scaled, -cross_t, cross_t, scaled], axis=1)
-        return ab.reshape(n, 2, 2, 3, 3), ba.reshape(n, 2, 2, 3, 3)
+        scaled = kernels.free_scaled(rvec, xis, prefactor).reshape(-1, n, 9)
+        cross = kernels.free_cross(rvec, xis, prefactor).reshape(-1, n, 9)
+        ab = np.concatenate([scaled, -cross, cross, scaled], axis=2)
+        ba = ab[..., _TRANSPOSED_BLOCKS]
+        shape = rvec.shape[:-1] + (n, 2, 2, 3, 3)
+        return ab.reshape(shape), ba.reshape(shape)
 
     def block(self, lam: str, lamp: str, r, rp, xi) -> np.ndarray:
         r = np.asarray(r, dtype=float).reshape(-1)

@@ -55,10 +55,11 @@ Per request, what remains is the molecules' part: per side one
 of the halves' columns from it and the trim to its non-zero rows.  Per
 transition, A is linear in 2 omega/(omega^2 + xi^2), 2 xi/(omega^2 + xi^2)
 and 1, so per node batch each molecule's responses are one product with
-those weights, the provider is asked once per separation for both block
-matrices (``blocks``, see ``chivdw.green``), each half product is one
-batched matrix product (6x6 for TOTAL, 3x3 for one tuple), each trace
-one contraction, and the columns one product with the weights.
+those weights, the provider is asked once for both block matrices at
+every separation of the pass (``blocks`` on the stacked positions, see
+``chivdw.green``), each half product is one batched matrix product (6x6
+for TOTAL, 3x3 for one tuple), each trace one contraction, and the
+columns one product with the weights.
 ``u_terms`` weights by the identity, so each term is its own column and
 is converged on its own; a summed request (a named component, a row, a
 raw tuple) weights by a row of ones and integrates only its sum, held to
@@ -271,8 +272,10 @@ def _halfline(mol_a: Molecule, mol_b: Molecule, rs: Sequence[float],
     Where the potential leaves float range the pass raises
     ``NonFiniteIntegrandError`` naming the separation, and no floating
     point warning escapes: an integrand column that overflows names its
-    own (``_check_columns``), an integrand whose integral overflows the
-    smallest of ``rs``, where the potential is largest."""
+    own (``_check_columns``); an integrand whose integral overflows, or a
+    frequency layout that leaves float range (40/R, or its tail nodes,
+    beyond the largest float), the smallest of ``rs``, where the
+    potential is largest."""
     if spec is None:
         spec = _default_spec()
     scales = [*mol_a.omegas.tolist(), *mol_b.omegas.tolist(),
@@ -330,27 +333,30 @@ def _validate_tuple(tup: str) -> str:
 
 def _provider_blocks(provider, r_a: np.ndarray, r_b: np.ndarray,
                      xis: np.ndarray) -> list:
-    """The provider's block matrices [B(r_a, r_b), B(r_b, r_a)] over the
+    """The provider's block matrices [B(r_a, r_b), B(r_b, r_a)] for the P
+    position pairs stacked in ``r_a`` and ``r_b`` (P, 3), over the
     frequency array ``xis`` of shape (n,).
 
     The provider contract: ``provider.blocks(r_a, r_b, xis)`` returns the
-    two (n, 2, 2, 3, 3) stacks, indexed [lam, lamp] with 0 = 'e' and
-    1 = 'm'.  A provider without ``blocks`` raises ``TypeError``; any other
-    shape raises ``ValueError``; an error raised by the provider
-    propagates.
+    two (P, n, 2, 2, 3, 3) stacks, indexed [p, node, lam, lamp] with
+    0 = 'e' and 1 = 'm'; the integrators call it once per node batch with
+    every separation of the pass.  A provider without ``blocks`` raises
+    ``TypeError``; any other shape raises ``ValueError``; an error raised
+    by the provider propagates.
     """
     blocks = getattr(provider, "blocks", None)
     if blocks is None:
         raise TypeError(
             f"provider {type(provider).__name__!r} has no "
             f"blocks(r_a, r_b, xis) method")
-    n = xis.shape[0]
+    expected = (r_a.shape[0], xis.shape[0], 2, 2, 3, 3)
     pair = [np.asarray(b, dtype=float) for b in blocks(r_a, r_b, xis)]
     shapes = [b.shape for b in pair]
-    if shapes != [(n, 2, 2, 3, 3)] * 2:
+    if shapes != [expected] * 2:
         raise ValueError(
-            f"provider blocks returned shapes {shapes} for {n} frequencies; "
-            f"expected two of ({n}, 2, 2, 3, 3)")
+            f"provider blocks returned shapes {shapes} for {expected[0]} "
+            f"separations and {expected[1]} frequencies; expected two of "
+            f"{expected}")
     return pair
 
 
@@ -487,16 +493,17 @@ def _side_table(mol: Molecule, side: _Side,
 
 
 def _check_columns(columns: np.ndarray, seps: Sequence[Separation],
-                   pairs: list) -> None:
+                   blocks: Sequence[np.ndarray]) -> None:
     """Raise ``_overflow`` at the first separation whose columns (n, P, J)
-    are not finite, unless the provider's blocks there hold a NaN and no
-    infinity: that is the provider's fault, and the quadrature names the
-    abscissa."""
+    are not finite, unless the provider's ``blocks`` (P, n, 2, 2, 3, 3)
+    there hold a NaN and no infinity: that is the provider's fault, and
+    the quadrature names the abscissa."""
     for p, sep in enumerate(seps):
         if np.isfinite(columns[:, p]).all():
             continue
-        blocks = np.stack(pairs[p])
-        if np.isnan(blocks).any() and not np.isinf(blocks).any():
+        own = [b[p] for b in blocks]
+        if (any(np.isnan(b).any() for b in own)
+                and not any(np.isinf(b).any() for b in own)):
             return
         raise _overflow(sep.R)
 
@@ -519,18 +526,16 @@ def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
     lefts, rights = plan.side_a.specs, plan.side_b.specs
     product_weights, pairs_q = plan.weights, plan.pairs
     n_sep, n_prod = len(seps), len(pairs_q)
+    positions = np.array([(s.r_a, s.r_b) for s in seps])
+    r_a, r_b = positions[:, 0], positions[:, 1]
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         n = xis.shape[0]
         resp_a = response_from_table(mol_a, table_a, kept_a, xis)
         resp_b = response_from_table(mol_b, table_b, kept_b, xis)
-        pairs = [_provider_blocks(provider, s.r_a, s.r_b, xis) for s in seps]
-        if n_sep == 1:
-            ab, ba = (b.reshape(1, n, 36) for b in pairs[0])
-        else:
-            ab = np.stack([b for b, _ in pairs]).reshape(n_sep, n, 36)
-            ba = np.stack([b for _, b in pairs]).reshape(n_sep, n, 36)
+        blocks = _provider_blocks(provider, r_a, r_b, xis)
+        ab, ba = (b.reshape(n_sep, n, 36) for b in blocks)
         left, right = ([resp[:, cols].reshape(n, *shape)
                         @ b[..., take].reshape(n_sep, n, shape[1], -1)
                         for cols, shape, take in specs]
@@ -544,7 +549,7 @@ def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
         out = product_weights @ traces.reshape(n_prod, -1)
         out = out.reshape(-1, n_sep, n).T.reshape(n, -1)
         if not np.isfinite(out).all():
-            _check_columns(out.reshape(n, n_sep, -1), seps, pairs)
+            _check_columns(out.reshape(n, n_sep, -1), seps, blocks)
         return out
 
     return integrand
@@ -726,12 +731,14 @@ def _direct(form: str, mol_a: Molecule, mol_b: Molecule, sep: Separation,
     if provider is None:
         provider = free_space_provider()
     sign, traces = _DIRECT_TRACES[form]
+    r_a, r_b = sep.r_a[None], sep.r_b[None]
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         resp_a = response_arrays(mol_a, xis, beta_mode_a)
         resp_b = response_arrays(mol_b, xis)
-        ab, ba = _provider_blocks(provider, sep.r_a, sep.r_b, xis)
+        blocks = _provider_blocks(provider, r_a, r_b, xis)
+        ab, ba = (b[0] for b in blocks)
         total = (sign / _PI) * sum(kernels.trace4(
             resp_a[_RESPONSE_INDEX[a]],
             ab[:, _BLOCK_INDEX[b[0]], _BLOCK_INDEX[b[1]]],
@@ -739,7 +746,7 @@ def _direct(form: str, mol_a: Molecule, mol_b: Molecule, sep: Separation,
             ba[:, _BLOCK_INDEX[d[0]], _BLOCK_INDEX[d[1]]])
             for a, b, c, d in traces)
         if not np.isfinite(total).all():
-            _check_columns(total.reshape(-1, 1, 1), [sep], [(ab, ba)])
+            _check_columns(total.reshape(-1, 1, 1), [sep], blocks)
         return total
 
     return _halfline(mol_a, mol_b, [sep.R], integrand, spec)

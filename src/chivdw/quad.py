@@ -155,7 +155,9 @@ class QuadResult:
 class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or an infinity; the message names the
     abscissa.  ``mapped`` is true when the integrand was finite and only
-    its product with a map's Jacobian, or a folded sum, overflowed."""
+    its product with a map's Jacobian, or a folded sum, overflowed, or
+    when the half-line map itself leaves float range before the integrand
+    is called."""
 
     def __init__(self, message: str, mapped: bool = False):
         super().__init__(message)
@@ -365,7 +367,9 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
     ln(xi) a resonance or an exp(-2 R xi) cutoff is a feature of width
     about one wherever it lies, so the first layout already resolves every
     scale and adaptive bisection only refines it.  The integrand must be
-    integrable at infinity.
+    integrable at infinity.  Where 40 max(scales), or a node of the tail
+    map, is beyond the largest float, ``NonFiniteIntegrandError`` is
+    raised with ``mapped`` set, before the integrand is called there.
 
     ``f`` may return shape (n,) or, for K integrals on shared nodes,
     (n, K); the latter gives per-component arrays (see ``_adaptive``).
@@ -375,12 +379,20 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
         scales = [1.0]
     xi_lo = min(scales) / 100.0
     xi_hi = 40.0 * max(scales)
+    if xi_hi == math.inf:
+        raise NonFiniteIntegrandError(
+            f"the half-line layout leaves float range: 40 x "
+            f"{max(scales)!r} overflows", mapped=True)
     if xi_lo == 0.0 or xi_hi / xi_lo == math.inf:
         # scales some 308 decades apart: the lowest share the head panel
         xi_lo = xi_hi / _MAX_SPAN
     body = math.log(xi_hi / xi_lo)
     n_body = math.ceil(2.0 * math.log10(xi_hi / xi_lo))
     tail_start, end = 1.0 + body, 2.0 + body
+    # bisection (see _MIN_WIDTH) keeps end - t above 1e-16 at every tail
+    # node, so its xi_hi / (end - t) can leave float range only where
+    # 1e16 xi_hi does
+    far_overflows = 1e16 * xi_hi == math.inf
     edges = [0.0, *(1.0 + body * np.arange(n_body + 1) / n_body), end]
     fv = _VectorisedCall(f)
 
@@ -392,8 +404,13 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
         jac[head] = xi_lo
         tail = ts > tail_start
         rest = end - ts[tail]
-        xs[tail] = xi_hi / rest
-        jac[tail] = xs[tail] / rest
+        far = xi_hi / rest
+        if far_overflows and np.isinf(far).any():
+            bad = float(ts[tail][np.isinf(far)][0])
+            raise NonFiniteIntegrandError(
+                f"the half-line map overflowed at t={bad!r}", mapped=True)
+        xs[tail] = far
+        jac[tail] = far / rest
         return fv(xs) * jac[:, None]
 
     return _shaped(_adaptive(transformed, edges, spec), fv)

@@ -91,7 +91,7 @@ def test_curve_non_finite_provider_exits_numerical(pair_files, capsys,
     from chivdw.green import FreeSpaceProvider
 
     def nan_blocks(self, r_a, r_b, xis):
-        nan = np.full((np.size(xis), 2, 2, 3, 3), np.nan)
+        nan = np.full((len(r_a), np.size(xis), 2, 2, 3, 3), np.nan)
         return nan, nan
 
     monkeypatch.setattr(FreeSpaceProvider, "blocks", nan_blocks)
@@ -132,6 +132,18 @@ def test_curve_where_the_potential_overflows_exits_numerical(pair_files,
     assert code == 2
     err = capsys.readouterr().err
     assert "overflows float range at R = 1e-160" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("R", ["1e-306", "1e-307", "1e-308"])
+def test_curve_where_the_layout_leaves_float_range_exits_numerical(
+        pair_files, capsys, R):
+    a, b = pair_files
+    code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "EE",
+                 "--rmin", R, "--rmax", R, "--points", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"overflows float range at R = {float(R)!r}" in err
     assert "Traceback" not in err
 
 

@@ -308,6 +308,60 @@ class TestProviderBlockMatrices:
                                    np.array([0.0, 0.5, 2.0]))
         assert sorted(built) == ["free_cross", "free_prefactor", "free_scaled"]
 
+    # generic positions; positions sharing coordinates (the zero-sign
+    # caveat of B(r_b, r_a) against ``block``); R past the R**3 overflow
+    # (~5.6e102); R where x = xi R is cut at 746 (1e151 on)
+    _STACKS = {
+        "generic": ([[0.3, -1.1, 0.8], [2.0, 0.5, -1.5], [-0.4, 0.9, 3.1]],
+                    [[-0.2, 0.4, 0.1], [0.0, 0.0, 0.0], [1.1, -0.7, 0.2]]),
+        "shared_coordinates": ([[0.0, 0.0, 1.5], [0.0, 2.0, 0.0],
+                                [1.0, 1.0, 4.0]],
+                               [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                [1.0, 1.0, 0.0]]),
+        "cube_overflow": ([[0.0, 0.0, 6e102], [0.0, 3e110, 4e110],
+                           [1.0, 0.0, 1e150]], np.zeros((3, 3))),
+        "cut": ([[0.0, 0.0, 1e151], [6e299, 0.0, 8e299], [0.0, 1e200, 0.0]],
+                np.zeros((3, 3))),
+    }
+
+    @pytest.mark.parametrize("case", list(_STACKS))
+    def test_stack_equals_its_pairs_bit_for_bit(self, case):
+        r_a, r_b = (np.array(r, dtype=float) for r in self._STACKS[case])
+        xis = np.array([0.0, 1e-3, 0.37, 1.0, 42.0, 1e3, 1e140, 1e299])
+        prov = FreeSpaceProvider()
+        ab, ba = prov.blocks(r_a, r_b, xis)
+        assert ab.shape == ba.shape == (3, len(xis), 2, 2, 3, 3)
+        for p in range(3):
+            one_ab, one_ba = prov.blocks(r_a[p], r_b[p], xis)
+            assert ab[p].tobytes() == one_ab.tobytes(), (case, p)
+            assert ba[p].tobytes() == one_ba.tobytes(), (case, p)
+
+    def test_leading_axes_of_the_positions_lead_the_output(self):
+        prov = FreeSpaceProvider()
+        r_a = np.arange(1.0, 19.0).reshape(2, 3, 3)
+        xis = np.array([0.5, 2.0])
+        ab, ba = prov.blocks(r_a, np.zeros((2, 3, 3)), xis)
+        assert ab.shape == ba.shape == (2, 3, 2, 2, 2, 3, 3)
+        one_ab, one_ba = prov.blocks(r_a[1, 2], np.zeros(3), xis)
+        assert ab[1, 2].tobytes() == one_ab.tobytes()
+        assert ba[1, 2].tobytes() == one_ba.tobytes()
+
+    def test_one_kernel_call_each_for_a_stack(self, monkeypatch):
+        # a stack of separations still makes one prefactor, one S, one X
+        from chivdw import kernels
+
+        built = []
+        for name in ("free_prefactor", "free_scaled", "free_cross"):
+            def counted(*args, _f=getattr(kernels, name), _name=name):
+                built.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        r_a = np.array([[0.3, -1.1, 0.8], [0.0, 0.0, 2.0], [5.0, 1.0, 0.0],
+                        [0.0, 0.0, 1e200]])
+        FreeSpaceProvider().blocks(r_a, np.zeros((4, 3)),
+                                   np.array([0.0, 0.5, 2.0]))
+        assert sorted(built) == ["free_cross", "free_prefactor", "free_scaled"]
+
     def test_invalid_input_rejected(self):
         prov = FreeSpaceProvider()
         with pytest.raises(ValueError, match="distinct"):
@@ -316,3 +370,8 @@ class TestProviderBlockMatrices:
             prov.blocks(np.zeros(2), np.ones(3), np.array([1.0]))
         with pytest.raises(ValueError, match="non-negative"):
             prov.blocks(np.ones(3), np.zeros(3), np.array([-1.0]))
+        with pytest.raises(ValueError, match="3-vectors"):
+            prov.blocks(np.ones((2, 3)), np.zeros(3), np.array([1.0]))
+        with pytest.raises(ValueError, match="distinct"):
+            prov.blocks(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                        np.zeros((2, 3)), np.array([1.0]))

@@ -359,7 +359,7 @@ class TestProviderContract:
             def blocks(self, r_a, r_b, xis):
                 return base.blocks(r_a, r_b, xis[:1])
 
-        with pytest.raises(ValueError, match=r"\(1, 2, 2, 3, 3\)"):
+        with pytest.raises(ValueError, match=r"\(1, 1, 2, 2, 3, 3\)"):
             u_named(*pair, sep, "EC", provider=FirstNodeOnly())
 
     def test_rescaled_provider_rescales_quadratically(self, pair, sep):
@@ -391,19 +391,20 @@ class TestProviderContract:
 
 
 class _CountingProvider:
-    """Free space, recording the separation of every ``blocks`` call."""
+    """Free space, recording the separations of every ``blocks`` call."""
 
     def __init__(self):
         self.calls = []
         self._base = FreeSpaceProvider()
 
     def blocks(self, r_a, r_b, xis):
-        self.calls.append(tuple(np.subtract(r_a, r_b)))
+        self.calls.append([tuple(v) for v in np.subtract(r_a, r_b).tolist()])
         return self._base.blocks(r_a, r_b, xis)
 
 
 class TestOneBlocksCallPerSeparation:
-    """The provider is asked once per separation and node batch."""
+    """The provider is asked once per node batch, for every separation of
+    the pass at once."""
 
     @pytest.mark.parametrize("integral", [
         lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
@@ -417,6 +418,8 @@ class TestOneBlocksCallPerSeparation:
         assert integral(*pair, sep, provider).converged
         assert len(spy.calls) == 1
         assert spy.integrand_calls >= 1
+        assert provider.calls == [[tuple(sep.r_a - sep.r_b)]] * len(
+            provider.calls)
         assert len(provider.calls) == spy.integrand_calls
 
     def test_curve_within_one_layout_group(self, pair, monkeypatch):
@@ -428,9 +431,9 @@ class TestOneBlocksCallPerSeparation:
                               provider=provider)
         assert curve.converged.all()
         assert len(spy.calls) == 1
-        assert len(provider.calls) == 3 * spy.integrand_calls
-        for R in r_values:
-            assert provider.calls.count((0.0, 0.0, R)) == spy.integrand_calls
+        assert len(provider.calls) == spy.integrand_calls
+        assert provider.calls == [[(0.0, 0.0, R) for R in r_values]] * len(
+            provider.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +835,7 @@ def test_a_providers_nan_names_the_abscissa(pair, sep, integral):
     class NaNAboveTwo:
         def blocks(self, r_a, r_b, xis):
             ab, ba = base.blocks(r_a, r_b, xis)
-            ab[xis > 2.0] = np.nan
+            ab[:, xis > 2.0] = np.nan
             return ab, ba
 
     with pytest.raises(NonFiniteIntegrandError) as info:
@@ -840,6 +843,56 @@ def test_a_providers_nan_names_the_abscissa(pair, sep, integral):
     message = str(info.value)
     assert message.startswith("integrand returned a non-finite value at x=")
     assert float(message.rsplit("=", 1)[1]) > 2.0
+
+
+class _ScaledAt:
+    """Free space with both block matrices of separation ``p`` of every
+    pass multiplied by ``factor``."""
+
+    def __init__(self, p, factor):
+        self._base, self._p, self._factor = FreeSpaceProvider(), p, factor
+
+    def blocks(self, r_a, r_b, xis):
+        ab, ba = self._base.blocks(r_a, r_b, xis)
+        ab[self._p] *= self._factor
+        ba[self._p] *= self._factor
+        return ab, ba
+
+
+def test_a_providers_nan_at_one_separation_of_a_curve_names_the_abscissa(
+        pair, monkeypatch):
+    spy = _HalflineSpy(monkeypatch)
+    with pytest.raises(NonFiniteIntegrandError) as info:
+        compute_curve(*pair, (0.0, 0.0, 1.0), [2.0, 2.5, 3.0], "TOTAL",
+                      provider=_ScaledAt(1, np.nan))
+    assert str(info.value).startswith(
+        "integrand returned a non-finite value at x=")
+    assert spy.integrand_calls == 1
+
+
+def test_an_overflow_at_one_separation_of_a_curve_names_its_r(pair):
+    # the blocks of the middle separation are finite, their traces not
+    with pytest.raises(NonFiniteIntegrandError) as info:
+        compute_curve(*pair, (0.0, 0.0, 1.0), [2.0, 2.5, 3.0], "TOTAL",
+                      provider=_ScaledAt(1, 1e200))
+    assert str(info.value) == "the potential overflows float range at R = 2.5"
+
+
+@pytest.mark.parametrize("R", [1e-305, 1e-306, 1e-307, 1e-308])
+@pytest.mark.parametrize("integral", [
+    lambda a, b, R: u_named(a, b, Separation(np.array([0.0, 0.0, R]),
+                                             np.zeros(3)), "EE"),
+    lambda a, b, R: u_ec_direct(a, b, Separation(np.array([0.0, 0.0, R]),
+                                                 np.zeros(3))),
+    lambda a, b, R: u_cc_isotropic(a, b, R),
+], ids=["EE", "ec_direct", "cc_isotropic"])
+def test_separations_whose_layout_leaves_float_range_are_named(integral, R):
+    # 40/R, the layout's largest frequency, or its tail nodes overflow
+    a, b = bundled_pair()
+    with pytest.raises(NonFiniteIntegrandError) as info:
+        integral(a, b, R)
+    assert str(info.value) == (
+        f"the potential overflows float range at R = {R!r}")
 
 
 def test_isotropic_cc_over_the_whole_range():

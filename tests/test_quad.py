@@ -1,6 +1,7 @@
 """Tests for the adaptive quadrature engines."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -126,6 +127,33 @@ class TestHalfline:
                                  breakpoints=[low, 1.0, 1e3])
         assert res.converged
         assert res.value == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("top", [1e307, sys.float_info.max])
+    def test_layout_beyond_float_range_raises_mapped(self, top):
+        # 40 * top is not a float; the integrand is never called
+        calls = []
+        with pytest.raises(NonFiniteIntegrandError,
+                           match="layout leaves float range") as info:
+            integrate_halfline(lambda x: calls.append(x) or np.exp(-x), SPEC,
+                               breakpoints=[1.0, top])
+        assert info.value.mapped and not calls
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("top", [1e305, 1e306])
+    def test_tail_nodes_beyond_float_range_raise_mapped(self, top):
+        # 40 * top is a float, the tail map's outer nodes are not; the
+        # integrand never sees xi = inf
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.exp(-x)
+
+        with pytest.raises(NonFiniteIntegrandError,
+                           match="map overflowed at t=") as info:
+            integrate_halfline(f, SPEC, breakpoints=[1.0, top])
+        assert info.value.mapped
+        assert all(np.isfinite(x).all() for x in seen)
 
     def test_nan_raises_with_abscissa(self):
         def f(x):

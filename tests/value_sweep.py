@@ -1,7 +1,7 @@
 """The potentials on a fixed sweep, dumped to JSON and compared between
 two versions of chivdw.
 
-The sweep is 4 pairs x 46 requests x 21 separations = 3,864 values:
+The sweep is 4 pairs x 68 requests x 21 separations = 5,712 values:
 
 - the pairs: the bundled pair; two generic 2-transition molecules; a
   seeded 16- and 64-transition pair; a pair with omega 1e-4, 1 and 1e-2,
@@ -11,7 +11,12 @@ The sweep is 4 pairs x 46 requests x 21 separations = 3,864 values:
   tuples (3,360 values on the product route); the five direct
   single-trace forms ``u_ec_direct``, ``u_mc_direct``, ``u_pc_direct``,
   ``u_dc_direct`` and ``u_cc_direct`` (420 values); the
-  orientation-averaged ``u_cc_isotropic`` (84 values);
+  orientation-averaged ``u_cc_isotropic`` (84 values); all 21
+  separations at once for the 12 components (``compute_curve``) and the
+  10 rows (``potentials._summed`` with the row's plan, as ``table1``
+  integrates them: ``compute_curve`` reads EE, EC, PC, DC and CC as the
+  components), 1,848 values from multi-separation passes, whose ``evals``
+  are those of the pass that integrated the separation;
 - the separations: R = 1e-3 ... 1e3, 21 values, along (1, -2, 2)/3.
 
 ``chivdw`` is imported from ``PYTHONPATH``, so one script dumps any
@@ -22,8 +27,9 @@ checkout.  To check a change against its parent:
     python tests/value_sweep.py compare parent.json change.json
 
 ``compare`` prints the worst and median relative deviation, how many
-values, error estimates and ``evals`` differ at all (bit for bit), the
-changed ``converged`` flags and the eval totals.  It exits 1 when a
+values, error estimates and ``evals`` differ at all (bit for bit), in all
+and among the curve values, the changed ``converged`` flags and the eval
+totals.  It exits 1 when a
 value is off by more than 1e-12 relative and by more than the two error
 estimates together, or when a ``converged`` flag changed.
 """
@@ -101,19 +107,78 @@ def requests() -> list:
     return out
 
 
+def curve(run) -> list:
+    """(value, error estimate, evals, converged) at each of RS from
+    ``run()``, a curve over RS that returns its values, error estimates
+    and ``converged`` flags; the evals of a separation are those of its
+    pass.
+
+    RS is sorted, so every pass integrates a contiguous run of it, in
+    order: the pass results, read from ``integrate_halfline``, give the
+    evals of each separation in turn."""
+    from chivdw import potentials
+
+    inner, passes = potentials.integrate_halfline, []
+
+    def recorded(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        passes.append(res)
+        return res
+
+    potentials.integrate_halfline = recorded
+    try:
+        values, errors, converged = run()
+    finally:
+        potentials.integrate_halfline = inner
+    evals = [p.evals for p in passes for _ in range(np.size(p.value))]
+    assert len(evals) == len(RS)
+    return list(zip(values, errors, evals, converged))
+
+
+def curves() -> list:
+    """(name, function of (a, b) running a curve over RS) for the 12
+    components and the 10 rows."""
+    from chivdw import potentials
+    from chivdw.green import Separation
+    from chivdw.potentials import ROW_NAMES, ComponentLabel
+
+    def component(a, b, label):
+        res = potentials.compute_curve(a, b, DIRECTION, RS, label)
+        return (res.u_values.tolist(), res.error_estimates.tolist(),
+                res.converged.tolist())
+
+    def row(a, b, name):
+        seps = [Separation(R * DIRECTION, np.zeros(3)) for R in RS]
+        res = potentials._summed(a, b, seps, potentials._ROW_PLANS[name])
+        return ([r.value for r in res], [r.error_estimate for r in res],
+                [r.converged for r in res])
+
+    out = [(f"curve {label.value}", lambda a, b, l=label.value:
+            component(a, b, l)) for label in ComponentLabel]
+    out += [(f"curve row {name}", lambda a, b, n=name: row(a, b, n))
+            for name in ROW_NAMES]
+    return out
+
+
 def dump(path: str) -> None:
     from chivdw.green import Separation
 
     records = []
+
+    def record(pair_name, name, R, value, error, evals, converged):
+        records.append({"pair": pair_name, "request": name, "R": R,
+                        "value": float(value), "error": float(error),
+                        "evals": int(evals), "converged": bool(converged)})
+
     for pair_name, (a, b) in pairs().items():
         for name, request in requests():
             for R in RS.tolist():
                 res = request(a, b, Separation(R * DIRECTION, np.zeros(3)))
-                records.append({"pair": pair_name, "request": name, "R": R,
-                                "value": float(res.value),
-                                "error": float(res.error_estimate),
-                                "evals": int(res.evals),
-                                "converged": bool(res.converged)})
+                record(pair_name, name, R, res.value, res.error_estimate,
+                       res.evals, res.converged)
+        for name, run in curves():
+            for R, point in zip(RS.tolist(), curve(lambda: run(a, b))):
+                record(pair_name, name, R, *point)
     with open(path, "w") as fh:
         json.dump(records, fh)
     print(f"{len(records)} values written to {path}")
@@ -144,10 +209,14 @@ def compare(parent_path: str, change_path: str) -> int:
     print(f"{len(rels)} values: worst relative deviation {rels[worst]:.2e} "
           f"({list(parent)[worst]}), median {float(np.median(rels)):.2e}, "
           f"{sum(r > REL for r in rels)} above {REL:g}")
-    differ = {field: sum(parent[k][field] != change[k][field] for k in parent)
-              for field in ("value", "error", "evals")}
-    print(f"bit for bit: {differ['value']} values, {differ['error']} error "
-          f"estimates and {differ['evals']} evals differ")
+    for kind, keys in (("bit for bit", list(parent)),
+                       ("  of the curves", [k for k in parent
+                                            if k[1].startswith("curve ")])):
+        differ = {field: sum(parent[k][field] != change[k][field]
+                             for k in keys)
+                  for field in ("value", "error", "evals")}
+        print(f"{kind}: {differ['value']} values, {differ['error']} error "
+              f"estimates and {differ['evals']} evals of {len(keys)} differ")
     print(f"{len(bad)} off by more than {REL:g} relative and the combined "
           f"error estimates; {len(flips)} converged flags changed")
     print(f"evals: {evals[0]:,} parent, {evals[1]:,} change")
