@@ -22,15 +22,19 @@ The em/me blocks obey the reciprocity relation
 ``block('e','m', r, r')^T = -block('m','e', r', r)`` while ee/mm transpose
 plainly under argument exchange.
 
-A Green-tensor provider is any object with a method
-``blocks(r_a, r_b, xis)`` that, for P position pairs stacked as two (P, 3)
-arrays and a frequency array ``xis`` of shape (n,), returns the pair
-(B(r_a, r_b), B(r_b, r_a)) of 2x2 block matrices, each a
-(P, n, 2, 2, 3, 3) stack indexed [p, node, lam, lamp] with 0 = 'e' and
-1 = 'm'.  The potential integrators call it once per node batch with every
-separation of the pass (P = 1 for a single value), raise ``ValueError`` on
-any other shape, raise ``TypeError`` for a provider without ``blocks`` and
-let the provider's own errors propagate.
+A Green-tensor provider is any object with a method ``bind(r_a, r_b)``
+that takes P position pairs stacked as two (P, 3) arrays and returns its
+propagator for those positions: a callable of a frequency array ``xis`` of
+shape (n,) returning the pair (B(r_a, r_b), B(r_b, r_a)) of 2x2 block
+matrices, each a (P, n, 2, 2, 3, 3) stack indexed [p, node, lam, lamp]
+with 0 = 'e' and 1 = 'm'.  The split lets a provider do the work that
+depends on the positions alone once.  The potential integrators bind once
+per pass with every separation of the pass (P = 1 for a single value) and
+call the bound propagator once per node batch; they raise ``ValueError``
+on any other shape, raise ``TypeError`` for a provider without ``bind``
+and let the provider's own errors propagate.  A provider written for the
+one-call form ``blocks(r_a, r_b, xis)`` binds as
+``lambda r_a, r_b: lambda xis: blocks(r_a, r_b, xis)``.
 ``FreeSpaceProvider`` is the bundled vacuum implementation; any structural
 look-alike (e.g. a cavity or surface-dressed provider) is accepted.
 """
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -146,15 +151,10 @@ def g0_curl_left(r: np.ndarray, rp: np.ndarray, xi) -> np.ndarray:
     return _maybe_squeeze(out, scalar)
 
 
-# the entries of a flattened (2, 2, 3, 3) block matrix with every 3x3 block
-# transposed
-_TRANSPOSED_BLOCKS = np.arange(36).reshape(2, 2, 3, 3).swapaxes(2, 3).ravel()
-
-
 class FreeSpaceProvider:
     """Vacuum field-correlation blocks.
 
-    ``blocks(r_a, r_b, xis)`` is the provider contract (see the module
+    ``bind(r_a, r_b)`` is the provider contract (see the module
     docstring).  ``block(lam, lamp, r, rp, xi)`` returns the one 3x3 block
     coupling response slot ``lam`` at ``r`` to slot ``lamp`` at ``rp``;
     ``xi`` may be a scalar (returns (3, 3)) or a 1-d array of length n
@@ -162,36 +162,39 @@ class FreeSpaceProvider:
     blocks vanish there.
     """
 
-    def blocks(self, r_a, r_b, xis) -> tuple[np.ndarray, np.ndarray]:
-        """(B(r_a, r_b), B(r_b, r_a)), each (P, n, 2, 2, 3, 3) for positions
-        stacked as (P, 3); the leading axes of the positions lead the
-        output, so a single pair (3,) gives (n, 2, 2, 3, 3).
+    def bind(self, r_a, r_b) -> Callable:
+        """The propagator of the positions ``r_a`` and ``r_b``, stacked as
+        (P, 3): a callable of ``xis`` (n,) returning
+        (B(r_a, r_b), B(r_b, r_a)), each (P, n, 2, 2, 3, 3).  The leading
+        axes of the positions lead the output, so a single pair (3,) gives
+        (n, 2, 2, 3, 3).
 
         All eight blocks of every separation r_a - r_b come from one S and
-        one X, which share one ``kernels.free_prefactor``:
-        B(r_a, r_b) = [[S, -X], [X, S]], and B(r_b, r_a) holds its
-        transposed blocks, [[S, -X^T], [X^T, S]] (S is symmetric entry for
-        entry, and X^T = -X because X is a cross-product matrix).  Each
-        block equals the corresponding ``block`` call exactly, and a stack
-        what its pairs give one by one; where the two positions share a
-        coordinate, a zero entry of a cross block of B(r_b, r_a) may carry
-        the other sign.
+        one X: B(r_a, r_b) = [[S, -X], [X, S]], and B(r_b, r_a) holds its
+        transposed blocks, [[S, -X^T], [X^T, S]].  Binding computes what
+        depends on the separations alone, once (``kernels.free_tables``):
+        each one's R, the cut of x = xi R, 4 pi R^3 and the table of the
+        geometric factors of its 72 entries.  Each call is then one product
+        of five coefficients per node with that table
+        (``kernels.free_blocks``).  Each block equals the corresponding
+        ``block`` call, and a stack what its pairs give one by one, bit for
+        bit; a zero entry may carry the other sign.
         """
         r_a = np.asarray(r_a, dtype=float)
         r_b = np.asarray(r_b, dtype=float)
         if r_a.shape != r_b.shape or r_a.shape[-1:] != (3,):
             raise ValueError("positions must be 3-vectors, or two equal "
                              "stacks of them")
-        xis, _ = _prepare_xi(xis, allow_zero=True)
-        rvec = r_a - r_b
-        n = xis.shape[0]
-        prefactor = kernels.free_prefactor(rvec, xis)
-        scaled = kernels.free_scaled(rvec, xis, prefactor).reshape(-1, n, 9)
-        cross = kernels.free_cross(rvec, xis, prefactor).reshape(-1, n, 9)
-        ab = np.concatenate([scaled, -cross, cross, scaled], axis=2)
-        ba = ab[..., _TRANSPOSED_BLOCKS]
-        shape = rvec.shape[:-1] + (n, 2, 2, 3, 3)
-        return ab.reshape(shape), ba.reshape(shape)
+        lead = r_a.shape[:-1]
+        tables = kernels.free_tables((r_a - r_b).reshape(-1, 3))
+
+        def blocks(xis) -> tuple[np.ndarray, np.ndarray]:
+            xis, _ = _prepare_xi(xis, allow_zero=True)
+            out = kernels.free_blocks(tables, xis)
+            shape = lead + (xis.shape[0], 2, 2, 3, 3)
+            return out[..., :36].reshape(shape), out[..., 36:].reshape(shape)
+
+        return blocks
 
     def block(self, lam: str, lamp: str, r, rp, xi) -> np.ndarray:
         r = np.asarray(r, dtype=float).reshape(-1)

@@ -55,11 +55,12 @@ Per request, what remains is the molecules' part: per side one
 of the halves' columns from it and the trim to its non-zero rows.  Per
 transition, A is linear in 2 omega/(omega^2 + xi^2), 2 xi/(omega^2 + xi^2)
 and 1, so per node batch each molecule's responses are one product with
-those weights, the provider is asked once for both block matrices at
-every separation of the pass (``blocks`` on the stacked positions, see
-``chivdw.green``), each half product is one batched matrix product (6x6
-for TOTAL, 3x3 for one tuple), each trace one contraction, and the
-columns one product with the weights.
+those weights.  The provider is bound once per pass to the stacked
+positions of every separation of the pass (``bind``, see
+``chivdw.green``), and per node batch the bound propagator gives both
+block matrices at all of them in one call.  Each half product is one
+batched matrix product (6x6 for TOTAL, 3x3 for one tuple), each trace one
+contraction, and the columns one product with the weights.
 ``u_terms`` weights by the identity, so each term is its own column and
 is converged on its own; a summed request (a named component, a row, a
 raw tuple) weights by a row of ones and integrates only its sum, held to
@@ -80,11 +81,15 @@ layout spans its members' scales; a single value is the one-separation
 case of the same pass.
 
 Besides the provider path, the chiral components have direct
-single-trace forms (``u_ec_direct`` and its kin) for any provider: one
-integrand that sums each form's 3x3 traces, listed in block labels in
-``_DIRECT_TRACES``, with ``kernels.trace4`` over the ``response_arrays``
-tensors and the provider's blocks.  They are an independent cross-check of
-the product route.  ``u_cc_isotropic`` gives the orientation-averaged
+single-trace forms (``u_ec_direct`` and its kin): one integrand that sums
+each form's 3x3 traces, listed in block labels in ``_DIRECT_TRACES``, with
+``kernels.trace4`` over the ``response_arrays`` tensors and the provider's
+blocks.  Their derivation folds the tuples of a component together with
+reciprocity (B(r_b, r_a) holds the blocks of B(r_a, r_b) transposed, the
+cross blocks with a sign) and B_me = -B_em, as in free space; for such a
+provider they are an independent cross-check of the product route, and for
+a provider without those symmetries they are not the components.
+``u_cc_isotropic`` gives the orientation-averaged
 chiral-chiral potential in vacuum from one scalar radial integral.
 """
 
@@ -331,33 +336,39 @@ def _validate_tuple(tup: str) -> str:
     return tup
 
 
-def _provider_blocks(provider, r_a: np.ndarray, r_b: np.ndarray,
-                     xis: np.ndarray) -> list:
-    """The provider's block matrices [B(r_a, r_b), B(r_b, r_a)] for the P
-    position pairs stacked in ``r_a`` and ``r_b`` (P, 3), over the
-    frequency array ``xis`` of shape (n,).
+def _bind(provider, r_a: np.ndarray, r_b: np.ndarray) -> Callable:
+    """The provider's propagator for the P position pairs stacked in ``r_a``
+    and ``r_b`` (P, 3): a callable of the frequency array ``xis`` (n,)
+    returning the block matrices [B(r_a, r_b), B(r_b, r_a)], checked.
 
-    The provider contract: ``provider.blocks(r_a, r_b, xis)`` returns the
-    two (P, n, 2, 2, 3, 3) stacks, indexed [p, node, lam, lamp] with
-    0 = 'e' and 1 = 'm'; the integrators call it once per node batch with
-    every separation of the pass.  A provider without ``blocks`` raises
+    The provider contract: ``provider.bind(r_a, r_b)`` returns a callable
+    of ``xis`` that gives the two (P, n, 2, 2, 3, 3) stacks, indexed
+    [p, node, lam, lamp] with 0 = 'e' and 1 = 'm'; the integrators bind
+    once per pass, with every separation of the pass, and call the bound
+    propagator once per node batch.  A provider without ``bind`` raises
     ``TypeError``; any other shape raises ``ValueError``; an error raised
     by the provider propagates.
     """
-    blocks = getattr(provider, "blocks", None)
-    if blocks is None:
+    bind = getattr(provider, "bind", None)
+    if bind is None:
         raise TypeError(
             f"provider {type(provider).__name__!r} has no "
-            f"blocks(r_a, r_b, xis) method")
-    expected = (r_a.shape[0], xis.shape[0], 2, 2, 3, 3)
-    pair = [np.asarray(b, dtype=float) for b in blocks(r_a, r_b, xis)]
-    shapes = [b.shape for b in pair]
-    if shapes != [expected] * 2:
-        raise ValueError(
-            f"provider blocks returned shapes {shapes} for {expected[0]} "
-            f"separations and {expected[1]} frequencies; expected two of "
-            f"{expected}")
-    return pair
+            f"bind(r_a, r_b) method")
+    bound = bind(r_a, r_b)
+    count = r_a.shape[0]
+
+    def blocks(xis: np.ndarray) -> list:
+        expected = (count, xis.shape[0], 2, 2, 3, 3)
+        pair = [np.asarray(b, dtype=float) for b in bound(xis)]
+        shapes = [b.shape for b in pair]
+        if shapes != [expected] * 2:
+            raise ValueError(
+                f"provider blocks returned shapes {shapes} for "
+                f"{expected[0]} separations and {expected[1]} frequencies; "
+                f"expected two of {expected}")
+        return pair
+
+    return blocks
 
 
 def _products(terms: Sequence[Tuple[str, str, str]],
@@ -516,10 +527,11 @@ def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
     separation-major.
 
     Product q is tr[A_a|S_a B(r_a, r_b) A_b|S_b B(r_b, r_a)]; each side's
-    halves are gathered from the response tables once (``_side_table``),
-    and per node batch each molecule's A|S are one product
-    (``response_from_table``).  Columns that are not finite raise
-    ``_check_columns``' overflow.
+    halves are gathered from the response tables once (``_side_table``)
+    and the provider is bound once to the positions (``_bind``).  Per node
+    batch each molecule's A|S are one product (``response_from_table``)
+    and the blocks one call of the bound propagator.  Columns that are not
+    finite raise ``_check_columns``' overflow.
     """
     table_a, kept_a = _side_table(mol_a, plan.side_a, duality)
     table_b, kept_b = _side_table(mol_b, plan.side_b, duality)
@@ -527,14 +539,14 @@ def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
     product_weights, pairs_q = plan.weights, plan.pairs
     n_sep, n_prod = len(seps), len(pairs_q)
     positions = np.array([(s.r_a, s.r_b) for s in seps])
-    r_a, r_b = positions[:, 0], positions[:, 1]
+    propagator = _bind(provider, positions[:, 0], positions[:, 1])
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         n = xis.shape[0]
         resp_a = response_from_table(mol_a, table_a, kept_a, xis)
         resp_b = response_from_table(mol_b, table_b, kept_b, xis)
-        blocks = _provider_blocks(provider, r_a, r_b, xis)
+        blocks = propagator(xis)
         ab, ba = (b.reshape(n_sep, n, 36) for b in blocks)
         left, right = ([resp[:, cols].reshape(n, *shape)
                         @ b[..., take].reshape(n_sep, n, shape[1], -1)
@@ -553,23 +565,6 @@ def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
         return out
 
     return integrand
-
-
-def _terms_integrand(mol_a: Molecule, mol_b: Molecule,
-                     seps: Sequence[Separation],
-                     terms: Sequence[Tuple[str, str, str]], provider,
-                     duality: Optional[float], weights: np.ndarray) -> Callable:
-    """Integrand returning J weighted sums of the traces of ``terms`` at
-    every separation in ``seps`` on shared nodes.
-
-    Each term ``(tuple, beta_mode_a, beta_mode_b)`` has the trace
-    -(1/2 pi) tr[A_a^{l1 l2} B_{l2 l3} A_b^{l3 l4} B_{l4 l1}]; the (J, K)
-    matrix ``weights`` maps the K term traces to J columns per separation,
-    so the output is (n, P J) for P separations, separation-major: the
-    ``_plan_integrand`` of their ``_plan``.
-    """
-    return _plan_integrand(mol_a, mol_b, seps, _plan(terms, weights),
-                           provider, duality)
 
 
 def _checked_terms(terms: Iterable) -> list:
@@ -707,7 +702,9 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
 # ---------------------------------------------------------------------------
 # Direct single-trace forms of the chiral components.  The frequency powers
 # of the cross responses and cross blocks cancel analytically, leaving
-# division-free integrands valid for any provider and finite at xi = 0.
+# division-free integrands finite at xi = 0; they equal the components for
+# providers with free space's reciprocity and B_me = -B_em (module
+# docstring).
 # ---------------------------------------------------------------------------
 
 # Each form is sign/pi times a sum of traces tr[A_a B(r_a, r_b) A_b
@@ -731,13 +728,13 @@ def _direct(form: str, mol_a: Molecule, mol_b: Molecule, sep: Separation,
     if provider is None:
         provider = free_space_provider()
     sign, traces = _DIRECT_TRACES[form]
-    r_a, r_b = sep.r_a[None], sep.r_b[None]
+    propagator = _bind(provider, sep.r_a[None], sep.r_b[None])
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         resp_a = response_arrays(mol_a, xis, beta_mode_a)
         resp_b = response_arrays(mol_b, xis)
-        blocks = _provider_blocks(provider, r_a, r_b, xis)
+        blocks = propagator(xis)
         ab, ba = (b[0] for b in blocks)
         total = (sign / _PI) * sum(kernels.trace4(
             resp_a[_RESPONSE_INDEX[a]],

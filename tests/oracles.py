@@ -205,15 +205,19 @@ def scipy_halfline(f, points=None) -> float:
 # The sixteen response tuples of a pair, re-derived from transition data.
 # ----------------------------------------------------------------------------
 
-def _response_blocks(omegas, ds, ms, beta_dia, xi: float) -> np.ndarray:
+def _response_blocks(omegas, ds, ms, beta_dia, xi: float,
+                     beta_mode: str = "full") -> np.ndarray:
     """(2, 2, 3, 3) blocks [[alpha, chi_em], [chi_me, beta]] at i xi, with
-    chi_me = -chi_em^T and beta = paramagnetic + diamagnetic."""
+    chi_me = -chi_em^T and beta the paramagnetic part plus beta_dia
+    ('full'), the first alone ('para') or the second alone ('dia')."""
     denom = omegas**2 + xi * xi
     even = 2.0 * omegas / denom
     odd = 2.0 * xi / denom
     chi_em = (ds.T * odd) @ ms
+    para = (ms.T * even) @ ms
+    beta = {"full": para + beta_dia, "para": para, "dia": beta_dia}
     return np.array([[(ds.T * even) @ ds, chi_em],
-                     [-chi_em.T, (ms.T * even) @ ms + beta_dia]])
+                     [-chi_em.T, beta[beta_mode]]])
 
 
 def _propagator_blocks(v: np.ndarray, xi: float) -> np.ndarray:
@@ -228,21 +232,95 @@ def _propagator_blocks(v: np.ndarray, xi: float) -> np.ndarray:
     return np.array([[s, -cross], [cross, s]])
 
 
-def sixteen_tuples_integrand(mol_a, mol_b, r_a, r_b):
+def _propagator(r_a, r_b, provider):
+    """xi -> (B(r_a, r_b), B(r_b, r_a)), each (2, 2, 3, 3): the vacuum
+    blocks re-derived here, or, given a ``provider`` (any object with the
+    package's ``bind(r_a, r_b)`` contract), its blocks at one frequency."""
+    r_a = np.asarray(r_a, dtype=float)
+    r_b = np.asarray(r_b, dtype=float)
+    if provider is None:
+        v = r_a - r_b
+        return lambda xi: (_propagator_blocks(v, xi),
+                           _propagator_blocks(-v, xi))
+    bound = provider.bind(r_a.reshape(1, 3), r_b.reshape(1, 3))
+
+    def blocks(xi):
+        ab, ba = bound(np.array([xi]))
+        return ab[0, 0], ba[0, 0]
+
+    return blocks
+
+
+def sixteen_tuples_integrand(mol_a, mol_b, r_a, r_b, provider=None,
+                             beta_modes=("full", "full")):
     """f(xi) -> (16,): the tuple integrands -(1/2 pi) tr[A_a B_ab A_b B_ba]
     in the order of itertools.product('em', repeat=4), for molecules given
-    as (omegas, dipoles, magnetic dipoles, beta_dia)."""
-    v = np.asarray(r_a, dtype=float) - np.asarray(r_b, dtype=float)
+    as (omegas, dipoles, magnetic dipoles, beta_dia), each molecule's beta
+    restricted by its entry of ``beta_modes``, and the blocks of
+    ``provider`` (default: the vacuum)."""
+    propagator = _propagator(r_a, r_b, provider)
 
     def f(xi):
-        a = _response_blocks(*mol_a, xi)
-        b = _response_blocks(*mol_b, xi)
-        traces = np.einsum("pqij,qrjk,rskl,spli->pqrs", a,
-                           _propagator_blocks(v, xi), b,
-                           _propagator_blocks(-v, xi))
+        a = _response_blocks(*mol_a, xi, beta_modes[0])
+        b = _response_blocks(*mol_b, xi, beta_modes[1])
+        ab, ba = propagator(xi)
+        traces = np.einsum("pqij,qrjk,rskl,spli->pqrs", a, ab, b, ba)
         return -traces.reshape(16) / (2.0 * math.pi)
 
     return f
+
+
+def block_traces_integrand(mol_a, mol_b, r_a, r_b, traces, provider=None,
+                           beta_mode_a: str = "full"):
+    """f(xi) -> (K,): tr[A_a^w B^x(r_a, r_b) A_b^y B^z(r_b, r_a)] for each
+    (w, x, y, z) of ``traces``, two-letter block labels such as 'em' in
+    any combination (a tuple l1 l2 l3 l4 is (l1 l2, l2 l3, l3 l4, l4 l1)),
+    with molecule A's beta restricted by ``beta_mode_a``; molecules and
+    ``provider`` as for ``sixteen_tuples_integrand``."""
+    propagator = _propagator(r_a, r_b, provider)
+    picks = [tuple(("em".index(label[0]), "em".index(label[1]))
+                   for label in trace) for trace in traces]
+
+    def f(xi):
+        a = _response_blocks(*mol_a, xi, beta_mode_a)
+        b = _response_blocks(*mol_b, xi)
+        ab, ba = propagator(xi)
+        return np.array([np.trace(a[w] @ ab[x] @ b[y] @ ba[z])
+                         for w, x, y, z in picks])
+
+    return f
+
+
+class SyntheticMedium:
+    """A provider of a medium without vacuum's symmetries:
+    B(r_a, r_b) = K e^(-2 xi R)/(4 pi R^3) and B(r_b, r_a) =
+    K' e^(-2 xi R)/(4 pi R^3), with K and K' fixed random 6x6 matrices, so
+    B_ee != B_mm, B_em != -B_me and B(r_b, r_a) is not B(r_a, r_b) with
+    its 3x3 blocks transposed.  With ``reciprocal`` only B_ee != B_mm
+    remains: K_me = -K_em, and K' holds the blocks of K transposed, the
+    cross blocks with a sign, as in free space.  The blocks are smooth in
+    xi, finite at xi = 0 and decay with xi and R; ``bind`` follows the
+    package's provider contract."""
+
+    def __init__(self, seed: int = 3, reciprocal: bool = False):
+        rng = np.random.default_rng(seed)
+        self.forward, self.backward = rng.normal(size=(2, 2, 2, 3, 3))
+        if reciprocal:
+            (ee, em), (_, mm) = self.forward
+            self.forward = np.array([[ee, em], [-em, mm]])
+            self.backward = np.array([[ee.T, em.T], [-em.T, mm.T]])
+
+    def bind(self, r_a, r_b):
+        diff = np.asarray(r_a, dtype=float) - np.asarray(r_b, dtype=float)
+        R = np.sqrt(np.sum(diff * diff, axis=-1))
+
+        def blocks(xis):
+            decay = (np.exp(-2.0 * np.multiply.outer(R, xis))
+                     / (4.0 * math.pi * R[:, None] ** 3))
+            decay = decay[..., None, None, None, None]
+            return decay * self.forward, decay * self.backward
+
+        return blocks
 
 
 def quad_vec_geometric(f, lo: float, hi: float, scale) -> np.ndarray:

@@ -90,11 +90,14 @@ def test_curve_non_finite_provider_exits_numerical(pair_files, capsys,
                                                    monkeypatch):
     from chivdw.green import FreeSpaceProvider
 
-    def nan_blocks(self, r_a, r_b, xis):
-        nan = np.full((len(r_a), np.size(xis), 2, 2, 3, 3), np.nan)
-        return nan, nan
+    def nan_bind(self, r_a, r_b):
+        def nan_blocks(xis):
+            nan = np.full((len(r_a), np.size(xis), 2, 2, 3, 3), np.nan)
+            return nan, nan
 
-    monkeypatch.setattr(FreeSpaceProvider, "blocks", nan_blocks)
+        return nan_blocks
+
+    monkeypatch.setattr(FreeSpaceProvider, "bind", nan_bind)
     a, b = pair_files
     code = main(["curve", "--mol-a", a, "--mol-b", b, "--component", "EE",
                  "--rmin", "2", "--rmax", "2", "--points", "1"])

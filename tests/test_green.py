@@ -264,7 +264,7 @@ def test_provider_block_computes_only_the_block_asked_for(xi, monkeypatch):
 
 
 class TestProviderBlockMatrices:
-    """``blocks(r_a, r_b, xis)``: both directions' 2x2 block matrices."""
+    """``bind(r_a, r_b)(xis)``: both directions' 2x2 block matrices."""
 
     @staticmethod
     def _expected(prov, r, rp, xis):
@@ -272,45 +272,8 @@ class TestProviderBlockMatrices:
                                    for lamp in ("e", "m")], axis=1)
                          for lam in ("e", "m")], axis=1)
 
-    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
-    def test_equal_block_bit_for_bit(self, scale):
-        prov = FreeSpaceProvider()
-        r_a, r_b = np.array([0.3, -1.1, 0.8]), np.array([-0.2, 0.4, 0.1])
-        xis = np.array([scale / np.linalg.norm(r_a - r_b)])
-        ab, ba = prov.blocks(r_a, r_b, xis)
-        assert ab.shape == ba.shape == (1, 2, 2, 3, 3)
-        for got, (r, rp) in ((ab, (r_a, r_b)), (ba, (r_b, r_a))):
-            expected = self._expected(prov, r, rp, xis)
-            assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
-    def test_equal_block_exactly_on_axis(self, scale):
-        # positions sharing coordinates: equal values, though a zero entry
-        # of a reversed cross block may carry the other sign
-        prov = FreeSpaceProvider()
-        r_a, r_b = np.array([0.0, 0.0, 1.5]), np.zeros(3)
-        xis = np.array([scale / 1.5])
-        ab, ba = prov.blocks(r_a, r_b, xis)
-        assert np.array_equal(ab, self._expected(prov, r_a, r_b, xis))
-        assert np.array_equal(ba, self._expected(prov, r_b, r_a, xis))
-
-    def test_one_scaled_and_one_cross_kernel_call(self, monkeypatch):
-        # one prefactor and one S, one X per blocks call
-        from chivdw import kernels
-
-        built = []
-        for name in ("free_prefactor", "free_scaled", "free_cross"):
-            def counted(*args, _f=getattr(kernels, name), _name=name):
-                built.append(_name)
-                return _f(*args)
-            monkeypatch.setattr(kernels, name, counted)
-        FreeSpaceProvider().blocks(np.array([0.3, -1.1, 0.8]), np.zeros(3),
-                                   np.array([0.0, 0.5, 2.0]))
-        assert sorted(built) == ["free_cross", "free_prefactor", "free_scaled"]
-
-    # generic positions; positions sharing coordinates (the zero-sign
-    # caveat of B(r_b, r_a) against ``block``); R past the R**3 overflow
-    # (~5.6e102); R where x = xi R is cut at 746 (1e151 on)
+    # generic positions; positions sharing coordinates; R past the R**3
+    # overflow (~5.6e102); R where x = xi R is cut at 746 (1e151 on)
     _STACKS = {
         "generic": ([[0.3, -1.1, 0.8], [2.0, 0.5, -1.5], [-0.4, 0.9, 3.1]],
                     [[-0.2, 0.4, 0.1], [0.0, 0.0, 0.0], [1.1, -0.7, 0.2]]),
@@ -323,55 +286,96 @@ class TestProviderBlockMatrices:
         "cut": ([[0.0, 0.0, 1e151], [6e299, 0.0, 8e299], [0.0, 1e200, 0.0]],
                 np.zeros((3, 3))),
     }
+    # xi = 0 first, where the cross blocks vanish
+    _XIS = np.array([0.0, 1e-3, 0.37, 1.0, 42.0, 1e3, 1e140, 1e299])
+
+    @pytest.mark.parametrize("case", list(_STACKS))
+    def test_equal_block(self, case):
+        # every entry is one coefficient times an exact table entry, and
+        # the diagonal gets its f term last, as ``block`` forms them: equal
+        # values, though a zero entry may carry the other sign
+        r_a, r_b = (np.array(r, dtype=float) for r in self._STACKS[case])
+        prov = FreeSpaceProvider()
+        ab, ba = prov.bind(r_a, r_b)(self._XIS)
+        for p in range(3):
+            assert np.array_equal(
+                ab[p], self._expected(prov, r_a[p], r_b[p], self._XIS)), p
+            assert np.array_equal(
+                ba[p], self._expected(prov, r_b[p], r_a[p], self._XIS)), p
 
     @pytest.mark.parametrize("case", list(_STACKS))
     def test_stack_equals_its_pairs_bit_for_bit(self, case):
         r_a, r_b = (np.array(r, dtype=float) for r in self._STACKS[case])
-        xis = np.array([0.0, 1e-3, 0.37, 1.0, 42.0, 1e3, 1e140, 1e299])
         prov = FreeSpaceProvider()
-        ab, ba = prov.blocks(r_a, r_b, xis)
-        assert ab.shape == ba.shape == (3, len(xis), 2, 2, 3, 3)
+        ab, ba = prov.bind(r_a, r_b)(self._XIS)
+        assert ab.shape == ba.shape == (3, len(self._XIS), 2, 2, 3, 3)
         for p in range(3):
-            one_ab, one_ba = prov.blocks(r_a[p], r_b[p], xis)
+            one_ab, one_ba = prov.bind(r_a[p], r_b[p])(self._XIS)
             assert ab[p].tobytes() == one_ab.tobytes(), (case, p)
             assert ba[p].tobytes() == one_ba.tobytes(), (case, p)
+
+    @pytest.mark.parametrize("R", [1e-110, 1e-103, 1e-80])
+    def test_an_overflowing_prefactor_keeps_its_infinities(self, R):
+        # 4 pi R^3 underflows (1e-110), e^{-x}/(4 pi R^3) g(x) overflows
+        # (1e-103) or xi e^{-x}/(4 pi R^3) does (1e-80): the blocks hold the
+        # infinities and NaN that ``block`` gives, not the NaN of inf * 0 in
+        # a product, and no floating point warning escapes
+        r_a, r_b = np.array([0.0, 0.0, R]), np.zeros(3)
+        xis = np.array([0.0, 1.0, 1e50, 1e80, 1e100, 1e120])
+        prov = FreeSpaceProvider()
+        ab, ba = prov.bind(r_a, r_b)(xis)
+        assert np.isinf(ab).any() and np.isinf(ba).any()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            expected = (self._expected(prov, r_a, r_b, xis),
+                        self._expected(prov, r_b, r_a, xis))
+        assert np.array_equal(ab, expected[0], equal_nan=True)
+        assert np.array_equal(ba, expected[1], equal_nan=True)
 
     def test_leading_axes_of_the_positions_lead_the_output(self):
         prov = FreeSpaceProvider()
         r_a = np.arange(1.0, 19.0).reshape(2, 3, 3)
         xis = np.array([0.5, 2.0])
-        ab, ba = prov.blocks(r_a, np.zeros((2, 3, 3)), xis)
+        ab, ba = prov.bind(r_a, np.zeros((2, 3, 3)))(xis)
         assert ab.shape == ba.shape == (2, 3, 2, 2, 2, 3, 3)
-        one_ab, one_ba = prov.blocks(r_a[1, 2], np.zeros(3), xis)
+        one_ab, one_ba = prov.bind(r_a[1, 2], np.zeros(3))(xis)
+        assert one_ab.shape == (2, 2, 2, 3, 3)
         assert ab[1, 2].tobytes() == one_ab.tobytes()
         assert ba[1, 2].tobytes() == one_ba.tobytes()
 
-    def test_one_kernel_call_each_for_a_stack(self, monkeypatch):
-        # a stack of separations still makes one prefactor, one S, one X
+    def test_geometry_once_per_bind_and_one_kernel_per_call(self,
+                                                            monkeypatch):
+        # binding a stack makes its tables once; each call is one product,
+        # and no per-block kernel runs
         from chivdw import kernels
 
         built = []
-        for name in ("free_prefactor", "free_scaled", "free_cross"):
+        for name in ("free_tables", "free_blocks", "free_prefactor",
+                     "free_scaled", "free_cross"):
             def counted(*args, _f=getattr(kernels, name), _name=name):
                 built.append(_name)
                 return _f(*args)
             monkeypatch.setattr(kernels, name, counted)
         r_a = np.array([[0.3, -1.1, 0.8], [0.0, 0.0, 2.0], [5.0, 1.0, 0.0],
                         [0.0, 0.0, 1e200]])
-        FreeSpaceProvider().blocks(r_a, np.zeros((4, 3)),
-                                   np.array([0.0, 0.5, 2.0]))
-        assert sorted(built) == ["free_cross", "free_prefactor", "free_scaled"]
+        bound = FreeSpaceProvider().bind(r_a, np.zeros((4, 3)))
+        assert built == ["free_tables"]
+        built.clear()
+        bound(np.array([0.0, 0.5, 2.0]))
+        bound(np.array([1.0]))
+        assert built == ["free_blocks", "free_blocks"]
 
     def test_invalid_input_rejected(self):
         prov = FreeSpaceProvider()
         with pytest.raises(ValueError, match="distinct"):
-            prov.blocks(np.zeros(3), np.zeros(3), np.array([1.0]))
+            prov.bind(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="3-vectors"):
-            prov.blocks(np.zeros(2), np.ones(3), np.array([1.0]))
+            prov.bind(np.zeros(2), np.ones(3))
         with pytest.raises(ValueError, match="non-negative"):
-            prov.blocks(np.ones(3), np.zeros(3), np.array([-1.0]))
+            prov.bind(np.ones(3), np.zeros(3))(np.array([-1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            prov.bind(np.ones(3), np.zeros(3))(np.array([np.inf]))
         with pytest.raises(ValueError, match="3-vectors"):
-            prov.blocks(np.ones((2, 3)), np.zeros(3), np.array([1.0]))
+            prov.bind(np.ones((2, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="distinct"):
-            prov.blocks(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-                        np.zeros((2, 3)), np.array([1.0]))
+            prov.bind(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                      np.zeros((2, 3)))

@@ -344,10 +344,15 @@ class TestProviderContract:
         base = FreeSpaceProvider()
 
         class ScalarOnly:
-            def blocks(self, r_a, r_b, xis):
-                if not np.isscalar(xis) and np.ndim(xis) != 0:
-                    raise TypeError("scalar frequencies only")
-                return base.blocks(r_a, r_b, float(xis))
+            def bind(self, r_a, r_b):
+                blocks = base.bind(r_a, r_b)
+
+                def scalar_blocks(xis):
+                    if not np.isscalar(xis) and np.ndim(xis) != 0:
+                        raise TypeError("scalar frequencies only")
+                    return blocks(float(xis))
+
+                return scalar_blocks
 
         with pytest.raises(TypeError, match="scalar frequencies only"):
             u_named(*pair, sep, "EC", provider=ScalarOnly())
@@ -356,8 +361,9 @@ class TestProviderContract:
         base = FreeSpaceProvider()
 
         class FirstNodeOnly:
-            def blocks(self, r_a, r_b, xis):
-                return base.blocks(r_a, r_b, xis[:1])
+            def bind(self, r_a, r_b):
+                blocks = base.bind(r_a, r_b)
+                return lambda xis: blocks(xis[:1])
 
         with pytest.raises(ValueError, match=r"\(1, 1, 2, 2, 3, 3\)"):
             u_named(*pair, sep, "EC", provider=FirstNodeOnly())
@@ -366,9 +372,14 @@ class TestProviderContract:
         base = FreeSpaceProvider()
 
         class Doubled:
-            def blocks(self, r_a, r_b, xis):
-                ab, ba = base.blocks(r_a, r_b, xis)
-                return 2.0 * ab, 2.0 * ba
+            def bind(self, r_a, r_b):
+                blocks = base.bind(r_a, r_b)
+
+                def doubled(xis):
+                    ab, ba = blocks(xis)
+                    return 2.0 * ab, 2.0 * ba
+
+                return doubled
 
         one = u_named(*pair, sep, "TOTAL")
         four = u_named(*pair, sep, "TOTAL", provider=Doubled())
@@ -378,33 +389,42 @@ class TestProviderContract:
         lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
         lambda a, b, s, p: u_ec_direct(a, b, s, provider=p),
     ])
-    def test_provider_with_only_block_raises_naming_blocks(self, pair, sep,
-                                                           integral):
+    def test_provider_with_only_block_raises_naming_bind(self, pair, sep,
+                                                         integral):
         base = FreeSpaceProvider()
 
         class BlockOnly:
             def block(self, lam, lamp, r, rp, xi):
                 return base.block(lam, lamp, r, rp, xi)
 
-        with pytest.raises(TypeError, match=r"'BlockOnly'.*blocks\(r_a"):
+        with pytest.raises(TypeError, match=r"'BlockOnly'.*bind\(r_a, r_b\)"):
             integral(*pair, sep, BlockOnly())
 
 
 class _CountingProvider:
-    """Free space, recording the separations of every ``blocks`` call."""
+    """Free space, recording the separations of every ``bind`` and, per
+    call of a bound propagator, the separations it was bound to."""
 
     def __init__(self):
+        self.binds = []
         self.calls = []
         self._base = FreeSpaceProvider()
 
-    def blocks(self, r_a, r_b, xis):
-        self.calls.append([tuple(v) for v in np.subtract(r_a, r_b).tolist()])
-        return self._base.blocks(r_a, r_b, xis)
+    def bind(self, r_a, r_b):
+        separations = [tuple(v) for v in np.subtract(r_a, r_b).tolist()]
+        self.binds.append(separations)
+        blocks = self._base.bind(r_a, r_b)
+
+        def counted(xis):
+            self.calls.append(separations)
+            return blocks(xis)
+
+        return counted
 
 
 class TestOneBlocksCallPerSeparation:
-    """The provider is asked once per node batch, for every separation of
-    the pass at once."""
+    """The provider is bound once per pass and its propagator called once
+    per node batch, for every separation of the pass at once."""
 
     @pytest.mark.parametrize("integral", [
         lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
@@ -418,9 +438,8 @@ class TestOneBlocksCallPerSeparation:
         assert integral(*pair, sep, provider).converged
         assert len(spy.calls) == 1
         assert spy.integrand_calls >= 1
-        assert provider.calls == [[tuple(sep.r_a - sep.r_b)]] * len(
-            provider.calls)
-        assert len(provider.calls) == spy.integrand_calls
+        assert provider.binds == [[tuple(sep.r_a - sep.r_b)]]
+        assert provider.calls == provider.binds * spy.integrand_calls
 
     def test_curve_within_one_layout_group(self, pair, monkeypatch):
         r_values = [2.0, 2.5, 3.0]
@@ -431,9 +450,8 @@ class TestOneBlocksCallPerSeparation:
                               provider=provider)
         assert curve.converged.all()
         assert len(spy.calls) == 1
-        assert len(provider.calls) == spy.integrand_calls
-        assert provider.calls == [[(0.0, 0.0, R) for R in r_values]] * len(
-            provider.calls)
+        assert provider.binds == [[(0.0, 0.0, R) for R in r_values]]
+        assert provider.calls == provider.binds * spy.integrand_calls
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +602,7 @@ def _brute_force_columns(mol_a, mol_b, terms, weights, duality):
 
     out, scale = [], []
     for s in _FACTOR_SEPS:
-        ab, ba = FreeSpaceProvider().blocks(s.r_a, s.r_b, _FACTOR_XIS)
+        ab, ba = FreeSpaceProvider().bind(s.r_a, s.r_b)(_FACTOR_XIS)
         traces = []
         for tup, mode_a, mode_b in terms:
             l1, l2, l3, l4 = ("em".index(lam) for lam in tup)
@@ -641,9 +659,9 @@ class TestUnifiedFormProducts:
                                               weights, duality, count):
         products, _ = potentials._products(terms, weights)
         assert len(products) == count
-        integrand = potentials._terms_integrand(
-            *pair, _FACTOR_SEPS, terms, FreeSpaceProvider(), duality,
-            weights)
+        integrand = potentials._plan_integrand(
+            *pair, _FACTOR_SEPS, potentials._plan(terms, weights),
+            FreeSpaceProvider(), duality)
         got = integrand(_FACTOR_XIS)
         want, scale = _brute_force_columns(*pair, terms, weights, duality)
         assert got.shape == want.shape == (20, 3 * len(weights))
@@ -734,9 +752,9 @@ def test_tail_breakpoint_in_subnormal_band_is_dropped():
     sep = Separation(np.array([0.0, 0.0, 14.28]), np.zeros(3))
     res = u_named(a, b, sep, "EE")
     assert res.converged
-    integrand = potentials._terms_integrand(
-        a, b, [sep], [("eeee", "full", "full")], FreeSpaceProvider(), None,
-        np.ones((1, 1)))
+    integrand = potentials._plan_integrand(
+        a, b, [sep], potentials._sum_plan([("eeee", "full", "full")]),
+        FreeSpaceProvider(), None)
     points = sorted(set(a.omegas) | set(b.omegas))
     reference = oracles.scipy_halfline(
         lambda x: float(integrand(np.array([x]))[0, 0]), points)
@@ -833,10 +851,15 @@ def test_a_providers_nan_names_the_abscissa(pair, sep, integral):
     base = FreeSpaceProvider()
 
     class NaNAboveTwo:
-        def blocks(self, r_a, r_b, xis):
-            ab, ba = base.blocks(r_a, r_b, xis)
-            ab[:, xis > 2.0] = np.nan
-            return ab, ba
+        def bind(self, r_a, r_b):
+            blocks = base.bind(r_a, r_b)
+
+            def poisoned(xis):
+                ab, ba = blocks(xis)
+                ab[:, xis > 2.0] = np.nan
+                return ab, ba
+
+            return poisoned
 
     with pytest.raises(NonFiniteIntegrandError) as info:
         integral(*pair, sep, NaNAboveTwo())
@@ -852,11 +875,16 @@ class _ScaledAt:
     def __init__(self, p, factor):
         self._base, self._p, self._factor = FreeSpaceProvider(), p, factor
 
-    def blocks(self, r_a, r_b, xis):
-        ab, ba = self._base.blocks(r_a, r_b, xis)
-        ab[self._p] *= self._factor
-        ba[self._p] *= self._factor
-        return ab, ba
+    def bind(self, r_a, r_b):
+        blocks = self._base.bind(r_a, r_b)
+
+        def scaled(xis):
+            ab, ba = blocks(xis)
+            ab[self._p] *= self._factor
+            ba[self._p] *= self._factor
+            return ab, ba
+
+        return scaled
 
 
 def test_a_providers_nan_at_one_separation_of_a_curve_names_the_abscissa(

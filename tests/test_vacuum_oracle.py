@@ -8,7 +8,8 @@ estimate covers the actual error.  The seeded sweep draws pairs whose
 transition frequencies spread over eight decades, separations over fifteen
 and sums next to a sign change of TOTAL.
 
-Run as a script for a longer sweep:
+Run as a script for a longer sweep, followed by one tenth as many
+wide-spectrum cases (3-20 transitions per molecule, omega over 1e-8..1e8):
 
     PYTHONPATH=src python tests/test_vacuum_oracle.py 1000 [seed]
 """
@@ -67,9 +68,11 @@ def _assert_honest(value, err, converged, oracle, what, spec=SPEC):
         (what, value, exact, err)
 
 
-def _random_molecule(rng, name):
-    count = int(rng.integers(1, 4))
-    omegas = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), count))
+def _random_molecule(rng, name, transitions=(1, 3), band=(1e-4, 1e4)):
+    """``transitions`` (least, most) transitions with omega log-uniform in
+    ``band``."""
+    count = int(rng.integers(transitions[0], transitions[1] + 1))
+    omegas = np.exp(rng.uniform(math.log(band[0]), math.log(band[1]), count))
     m = rng.normal(size=(3, 3))
     scale = math.exp(rng.uniform(math.log(1e-4), 0.0))
     return Molecule.from_arrays(name, omegas, rng.normal(size=(count, 3)),
@@ -135,6 +138,21 @@ def sweep_cases(seed: int, count: int, zero_share: float = 0.1):
             continue
         a, b = _random_molecule(rng, "a"), _random_molecule(rng, "b")
         R = math.exp(rng.uniform(math.log(1e-9), math.log(1e6)))
+        sep = Separation(R * _direction(rng), np.zeros(3))
+        cases.append(Case(a, b, sep, FULL_BETA[int(rng.integers(10))]))
+    return cases
+
+
+def wide_cases(seed: int, count: int):
+    """``count`` seeded wide-spectrum cases: 3-20 transitions per molecule,
+    omega log-uniform in [1e-8, 1e8], R log-uniform in [1e-9, 1e9] along a
+    random direction, one of the ten full-beta named components."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        a, b = (_random_molecule(rng, name, (3, 20), (1e-8, 1e8))
+                for name in "ab")
+        R = math.exp(rng.uniform(math.log(1e-9), math.log(1e9)))
         sep = Separation(R * _direction(rng), np.zeros(3))
         cases.append(Case(a, b, sep, FULL_BETA[int(rng.integers(10))]))
     return cases
@@ -220,10 +238,9 @@ class TestAgainstOracle:
                            (k, case.label, case.sep.R, case.near_zero))
 
 
-def _main(argv):
-    count = int(argv[1]) if len(argv) > 1 else 1000
-    seed = int(argv[2]) if len(argv) > 2 else 1
-    cases = sweep_cases(seed, count)
+def _report(title: str, cases) -> bool:
+    """Print the sweep's summary line; True when a converged value lies
+    outside its tolerance or an error beyond its estimate and rounding."""
     converged = outside = uncovered = rounding = 0
     worst_tol = worst_cover = 0.0
     for case in cases:
@@ -237,13 +254,25 @@ def _main(argv):
         uncovered += gap > err
         rounding += gap > err + 4.0 * shift
         worst_cover = max(worst_cover, gap / err if err > 0 else math.inf)
-    print(f"{count} cases (seed {seed}, "
-          f"{sum(c.near_zero for c in cases)} next to a zero of TOTAL): "
-          f"{converged} converged, {outside} converged outside tolerance "
-          f"(worst {worst_tol:.2e} of it); {uncovered} errors above their "
-          f"estimate (worst error/estimate {worst_cover:.2e}), {rounding} "
-          f"of them also above four float64 shifts")
-    return 1 if outside or rounding else 0
+    print(f"{title}: {converged} converged, {outside} converged outside "
+          f"tolerance (worst {worst_tol:.2e} of it); {uncovered} errors "
+          f"above their estimate (worst error/estimate {worst_cover:.2e}), "
+          f"{rounding} of them also above four float64 shifts")
+    return bool(outside or rounding)
+
+
+def _main(argv):
+    count = int(argv[1]) if len(argv) > 1 else 1000
+    seed = int(argv[2]) if len(argv) > 2 else 1
+    cases = sweep_cases(seed, count)
+    failed = _report(
+        f"{count} cases (seed {seed}, "
+        f"{sum(c.near_zero for c in cases)} next to a zero of TOTAL)", cases)
+    wide = max(count // 10, 1)
+    failed |= _report(
+        f"{wide} wide-spectrum cases (seed {seed}, omega 1e-8..1e8, "
+        f"3-20 transitions)", wide_cases(seed, wide))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
