@@ -75,20 +75,17 @@ class Separation:
         rb = np.array(self.r_b, dtype=float).reshape(-1)
         if ra.shape != (3,) or rb.shape != (3,):
             raise ValueError("positions must be 3-vectors")
-        if not (np.all(np.isfinite(ra)) and np.all(np.isfinite(rb))):
+        if not all(map(math.isfinite, ra.tolist() + rb.tolist())):
             raise ValueError("positions must be finite")
         diff = ra - rb
         dist = kernels.vector_norm(diff)
         if dist <= 0.0:
             raise ValueError("positions must be distinct")
-        ra.setflags(write=False)
-        rb.setflags(write=False)
-        object.__setattr__(self, "r_a", ra)
-        object.__setattr__(self, "r_b", rb)
-        object.__setattr__(self, "_dist", dist)
         rhat = diff / dist
-        rhat.setflags(write=False)
-        object.__setattr__(self, "_rhat", rhat)
+        for arr in (ra, rb, rhat):
+            arr.setflags(write=False)
+        # the fields are set once, past the frozen dataclass's __setattr__
+        self.__dict__.update(r_a=ra, r_b=rb, _dist=dist, _rhat=rhat)
 
     @property
     def R(self) -> float:
@@ -99,20 +96,31 @@ class Separation:
         return self._rhat  # type: ignore[attr-defined]
 
 
-def _prepare_xi(xi, allow_zero: bool) -> tuple[np.ndarray, bool]:
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+def _checked_xi(xi, allow_zero: bool) -> np.ndarray:
+    """The frequencies ``xi``, a scalar or 1-d array, as a float array
+    (n,), checked finite and non-negative (positive unless
+    ``allow_zero``)."""
+    arr = np.asarray(xi, dtype=float)
     if arr.ndim != 1:
-        raise ValueError("xi must be a scalar or 1-d array")
+        if arr.ndim:
+            raise ValueError("xi must be a scalar or 1-d array")
+        arr = arr.reshape(1)
     if arr.size:
-        # min and max propagate NaN, so the two decide every check
-        lo, hi = float(arr.min()), float(arr.max())
+        # minimum and maximum propagate NaN, so the two decide every check
+        lo = float(np.minimum.reduce(arr))
+        hi = float(np.maximum.reduce(arr))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("xi must be finite")
         if allow_zero and lo < 0.0:
             raise ValueError("xi must be non-negative")
         if not allow_zero and lo <= 0.0:
             raise ValueError("xi must be positive")
-    return arr, np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
+    return arr
+
+
+def _prepare_xi(xi, allow_zero: bool) -> tuple[np.ndarray, bool]:
+    return (_checked_xi(xi, allow_zero),
+            np.isscalar(xi) or getattr(xi, "ndim", 1) == 0)
 
 
 def _maybe_squeeze(out: np.ndarray, scalar: bool) -> np.ndarray:
@@ -189,7 +197,7 @@ class FreeSpaceProvider:
         tables = kernels.free_tables((r_a - r_b).reshape(-1, 3))
 
         def blocks(xis) -> tuple[np.ndarray, np.ndarray]:
-            xis, _ = _prepare_xi(xis, allow_zero=True)
+            xis = _checked_xi(xis, allow_zero=True)
             out = kernels.free_blocks(tables, xis)
             shape = lead + (xis.shape[0], 2, 2, 3, 3)
             return out[..., :36].reshape(shape), out[..., 36:].reshape(shape)

@@ -43,20 +43,21 @@ beta modes whose A_a blocks pair with the same set of A_b blocks are one
 product.  A named component, TOTAL included, is one product, a row at
 most two.  That factorisation depends on the terms alone, not on the
 molecules: a request's plan (``_plan``) holds the product weights, each
-product's pair of half products and, per side, the beta modes, one
-gather index into a molecule's flattened ``response_table`` and the
-shape and propagator entries of each half.  The plans of the twelve
+product's pair of half products and, per side, one gather index into
+the tables a molecule holds (``Molecule.tables``) and the shape and
+propagator entries of each half.  The plans of the twelve
 named components and the ten rows are module constants, built at import
 (``_LABEL_PLANS``, ``_ROW_PLANS``); ``u_terms``, ``u_unified`` and a raw
 tuple of ``compute_curve`` plan their checked terms when called.
 
-Per request, what remains is the molecules' part: per side one
-``response_table`` per beta mode, with any duality rotation, one gather
-of the halves' columns from it and the trim to its non-zero rows.  Per
-transition, A is linear in 2 omega/(omega^2 + xi^2), 2 xi/(omega^2 + xi^2)
-and 1, so per node batch each molecule's responses are one product with
-those weights.  The provider is bound once per pass to the stacked
-positions of every separation of the pass (``bind``, see
+Per request, what remains is the molecules' part: per side one gather of
+the halves' columns from the tables every ``Molecule`` holds, the three
+beta modes' ``response_table`` side by side (``response.mode_tables``;
+a duality request rotates a copy), and the trim to its non-zero rows.
+Per transition, A is linear in 2 omega/(omega^2 + xi^2),
+2 xi/(omega^2 + xi^2) and 1, so per node batch each molecule's responses
+are one product with those weights.  The provider is bound once per pass
+to the stacked positions of every separation of the pass (``bind``, see
 ``chivdw.green``), and per node batch the bound propagator gives both
 block matrices at all of them in one call.  Each half product is one
 batched matrix product (6x6 for TOTAL, 3x3 for one tuple), each trace one
@@ -109,8 +110,9 @@ from chivdw import kernels
 from chivdw.green import FreeSpaceProvider, Separation, free_space_provider
 from chivdw.quad import (NonFiniteIntegrandError, QuadResult, QuadSpec,
                          integrate_halfline)
-from chivdw.response import (Molecule, response_arrays, response_from_table,
-                             response_table)
+from chivdw.response import (MODE_COLUMNS, ZERO_COLUMN, Molecule,
+                             mode_tables, response_arrays,
+                             response_from_table)
 
 __all__ = [
     "ComponentLabel",
@@ -247,11 +249,14 @@ class PotentialCurve:
         return self.r_values.shape[0]
 
 
+_SPEC = QuadSpec()
+
+
 def _default_spec() -> QuadSpec:
     """``QuadSpec()``, or its ``rel_tol`` from VDW_QUAD_RTOL when set."""
     raw = os.environ.get("VDW_QUAD_RTOL", "").strip()
     if not raw:
-        return QuadSpec()
+        return _SPEC
     try:
         val = float(raw)
     except ValueError:
@@ -292,7 +297,7 @@ def _halfline(mol_a: Molecule, mol_b: Molecule, rs: Sequence[float],
             if exc.mapped:
                 raise _overflow(min(rs)) from exc
             raise
-    if not np.isfinite(res.value).all():
+    if not all(map(math.isfinite, np.ravel(res.value).tolist())):
         finite = np.isfinite(np.reshape(res.value, (len(rs), -1)))
         raise _overflow(rs[int(np.argmin(finite.all(axis=1)))])
     return res
@@ -360,8 +365,9 @@ def _bind(provider, r_a: np.ndarray, r_b: np.ndarray) -> Callable:
     def blocks(xis: np.ndarray) -> list:
         expected = (count, xis.shape[0], 2, 2, 3, 3)
         pair = [np.asarray(b, dtype=float) for b in bound(xis)]
-        shapes = [b.shape for b in pair]
-        if shapes != [expected] * 2:
+        if (len(pair) != 2 or pair[0].shape != expected
+                or pair[1].shape != expected):
+            shapes = [b.shape for b in pair]
             raise ValueError(
                 f"provider blocks returned shapes {shapes} for "
                 f"{expected[0]} separations and {expected[1]} frequencies; "
@@ -415,15 +421,12 @@ def _products(terms: Sequence[Tuple[str, str, str]],
 class _Side(NamedTuple):
     """One side's half products, independent of the molecule.
 
-    ``modes`` are its beta modes.  ``index`` gathers every half's
-    A|S[R, C] from the side's flattened response tables: 36 columns per
-    mode, followed, when ``zeros`` (some S leaves out a block of its rows
-    and columns), by one zero column for the entries outside S.
+    ``index`` gathers every half's A|S[R, C] from the columns of a
+    molecule's ``tables`` (``response.mode_tables``): the 36 columns of
+    the half's beta mode, and the zero column for the entries outside S.
     ``specs`` holds per half its columns, (3 |R|, 3 |C|) and the entries
     of B[C, R_out]."""
 
-    modes: tuple
-    zeros: bool
     index: np.ndarray
     specs: tuple
 
@@ -443,16 +446,17 @@ def _side_plan(halves: Sequence[tuple]) -> _Side:
     """The ``_Side`` of halves (mode, S, R_out), each A|S[R, C] @
     B[C, R_out] with R, C the rows and columns of the blocks S and R_out
     the other side's rows."""
-    modes = tuple(dict.fromkeys(mode for mode, _, _ in halves))
     entries = np.arange(36).reshape(2, 3, 2, 3)
     index, specs, first = [], [], 0
     for mode, blocks, rows_out in halves:
+        if mode not in MODE_COLUMNS:
+            raise ValueError(f"unknown beta_mode {mode!r}")
         ij = [(_BLOCK_INDEX[row], _BLOCK_INDEX[col]) for row, col in blocks]
         rows = sorted({i for i, _ in ij})
         cols = sorted({j for _, j in ij})
-        part = np.full((len(rows), 3, len(cols), 3), 36 * len(modes))
+        part = np.full((len(rows), 3, len(cols), 3), ZERO_COLUMN)
         for i, j in ij:
-            part[i - rows[0], :, j - cols[0]] = (36 * modes.index(mode)
+            part[i - rows[0], :, j - cols[0]] = (MODE_COLUMNS[mode]
                                                  + entries[i, :, j])
         index.append(part.ravel())
         specs.append((slice(first, first + part.size),
@@ -461,8 +465,7 @@ def _side_plan(halves: Sequence[tuple]) -> _Side:
         first += part.size
     index = np.concatenate(index)
     index.setflags(write=False)
-    return _Side(modes, bool(index.max() == 36 * len(modes)), index,
-                 tuple(specs))
+    return _Side(index, tuple(specs))
 
 
 def _plan(terms: Sequence[Tuple[str, str, str]],
@@ -489,15 +492,13 @@ def _sum_plan(terms: Sequence[Tuple[str, str, str]]) -> _Plan:
 
 def _side_table(mol: Molecule, side: _Side,
                 duality: Optional[float]) -> Tuple[np.ndarray, slice]:
-    """The side's table, one column group A|S[R, C] per half gathered from
-    ``mol``'s ``response_table`` of each mode, trimmed to its non-zero
-    rows; and those rows."""
-    tables = [response_table(mol, mode, duality).reshape(-1, 36)
-              for mode in side.modes]
-    if side.zeros:
-        tables.append(np.zeros((tables[0].shape[0], 1)))
-    table = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
-    table = table.take(side.index, axis=1)
+    """The side's table, one column group A|S[R, C] per half gathered in
+    one ``take`` from ``mol``'s ``tables`` (rotated by ``duality``, when
+    given), trimmed to its non-zero rows; and those rows.  The trim keeps
+    the leading and trailing zero rows out of the weights product, whose
+    rounding depends on the rows it sums."""
+    tables = mol.tables if duality is None else mode_tables(mol, duality)
+    table = tables.take(side.index, axis=1)
     used = table.any(axis=1).nonzero()[0]
     kept = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
     return table[kept], kept
@@ -527,7 +528,7 @@ def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
     separation-major.
 
     Product q is tr[A_a|S_a B(r_a, r_b) A_b|S_b B(r_b, r_a)]; each side's
-    halves are gathered from the response tables once (``_side_table``)
+    halves are gathered from the molecule's tables once (``_side_table``)
     and the provider is bound once to the positions (``_bind``).  Per node
     batch each molecule's A|S are one product (``response_from_table``)
     and the blocks one call of the bound propagator.  Columns that are not

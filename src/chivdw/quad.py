@@ -12,7 +12,9 @@ the error of the Kronrod value itself (see ``_panel_sums``):
 * ``integrate_halfline`` integrates in log-frequency: one up-front panel
   layout, linear below the integrand's smallest scale, uniform in ln(xi)
   across its scales and algebraically mapped beyond the largest, which
-  adaptive bisection then refines.
+  adaptive bisection then refines.  Every panel lies in one of the three
+  pieces, so the map is applied panel by panel, to slices of the rows
+  where the pieces follow in order, as they do in the first round.
 * ``integrate_pv`` removes the pole by the symmetric combination
   f(pole+t) + f(pole-t), which is smooth at t = 0, and integrates the
   leftover one-sided segment normally.
@@ -24,15 +26,20 @@ and its nodes, each component is held to its own tolerance, and the result
 carries (K,) arrays with ``evals`` counting the shared nodes; (n,) is the
 K = 1 case of the same core.  Any other shape raises ``ValueError``, an
 error raised by the integrand propagates unchanged, and a non-finite value
-raises ``NonFiniteIntegrandError``.  All engines are stateless and safe for
-concurrent use.
+raises ``NonFiniteIntegrandError``.  Each round of the adaptive core makes
+one integrand call on the nodes of all its new panels and checks the
+values once: on the half-line after the Jacobian, where a non-finite
+integrand names its abscissa x and a finite one carried out of float range
+by the Jacobian names t, with ``mapped`` set.  The first round
+concatenates nothing.  All engines are stateless and safe for concurrent
+use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +102,10 @@ _ALPHA = 4.0
 _SAFETY = 10.0
 
 _EPS = np.finfo(float).eps
+# the round-off floor of a panel per unit of its |f| sum, and the factor of
+# the asymptotic error model at the decay ratio _R_CRIT
+_FLOOR = 50.0 * _EPS
+_SHRINK = _R_CRIT ** (1.0 - _ALPHA)
 _TINY = np.finfo(float).tiny  # smallest normal float
 # The narrowest panel that is still bisected, relative to the magnitude of
 # its edges: some 500 floats or more, so that the outer nodes of its
@@ -169,8 +180,9 @@ class _VectorisedCall:
 
     An integrand returning shape (n,) is the K = 1 case; one returning
     (n, K) is vector-valued (``vector`` records which).  Any other shape
-    raises ``ValueError``, and a non-finite value
-    ``NonFiniteIntegrandError`` naming the integrand's own abscissa.
+    raises ``ValueError``.  A call does not check the values: each round
+    of ``_adaptive`` checks its integrand's once (``checked``, or the
+    half-line map's product with its Jacobian).
     """
 
     def __init__(self, f: Callable):
@@ -185,12 +197,30 @@ class _VectorisedCall:
                 f"integrand returned shape {out.shape} for {n} nodes; "
                 f"expected ({n},) or ({n}, K)")
         self.vector = out.ndim == 2
-        out = out.reshape(n, -1)
+        return out.reshape(n, -1)
+
+    def checked(self, xs: np.ndarray) -> np.ndarray:
+        """The values at the nodes ``xs``, of any shape, taken flat; a
+        non-finite one raises ``NonFiniteIntegrandError`` naming its
+        abscissa."""
+        xs = xs.reshape(-1)
+        out = self(xs)
         if not np.isfinite(out).all():
-            bad = float(xs[~np.isfinite(out).all(axis=1)][0])
-            raise NonFiniteIntegrandError(
-                f"integrand returned a non-finite value at x={bad!r}")
+            raise _non_finite(xs, out)
         return out
+
+
+def _non_finite(xs: np.ndarray, values: np.ndarray,
+                mapped: bool = False) -> NonFiniteIntegrandError:
+    """The error naming the first of the nodes ``xs`` whose ``values``
+    (n, K) are not finite: the integrand's abscissa x, or, ``mapped``, the
+    variable t of a map whose Jacobian or folded sum overflowed."""
+    bad = float(xs.reshape(-1)[~np.isfinite(values).all(axis=1)][0])
+    if mapped:
+        return NonFiniteIntegrandError(
+            f"mapped integrand overflowed at t={bad!r}", mapped=True)
+    return NonFiniteIntegrandError(
+        f"integrand returned a non-finite value at x={bad!r}")
 
 
 def _shaped(res: QuadResult, fv: _VectorisedCall) -> QuadResult:
@@ -223,28 +253,33 @@ def _panel_sums(fvals: np.ndarray, half: np.ndarray):
     out = np.empty((3, fvals.shape[0], fvals.shape[2]))
     half = half[:, None]
     proj = _RULES @ fvals                                   # (m, 7, K)
-    out[0] = half * proj[:, 0]
-    out[2] = 50.0 * _EPS * (half * (_W15 @ np.abs(fvals)))
-    pairs = np.hypot(proj[:, 1::2], proj[:, 2::2])          # (m, 3, K)
-    e3, e2, e1 = pairs.transpose(1, 0, 2)
-    # x/0 is inf and 0/0 NaN, which fmax passes over: r is 0 where E1 and
-    # E2 vanish, and a panel of zeros ends on its zero floor
+    np.multiply(half, proj[:, 0], out=out[0])
+    np.multiply(_FLOOR, half * (_W15 @ np.abs(fvals)), out=out[2])
+    pairs = np.hypot(proj[:, 1::2], proj[:, 2::2])          # E3, E2, E1
+    # both ratios [E2/E3, E1/E2] in one division: x/0 is inf and 0/0 NaN,
+    # which fmax passes over, so r is 0 where E1 and E2 vanish, and a
+    # panel of zeros ends on its zero floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.fmax(e1 / e2, e2 / e3)
+        ratios = pairs[:, 1:] / pairs[:, :2]
+        ratio = np.fmax(ratios[:, 1], ratios[:, 0])
         capped = np.minimum(ratio, 1.0)
         shrink = np.where(capped > _R_CRIT, capped,
-                          _R_CRIT ** (1.0 - _ALPHA) * capped ** _ALPHA)
-        err = np.where(ratio >= 1.0, pairs.max(axis=1), shrink * e1)
-        out[1] = np.fmax(_SAFETY * half * err, out[2])
+                          _SHRINK * capped ** _ALPHA)
+        err = np.where(ratio >= 1.0, np.maximum.reduce(pairs, axis=1),
+                       shrink * pairs[:, 2])
+        np.fmax(_SAFETY * half * err, out[2], out=out[1])
     return out
 
 
-def _adaptive(f: Callable, edges: Sequence[float],
-              spec: QuadSpec) -> QuadResult:
+def _adaptive(f: Callable, edges: np.ndarray, spec: QuadSpec) -> QuadResult:
     """Globally adaptive bisection over an initial set of panels.
 
-    ``f`` maps a node array (n,) to values of shape (n, K), all K
-    components sharing the nodes.  Component k is converged when its
+    ``edges`` are the panels' edges, strictly increasing (one edge: no
+    panel, and a zero result).  ``f`` maps the
+    nodes of m panels (m, 15) to finite values (15 m, K), panel by panel,
+    all K components sharing the nodes, and raises
+    ``NonFiniteIntegrandError`` where they are not finite; it is called
+    once per round.  Component k is converged when its
     summed panel error is within max(rel_tol |value_k|, abs_tol); a panel
     is split when its error in any component exceeds that component's
     equidistributed share.  A component whose summed round-off floor
@@ -259,35 +294,24 @@ def _adaptive(f: Callable, edges: Sequence[float],
     Value and error estimate are returned as (K,) arrays and ``evals``
     counts shared nodes.
     """
-    los = np.array(edges[:-1], dtype=float)
-    his = np.array(edges[1:], dtype=float)
-    keep = his > los
-    pend_lo, pend_hi = los[keep], his[keep]
-    if pend_lo.size == 0:
+    if edges.shape[0] < 2:      # an interval that rounds to a point
         return QuadResult(0.0, 0.0, 0, True)
-
+    pend_lo, pend_hi = edges[:-1], edges[1:]
     evals = 0
-    sums = None
-    all_lo = np.empty(0)
-    all_hi = np.empty(0)
 
     while True:
         mid = 0.5 * (pend_lo + pend_hi)
         half = 0.5 * (pend_hi - pend_lo)
-        nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-        flat = nodes.reshape(-1)
-        fv = f(flat)
-        if not np.isfinite(fv).all():
-            # the integrand itself is checked where it is called, so this
-            # is a map's Jacobian or a folded sum overflowing
-            bad = float(flat[~np.isfinite(fv).all(axis=1)][0])
-            raise NonFiniteIntegrandError(
-                f"mapped integrand overflowed at t={bad!r}", mapped=True)
-        evals += flat.size
+        nodes = mid[:, None] + half[:, None] * _NODES
+        fv = f(nodes)
         new = _panel_sums(fv.reshape(nodes.shape + (-1,)), half)
-        sums = new if sums is None else np.concatenate([sums, new], axis=1)
-        all_lo = np.concatenate([all_lo, pend_lo])
-        all_hi = np.concatenate([all_hi, pend_hi])
+        if evals:
+            sums = np.concatenate([sums, new], axis=1)
+            all_lo = np.concatenate([all_lo, pend_lo])
+            all_hi = np.concatenate([all_hi, pend_hi])
+        else:       # the first round: its panels are all there are
+            sums, all_lo, all_hi = new, pend_lo, pend_hi
+        evals += nodes.size
 
         total, total_err, total_floor = sums.sum(axis=1)
         tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
@@ -328,10 +352,12 @@ def _adaptive(f: Callable, edges: Sequence[float],
         pend_hi = np.concatenate([s_mid, s_hi])
 
 
-def _edge_list(a: float, b: float, interior: Iterable[float]) -> list[float]:
-    pts = sorted({float(a), float(b), *(float(p) for p in interior
-                                        if a < float(p) < b)})
-    return pts
+def _edge_list(a: float, b: float, interior: Iterable[float]) -> np.ndarray:
+    """The edges a < ... < b of the panels split at the ``interior``
+    points that lie strictly between a and b."""
+    return np.array(sorted({float(a), float(b),
+                            *(float(p) for p in interior
+                              if a < float(p) < b)}))
 
 
 def integrate_interval(f: Callable, a: float, b: float, spec: QuadSpec,
@@ -342,7 +368,8 @@ def integrate_interval(f: Callable, a: float, b: float, spec: QuadSpec,
     if b <= a:
         raise ValueError("requires a < b")
     fv = _VectorisedCall(f)
-    return _shaped(_adaptive(fv, _edge_list(a, b, breakpoints), spec), fv)
+    return _shaped(_adaptive(fv.checked, _edge_list(a, b, breakpoints),
+                             spec), fv)
 
 
 def integrate_halfline(f: Callable, spec: QuadSpec,
@@ -374,6 +401,84 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
     ``f`` may return shape (n,) or, for K integrals on shared nodes,
     (n, K); the latter gives per-component arrays (see ``_adaptive``).
     """
+    layout = _halfline_layout(breakpoints)
+    fv = _VectorisedCall(f)
+
+    def mapped(ts: np.ndarray) -> np.ndarray:
+        xs, jac = layout.map(ts)
+        xs = xs.reshape(-1)
+        raw = fv(xs)
+        out = raw * jac.reshape(-1, 1)
+        # one check per round: a non-finite integrand names its own x, a
+        # finite one that the Jacobian carries out of range names t
+        if not np.isfinite(out).all():
+            if not np.isfinite(raw).all():
+                raise _non_finite(xs, raw)
+            raise _non_finite(ts, out, mapped=True)
+        return out
+
+    return _shaped(_adaptive(mapped, layout.edges, spec), fv)
+
+
+class _HalfLine(NamedTuple):
+    """The panel layout of ``integrate_halfline`` in t and its map to xi:
+    the edges 0, 1, ..., 1 + L, 2 + L of the head, body and tail panels,
+    xi_lo, xi_hi, and whether the tail's xi_hi / (2 + L - t) can leave
+    float range."""
+
+    edges: np.ndarray
+    xi_lo: float
+    xi_hi: float
+    tail_start: float
+    end: float
+    far_overflows: bool
+
+    def map(self, ts: np.ndarray):
+        """(xi, dxi/dt) at the nodes ts (m, 15) of m panels.
+
+        Each panel lies in one piece, so the head, body and tail maps,
+        xi = xi_lo t, xi_lo e^(t - 1) and xi_hi / (2 + L - t), apply panel
+        by panel: to slices of the rows where the pieces follow in order
+        (always in the first round), else to the rows of each piece.  A
+        tail node whose xi overflows raises ``NonFiniteIntegrandError``
+        with ``mapped`` set."""
+        xi_lo, xi_hi = self.xi_lo, self.xi_hi
+        head, body, tail = self._pieces(ts)
+        xs = np.empty_like(ts)
+        jac = np.empty_like(ts)
+        xs[head] = xi_lo * ts[head]
+        jac[head] = xi_lo
+        grown = xi_lo * np.exp(ts[body] - 1.0)
+        xs[body] = grown
+        jac[body] = grown
+        rest = self.end - ts[tail]
+        far = xi_hi / rest
+        if self.far_overflows and np.isinf(far).any():
+            bad = float(ts[tail][np.isinf(far)][0])
+            raise NonFiniteIntegrandError(
+                f"the half-line map overflowed at t={bad!r}", mapped=True)
+        xs[tail] = far
+        jac[tail] = far / rest
+        return xs, jac
+
+    def _pieces(self, ts: np.ndarray) -> tuple:
+        """The rows of ``ts`` in the head, body and tail, read from each
+        panel's midpoint, node 7 of the rule: slices when they follow in
+        order, else index arrays."""
+        tail_start = self.tail_start
+        pieces = [0 if mid < 1.0 else 2 if mid > tail_start else 1
+                  for mid in ts[:, 7].tolist()]
+        if pieces == sorted(pieces):
+            first = pieces.count(0)
+            last = len(pieces) - pieces.count(2)
+            return slice(0, first), slice(first, last), slice(last, None)
+        pieces = np.array(pieces)
+        return tuple(np.flatnonzero(pieces == k) for k in range(3))
+
+
+def _halfline_layout(breakpoints: Sequence[float]) -> _HalfLine:
+    """The ``integrate_halfline`` layout of the positive finite
+    ``breakpoints`` (1 when there are none)."""
     scales = [float(p) for p in breakpoints if 0.0 < float(p) < math.inf]
     if not scales:
         scales = [1.0]
@@ -389,31 +494,13 @@ def integrate_halfline(f: Callable, spec: QuadSpec,
     body = math.log(xi_hi / xi_lo)
     n_body = math.ceil(2.0 * math.log10(xi_hi / xi_lo))
     tail_start, end = 1.0 + body, 2.0 + body
+    edges = np.array([0.0, *(1.0 + body * k / n_body
+                             for k in range(n_body + 1)), end])
     # bisection (see _MIN_WIDTH) keeps end - t above 1e-16 at every tail
     # node, so its xi_hi / (end - t) can leave float range only where
     # 1e16 xi_hi does
-    far_overflows = 1e16 * xi_hi == math.inf
-    edges = [0.0, *(1.0 + body * np.arange(n_body + 1) / n_body), end]
-    fv = _VectorisedCall(f)
-
-    def transformed(ts: np.ndarray) -> np.ndarray:
-        xs = xi_lo * np.exp(ts - 1.0)
-        jac = xs.copy()
-        head = ts < 1.0
-        xs[head] = xi_lo * ts[head]
-        jac[head] = xi_lo
-        tail = ts > tail_start
-        rest = end - ts[tail]
-        far = xi_hi / rest
-        if far_overflows and np.isinf(far).any():
-            bad = float(ts[tail][np.isinf(far)][0])
-            raise NonFiniteIntegrandError(
-                f"the half-line map overflowed at t={bad!r}", mapped=True)
-        xs[tail] = far
-        jac[tail] = far / rest
-        return fv(xs) * jac[:, None]
-
-    return _shaped(_adaptive(transformed, edges, spec), fv)
+    return _HalfLine(edges, xi_lo, xi_hi, tail_start, end,
+                     1e16 * xi_hi == math.inf)
 
 
 def integrate_pv(f: Callable, pole: float, a: float, b: float,
@@ -437,12 +524,18 @@ def integrate_pv(f: Callable, pole: float, a: float, b: float,
     quantum = math.ulp(pole)
 
     def symmetric(ts: np.ndarray) -> np.ndarray:
-        ts = (pole + np.maximum(ts, quantum)) - pole
-        return fv(pole + ts) + fv(pole - ts)
+        ts = ts.reshape(-1)
+        offsets = (pole + np.maximum(ts, quantum)) - pole
+        out = fv.checked(pole + offsets) + fv.checked(pole - offsets)
+        if not np.isfinite(out).all():
+            raise _non_finite(ts, out, mapped=True)
+        return out
 
     core = _adaptive(symmetric, _edge_list(0.0, delta, [delta * 0.1]), spec)
     if pole - a > delta:
-        core = core + _adaptive(fv, _edge_list(a, pole - delta, []), spec)
+        core = core + _adaptive(fv.checked, _edge_list(a, pole - delta, []),
+                                spec)
     if b - pole > delta:
-        core = core + _adaptive(fv, _edge_list(pole + delta, b, []), spec)
+        core = core + _adaptive(fv.checked, _edge_list(pole + delta, b, []),
+                                spec)
     return _shaped(core, fv)

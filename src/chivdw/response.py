@@ -17,8 +17,10 @@ lays them out in the 6x6 form A = [[alpha, chi_em], [chi_me, beta]], with
 the beta modes and any electric-magnetic duality rotation: a (2T+1, 6, 6)
 table whose product with ``kernels.frequency_weights`` is A on n
 frequencies.  ``response_arrays`` and ``rotate_molecule_tensors`` return
-the four 3x3 blocks of that product (one xi is ``[xi]``), and the
-potentials take columns of the table (``response_from_table``).
+the four 3x3 blocks of that product (one xi is ``[xi]``).  A ``Molecule``
+also holds the tables of the three beta modes side by side
+(``mode_tables``, built once at construction), and the potentials gather
+their columns from it, one ``take`` per request.
 
 Internally everything is in natural units (hbar = c = eps0 = mu0 = 1); the
 file-ingestion layer converts SI or atomic-unit input on load.
@@ -41,11 +43,19 @@ __all__ = [
     "response_arrays",
     "rotate_molecule_tensors",
     "response_table",
+    "mode_tables",
+    "MODE_COLUMNS",
+    "ZERO_COLUMN",
     "response_from_table",
     "static_limits",
 ]
 
 _BETA_MODES = ("full", "para", "dia")
+
+# the first of each beta mode's 36 columns in ``mode_tables``, and the
+# index of its one zero column after them
+MODE_COLUMNS = {mode: 36 * k for k, mode in enumerate(_BETA_MODES)}
+ZERO_COLUMN = 36 * len(_BETA_MODES)
 
 # the (row, column) block indices of alpha, beta, chi_em and chi_me in A
 _ROWS, _COLS = [0, 1, 0, 1], [0, 1, 1, 0]
@@ -119,11 +129,16 @@ class Molecule:
     """Named set of dipole transitions plus a static diamagnetisability.
 
     The state is read-only arrays: ``omegas`` (T,), ``dipoles`` (T, 3),
-    ``magnetic_dipoles`` (T, 3) and their outer products ``products``
-    (T, 27) = [d d^T | m m^T | d m^T].  ``Molecule(name, transitions,
-    beta_dia)`` packs ``Transition`` objects into them and ``from_arrays``
-    takes them directly, through the same validation; ``transitions`` is
-    built on first access.
+    ``magnetic_dipoles`` (T, 3), their outer products ``products``
+    (T, 27) = [d d^T | m m^T | d m^T], and ``tables`` (2T+1, 109), the
+    ``response_table`` of each beta mode flattened to 36 columns, in the
+    order full, para, dia, then one zero column (``mode_tables``; the
+    columns of a mode start at ``MODE_COLUMNS[mode]``).  Every molecule
+    builds its own tables once, when it is made, so a request only
+    gathers from them.  ``Molecule(name, transitions, beta_dia)`` packs
+    ``Transition`` objects into the arrays and ``from_arrays`` takes them
+    directly, through the same validation; ``transitions`` is built on
+    first access.
 
     ``beta_dia`` must be symmetric and negative semi-definite (its physical
     definition carries an overall minus sign).
@@ -164,6 +179,9 @@ class Molecule:
         self.__dict__.update(name=name, beta_dia=bd, omegas=omegas,
                              dipoles=ds, magnetic_dipoles=mts,
                              products=products)
+        tables = mode_tables(self)
+        tables.setflags(write=False)
+        self.__dict__["tables"] = tables
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"Molecule is immutable; cannot set {attr!r}")
@@ -215,20 +233,38 @@ def response_table(mol: Molecule, beta_mode: str = "full",
     rotates the table as ``rotate_molecule_tensors`` rotates the tensors."""
     if beta_mode not in _BETA_MODES:
         raise ValueError(f"unknown beta_mode {beta_mode!r}")
+    return _tables(mol, (beta_mode,), duality, 36).reshape(-1, 6, 6)
+
+
+def mode_tables(mol: Molecule, duality=None) -> np.ndarray:
+    """The (2T+1, 109) tables of the three beta modes side by side: the
+    ``response_table`` of "full", "para" and "dia", each flattened to 36
+    columns, then one zero column.  A ``Molecule`` holds its own as
+    ``tables``; a ``duality`` angle rotates every mode's table."""
+    return _tables(mol, _BETA_MODES, duality, ZERO_COLUMN + 1)
+
+
+def _tables(mol: Molecule, modes, duality, width: int) -> np.ndarray:
+    """(2T+1, width): the flattened response tables of ``modes`` side by
+    side, zeros after them (see ``response_table``)."""
     count = mol.omegas.shape[0]
     dd, mm, dm = mol.products.reshape(count, 3, 3, 3).transpose(1, 0, 2, 3)
-    table = np.zeros((2 * count + 1, 2, 3, 2, 3))
-    table[:count, 0, :, 0] = dd
-    table[count:-1, 0, :, 1] = dm
-    table[count:-1, 1, :, 0] = -dm.transpose(0, 2, 1)
-    if beta_mode != "dia":
-        table[:count, 1, :, 1] = mm
-    if beta_mode != "para":
-        table[-1, 1, :, 1] = mol.beta_dia
-    if duality is not None:
-        table[:, _ROWS, :, _COLS] = _rotate_blocks(
-            duality, *table[:, _ROWS, :, _COLS])
-    return table.reshape(-1, 6, 6)
+    out = np.zeros((2 * count + 1, width))
+    for k, mode in enumerate(modes):
+        # a view: the blocks are written into ``out`` in place
+        table = out[:, 36 * k:36 * k + 36].reshape(-1, 2, 3, 2, 3,
+                                                   copy=False)
+        table[:count, 0, :, 0] = dd
+        table[count:-1, 0, :, 1] = dm
+        table[count:-1, 1, :, 0] = -dm.transpose(0, 2, 1)
+        if mode != "dia":
+            table[:count, 1, :, 1] = mm
+        if mode != "para":
+            table[-1, 1, :, 1] = mol.beta_dia
+        if duality is not None:
+            table[:, _ROWS, :, _COLS] = _rotate_blocks(
+                duality, *table[:, _ROWS, :, _COLS])
+    return out
 
 
 def response_from_table(mol: Molecule, table: np.ndarray, rows: slice,

@@ -426,3 +426,153 @@ class TestNullRuleEstimate:
         assert err[1, 1] > 0.0
         assert res.converged
         assert res.value == pytest.approx(1.0 / 800.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The half-line pass: the map panel by panel, one call and one check a round
+# ---------------------------------------------------------------------------
+
+def _node_mask_map(layout, ts):
+    """The half-line map applied node by node through masks: the body map
+    on every node, then the head and tail nodes overwritten."""
+    flat = ts.reshape(-1)
+    with np.errstate(over="ignore"):
+        xs = layout.xi_lo * np.exp(flat - 1.0)
+        jac = xs.copy()
+        head = flat < 1.0
+        xs[head] = layout.xi_lo * flat[head]
+        jac[head] = layout.xi_lo
+        tail = flat > layout.tail_start
+        rest = layout.end - flat[tail]
+        far = layout.xi_hi / rest
+        xs[tail] = far
+        jac[tail] = far / rest
+    return xs.reshape(ts.shape), jac.reshape(ts.shape)
+
+
+def _panel_nodes(lo, hi):
+    from chivdw.quad import _NODES
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _NODES
+
+
+def _split_rounds(edges, rng, rounds):
+    """The nodes of ``rounds`` random bisection rounds over the panels of
+    ``edges``, each round's panels in the order ``_adaptive`` gives them:
+    the left halves of the split panels, then their right halves.  Every
+    other round also splits the panel at the end of the tail while it is
+    wide enough, so its nodes approach the end of the layout."""
+    from chivdw.quad import _MIN_WIDTH
+    lo, hi = edges[:-1], edges[1:]
+    out = []
+    for k in range(rounds):
+        # as in _adaptive, a panel too narrow to bisect is not split
+        wide = np.flatnonzero(
+            (hi - lo) > _MIN_WIDTH * np.maximum(np.abs(lo), np.abs(hi)))
+        count = int(rng.integers(1, min(len(wide), 6) + 1))
+        split = set(rng.choice(wide, size=count, replace=False).tolist())
+        if k % 2 and np.argmax(hi) in wide:
+            split.add(int(np.argmax(hi)))
+        split = np.array(sorted(split))
+        s_lo, s_hi = lo[split], hi[split]
+        s_mid = 0.5 * (s_lo + s_hi)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        p_lo = np.concatenate([s_lo, s_mid])
+        p_hi = np.concatenate([s_mid, s_hi])
+        out.append(_panel_nodes(p_lo, p_hi))
+        lo = np.concatenate([lo[keep], p_lo])
+        hi = np.concatenate([hi[keep], p_hi])
+    return out
+
+
+_LAYOUTS = [(), [1.0], [0.65, 1.0, 0.5], [1e-4, 1.0, 1e4], [5e-324, 1e3],
+            [1e-300, 1e300], [1.0, 1e290]]
+
+
+class TestHalfLinePass:
+    @pytest.mark.parametrize("breakpoints", _LAYOUTS,
+                             ids=[str(b) for b in _LAYOUTS])
+    def test_panel_map_equals_node_mask_map(self, breakpoints):
+        # first-round layouts and random split rounds; the [1, 1e290]
+        # layout drives its tail nodes toward the largest float
+        from chivdw.quad import _halfline_layout
+        layout = _halfline_layout(breakpoints)
+        edges = layout.edges
+        rounds = [_panel_nodes(edges[:-1], edges[1:])]
+        rounds += _split_rounds(edges, np.random.default_rng(len(edges)), 80)
+        for ts in rounds:
+            want_xs, want_jac = _node_mask_map(layout, ts)
+            if np.isinf(want_xs).any():
+                # a tail node beyond float range raises before any call
+                with pytest.raises(NonFiniteIntegrandError,
+                                   match="map overflowed") as info, \
+                        np.errstate(over="ignore"):
+                    layout.map(ts)
+                assert info.value.mapped
+                continue
+            with np.errstate(over="ignore"):
+                xs, jac = layout.map(ts)
+            assert xs.tobytes() == want_xs.tobytes()
+            assert jac.tobytes() == want_jac.tobytes()
+
+    def test_tail_nodes_reach_float_range(self):
+        # the near-range layout of the test above does carry tail nodes
+        # past 1e300
+        from chivdw.quad import _halfline_layout
+        layout = _halfline_layout([1.0, 1e290])
+        rounds = _split_rounds(layout.edges, np.random.default_rng(10), 80)
+        with np.errstate(over="ignore"):
+            top = max(float(layout.map(ts)[0].max()) for ts in rounds)
+        assert top > 1e300
+
+    def test_one_integrand_call_per_round(self, monkeypatch):
+        from chivdw import quad
+        rounds, calls = [], []
+        inner = quad._panel_sums
+
+        def counted(fvals, half):
+            rounds.append(half.shape[0])
+            return inner(fvals, half)
+
+        def f(x):
+            calls.append(x.shape[0])
+            return np.exp(-x) * np.sin(5.0 * x) ** 2
+
+        monkeypatch.setattr(quad, "_panel_sums", counted)
+        res = integrate_halfline(f, SPEC)
+        assert res.converged and len(rounds) > 2
+        assert calls == [15 * m for m in rounds]
+        assert res.evals == sum(calls)
+
+    def test_non_finite_integrand_names_x_unmapped(self):
+        def f(x):
+            return np.where(x > 3.0, np.nan, np.exp(-x))
+
+        for run in (lambda: integrate_halfline(f, SPEC),
+                    lambda: integrate_interval(f, 0.0, 5.0, SPEC)):
+            with pytest.raises(NonFiniteIntegrandError,
+                               match="integrand returned a non-finite "
+                                     "value at x=") as info:
+                run()
+            assert not info.value.mapped
+            assert float(str(info.value).rsplit("x=", 1)[1]) > 3.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_jacobian_overflow_names_t_mapped(self):
+        with pytest.raises(NonFiniteIntegrandError,
+                           match="mapped integrand overflowed at t=") as info:
+            integrate_halfline(lambda x: np.full(x.shape, 1e305), SPEC)
+        assert info.value.mapped
+        # t lies in the tail piece of the default layout, [1 + L, 2 + L)
+        t = float(str(info.value).rsplit("t=", 1)[1])
+        assert t > 1.0 + math.log(4000.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_folded_sum_overflow_names_t_mapped(self):
+        with pytest.raises(NonFiniteIntegrandError,
+                           match="mapped integrand overflowed at t=") as info:
+            integrate_pv(lambda x: np.full(x.shape, 1e308), 0.5, 0.0, 2.0,
+                         SPEC)
+        assert info.value.mapped

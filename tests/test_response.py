@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chivdw.response import (
+    MODE_COLUMNS,
+    ZERO_COLUMN,
     Molecule,
     Transition,
     _rotate_blocks,
+    mode_tables,
     response_arrays,
     response_from_table,
     response_table,
@@ -333,3 +336,90 @@ class TestMoleculeArrays:
             assert got.omega == want.omega
             assert np.array_equal(got.d, want.d)
             assert np.array_equal(got.m_tilde, want.m_tilde)
+
+
+def _assigned_table(mol, mode, theta=None):
+    """A mode's (2T+1, 36) table written out block by block: d d^T and,
+    but for "dia", m m^T in rows 0..T-1; d m^T and -(d m^T)^T in rows
+    T..2T-1; beta_dia in row 2T but for "para"; then rotated."""
+    count = len(mol.omegas)
+    table = np.zeros((2 * count + 1, 2, 3, 2, 3))
+    for t, (d, m) in enumerate(zip(mol.dipoles, mol.magnetic_dipoles)):
+        table[t, 0, :, 0] = np.outer(d, d)
+        if mode != "dia":
+            table[t, 1, :, 1] = np.outer(m, m)
+        table[count + t, 0, :, 1] = np.outer(d, m)
+        table[count + t, 1, :, 0] = -np.outer(d, m).T
+    if mode != "para":
+        table[-1, 1, :, 1] = mol.beta_dia
+    if theta is not None:
+        blocks = [table[:, i, :, j] for i, j in ((0, 0), (1, 1), (0, 1),
+                                                 (1, 0))]
+        for (i, j), block in zip(((0, 0), (1, 1), (0, 1), (1, 0)),
+                                 _rotate_blocks(theta, *blocks)):
+            table[:, i, :, j] = block
+    return table.reshape(-1, 36)
+
+
+def _molecule_with(count):
+    rng = np.random.default_rng(count)
+    m = rng.normal(size=(3, 3))
+    return Molecule.from_arrays(f"t{count}", rng.uniform(0.5, 2.5, count),
+                                rng.normal(size=(count, 3)),
+                                rng.normal(size=(count, 3)), -0.03 * (m @ m.T))
+
+
+class TestHeldTables:
+    @pytest.mark.parametrize("count", [0, 1, 64])
+    @pytest.mark.parametrize("mode", ["full", "para", "dia"])
+    def test_each_mode_is_its_response_table(self, count, mode):
+        mol = _molecule_with(count)
+        first = MODE_COLUMNS[mode]
+        held = mol.tables[:, first:first + 36]
+        want = response_table(mol, mode).reshape(-1, 36)
+        # entry for entry, signed zeros included
+        assert np.ascontiguousarray(held).tobytes() == want.tobytes()
+        assert np.array_equal(held, _assigned_table(mol, mode))
+
+    @pytest.mark.parametrize("count", [0, 1, 64])
+    def test_layout_and_zero_column(self, count):
+        mol = _molecule_with(count)
+        assert mol.tables.shape == (2 * count + 1, ZERO_COLUMN + 1)
+        assert sorted(MODE_COLUMNS.values()) == [0, 36, 72]
+        assert ZERO_COLUMN == 108
+        assert not mol.tables[:, ZERO_COLUMN].any()
+
+    @pytest.mark.parametrize("theta", [math.pi / 5, math.pi / 2, 0.53])
+    def test_rotated_tables_rotate_every_mode(self, theta):
+        mol = _molecule_with(3)
+        rotated = mode_tables(mol, theta)
+        for mode, first in MODE_COLUMNS.items():
+            want = response_table(mol, mode, theta).reshape(-1, 36)
+            assert (np.ascontiguousarray(rotated[:, first:first + 36])
+                    .tobytes() == want.tobytes())
+            assert np.allclose(rotated[:, first:first + 36],
+                               _assigned_table(mol, mode, theta),
+                               rtol=0.0, atol=1e-15)
+        assert not rotated[:, ZERO_COLUMN].any()
+
+    def test_tables_are_read_only(self):
+        mol = _molecule_with(2)
+        assert not mol.tables.flags.writeable
+        with pytest.raises(ValueError):
+            mol.tables[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            mol.tables = np.zeros((5, 109))
+
+    def test_every_constructor_builds_its_own(self):
+        mol = generic_molecule(seed=6)
+        again = Molecule.from_arrays(mol.name, mol.omegas, mol.dipoles,
+                                     mol.magnetic_dipoles, mol.beta_dia)
+        mirror = mol.enantiomer()
+        assert again.tables is not mol.tables
+        assert again.tables.tobytes() == mol.tables.tobytes()
+        assert mirror.tables.tobytes() == mode_tables(mirror).tobytes()
+        # the mirror image negates m, so d m^T and its transpose flip sign
+        count = len(mol.omegas)
+        assert np.array_equal(mirror.tables[count:-1],
+                              -mol.tables[count:-1])
+        assert np.array_equal(mirror.tables[:count], mol.tables[:count])

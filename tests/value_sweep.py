@@ -1,7 +1,8 @@
 """The potentials on a fixed sweep, dumped to JSON and compared between
 two versions of chivdw.
 
-The sweep is 4 pairs x 68 requests x 21 separations = 5,712 values:
+The sweep is 4 pairs x (68 requests x 21 separations + 144 power-law
+points) = 6,288 values:
 
 - the pairs: the bundled pair; two generic 2-transition molecules; a
   seeded 16- and 64-transition pair; a pair with omega 1e-4, 1 and 1e-2,
@@ -17,7 +18,12 @@ The sweep is 4 pairs x 68 requests x 21 separations = 5,712 values:
   integrates them: ``compute_curve`` reads EE, EC, PC, DC and CC as the
   components), 1,848 values from multi-separation passes, whose ``evals``
   are those of the pass that integrated the separation;
-- the separations: R = 1e-3 ... 1e3, 21 values, along (1, -2, 2)/3.
+- the separations: R = 1e-3 ... 1e3, 21 values, along (1, -2, 2)/3;
+- the power-law points, one value at a time along z: ``u_row`` for the
+  10 rows on the 7-point ``asymptotics.retarded_window`` and
+  ``nonretarded_window`` of the pair (140 values), and ``u_named`` EE at
+  R = 1e-5, 1e-6, 1e-7 and 1e-8 (4 values), the requests of the paper's
+  far- and near-zone power laws.
 
 ``chivdw`` is imported from ``PYTHONPATH``, so one script dumps any
 checkout.  To check a change against its parent:
@@ -46,6 +52,8 @@ REL = 1e-12
 RS = np.geomspace(1e-3, 1e3, 21)
 DIRECTION = np.array([1.0, -2.0, 2.0]) / 3.0
 DUALITY = math.pi / 5
+WINDOW_POINTS = 7
+PROBE_RS = (1e-5, 1e-6, 1e-7, 1e-8)
 
 
 def _generic(seed, count):
@@ -160,6 +168,27 @@ def curves() -> list:
     return out
 
 
+def limits(a, b) -> list:
+    """(name, R, result) for the power-law points of the pair (a, b): the
+    10 rows on both asymptotic windows and the EE probes, along z."""
+    from chivdw import asymptotics
+    from chivdw.green import Separation
+    from chivdw.potentials import ROW_NAMES, u_named, u_row
+
+    z_hat, origin = np.array([0.0, 0.0, 1.0]), np.zeros(3)
+    out = []
+    for window in ("retarded", "nonretarded"):
+        rs = getattr(asymptotics, f"{window}_window")(a, b, WINDOW_POINTS)
+        for row in ROW_NAMES:
+            out += [(f"limits row {row} {window}", R,
+                     u_row(a, b, Separation(R * z_hat, origin), row))
+                    for R in rs.tolist()]
+    out += [("limits EE", R, u_named(a, b, Separation(R * z_hat, origin),
+                                     "EE"))
+            for R in PROBE_RS]
+    return out
+
+
 def dump(path: str) -> None:
     from chivdw.green import Separation
 
@@ -179,6 +208,9 @@ def dump(path: str) -> None:
         for name, run in curves():
             for R, point in zip(RS.tolist(), curve(lambda: run(a, b))):
                 record(pair_name, name, R, *point)
+        for name, R, res in limits(a, b):
+            record(pair_name, name, R, res.value, res.error_estimate,
+                   res.evals, res.converged)
     with open(path, "w") as fh:
         json.dump(records, fh)
     print(f"{len(records)} values written to {path}")
@@ -211,7 +243,9 @@ def compare(parent_path: str, change_path: str) -> int:
           f"{sum(r > REL for r in rels)} above {REL:g}")
     for kind, keys in (("bit for bit", list(parent)),
                        ("  of the curves", [k for k in parent
-                                            if k[1].startswith("curve ")])):
+                                            if k[1].startswith("curve ")]),
+                       ("  of the power laws",
+                        [k for k in parent if k[1].startswith("limits ")])):
         differ = {field: sum(parent[k][field] != change[k][field]
                              for k in keys)
                   for field in ("value", "error", "evals")}
