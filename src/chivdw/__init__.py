@@ -31,14 +31,7 @@ from .asymptotics import (
     u_nonretarded,
     u_retarded,
 )
-from .green import (
-    FreeSpaceProvider,
-    Separation,
-    free_space_provider,
-    g0,
-    g0_curl_left,
-    g0_scaled,
-)
+from .green import FreeSpaceProvider, Separation, free_space_provider
 from .molfiles import (
     CODATA2018,
     MoleculeFileError,
@@ -79,7 +72,6 @@ from .response import (
     Molecule,
     Transition,
     response_arrays,
-    rotate_molecule_tensors,
     static_limits,
 )
 from .verify import (
@@ -97,11 +89,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # response
-    "Transition", "Molecule", "response_arrays", "rotate_molecule_tensors",
-    "static_limits",
+    "Transition", "Molecule", "response_arrays", "static_limits",
     # green
     "Separation", "FreeSpaceProvider", "free_space_provider",
-    "g0", "g0_scaled", "g0_curl_left",
     # quad
     "QuadSpec", "QuadResult",
     "integrate_interval", "integrate_halfline", "integrate_pv",

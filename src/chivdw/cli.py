@@ -39,6 +39,7 @@ import argparse
 import functools
 import itertools
 import logging
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,8 +61,8 @@ from .molfiles import (
     load_molecule,
 )
 from .green import Separation
-from .potentials import _ROW_PLANS, ROW_NAMES, PotentialCurve, _summed, \
-    compute_curve
+from .potentials import _ROW_PLANS, ROW_NAMES, PotentialCurve, _direction, \
+    _summed, compute_curve
 from .quad import NonFiniteIntegrandError
 from .response import Molecule
 from .verify import run_suite
@@ -122,20 +123,34 @@ def _parse_orientation(text: str) -> np.ndarray:
         vec = np.array([float(p) for p in parts], dtype=float)
     except ValueError as exc:
         raise CliError(f"--orientation {text!r}: {exc}") from None
-    if not np.all(np.isfinite(vec)) or float(np.linalg.norm(vec)) == 0.0:
-        raise CliError("--orientation must be a finite non-zero vector")
+    try:
+        _direction(vec)   # a check: compute_curve normalises the vector
+    except ValueError:
+        raise CliError("--orientation must be a finite non-zero vector") \
+            from None
     return vec
+
+
+def _internal_length(args, flag: str, units: str) -> float:
+    """``--rmin`` or ``--rmax`` in internal units, finite before and after
+    the conversion."""
+    value = getattr(args, flag)
+    internal = length_to_internal(value, units)
+    if not math.isfinite(internal):
+        raise CliError(f"--{flag} must be a finite length, also in internal "
+                       f"units; got {value!r} ({units})")
+    return internal
 
 
 def _radius_grid(args, units: str) -> np.ndarray:
     if args.rmin is None or args.rmax is None:
         raise CliError("--rmin and --rmax are required")
+    lo = _internal_length(args, "rmin", units)
+    hi = _internal_length(args, "rmax", units)
     if not (0.0 < args.rmin <= args.rmax):
         raise CliError("need 0 < --rmin <= --rmax")
     if args.points < 1:
         raise CliError("--points must be at least 1")
-    lo = length_to_internal(args.rmin, units)
-    hi = length_to_internal(args.rmax, units)
     if args.points == 1:
         return np.array([lo])
     if args.log:
@@ -201,8 +216,8 @@ def cmd_powerlaw(args) -> int:
         r_values = _window_grid(args.window, mol_a, mol_b, args.points)
     elif args.rmin is not None and args.rmax is not None:
         window_name = "custom"
-        lo = length_to_internal(args.rmin, units)
-        hi = length_to_internal(args.rmax, units)
+        lo = _internal_length(args, "rmin", units)
+        hi = _internal_length(args, "rmax", units)
         if not (0.0 < lo < hi):
             raise CliError("need 0 < --rmin < --rmax")
         r_values = np.geomspace(lo, hi, args.points)
@@ -268,8 +283,7 @@ def cmd_table1(args) -> int:
     regimes = list(_REGIMES) if args.only is None else [args.only]
     if args.points < 5:
         raise CliError("a power-law fit needs --points of at least 5")
-    orientation = _parse_orientation(args.orientation)
-    direction = orientation / np.linalg.norm(orientation)
+    direction = _direction(_parse_orientation(args.orientation))
 
     lines = ["row,regime,fitted_exponent,reference_exponent,fitted_sign,"
              "reference_sign,status,note"]

@@ -2,25 +2,25 @@
 
 The pair potential consumes the environment only through four 3x3 blocks
 coupling the electric/magnetic response slots of the two molecules.  This
-module provides those blocks for two points in unbounded vacuum, together
-with the underlying scattering Green tensor and its curls.
+module provides those blocks for two points in unbounded vacuum.
 
-Conventions (natural units, imaginary frequency xi >= 0, k = xi/c = xi):
+Conventions (natural units, imaginary frequency xi >= 0, k = xi/c = xi),
+for the separation vector v = r - r' with s = |v| and x = xi s:
 
-* ``g0``            -- scattering Green tensor G(r, r', i xi); diverges as
-                       1/xi^2 at zero frequency (static dipole field).
-* ``g0_scaled``     -- xi^2 * G, finite everywhere including xi = 0.
-* ``g0_curl_left``  -- curl of G in its *first* argument.  For separation
-                       vector v = r - r' the result is
-                       exp(-k s) (1 + k s) / (4 pi s^3) * cross(-v),
-                       with s = |v| and cross(a) the matrix form of (a x).
-* blocks            -- ee and mm blocks equal ``g0_scaled``; the em and me
-                       blocks are xi times the corresponding single curls
-                       and vanish linearly at xi = 0.
+* ee and mm blocks  -- S = xi^2 G(r, r', i xi), with G the scattering
+                       Green tensor: e^{-x}/(4 pi s^3) [f(x) I - g(x)
+                       vh vh^T], f = 1 + x + x^2, g = 3 + 3x + x^2.
+                       Finite at xi = 0, where it is the static dipole
+                       field (I - 3 vh vh^T)/(4 pi s^3); G is S / xi^2.
+* em block          -- xi times the curl of G in its first argument,
+                       -X with X = xi e^{-x}(1 + x)/(4 pi s^3) cross(v)
+                       and cross(a) the matrix form of (a x).
+* me block          -- xi times the curl of G in its second argument, X.
 
-The em/me blocks obey the reciprocity relation
-``block('e','m', r, r')^T = -block('m','e', r', r)`` while ee/mm transpose
-plainly under argument exchange.
+The em/me blocks vanish linearly at xi = 0; the curl of G is the em block
+over xi, and at xi = 0 the em block's slope.  They obey the reciprocity
+relation ``block('e','m', r, r')^T = -block('m','e', r', r)`` while ee/mm
+transpose plainly under argument exchange.
 
 A Green-tensor provider is any object with a method ``bind(r_a, r_b)``
 that takes P position pairs stacked as two (P, 3) arrays and returns its
@@ -51,9 +51,6 @@ from chivdw import kernels
 
 __all__ = [
     "Separation",
-    "g0",
-    "g0_scaled",
-    "g0_curl_left",
     "FreeSpaceProvider",
     "free_space_provider",
 ]
@@ -96,10 +93,9 @@ class Separation:
         return self._rhat  # type: ignore[attr-defined]
 
 
-def _checked_xi(xi, allow_zero: bool) -> np.ndarray:
+def _checked_xi(xi) -> np.ndarray:
     """The frequencies ``xi``, a scalar or 1-d array, as a float array
-    (n,), checked finite and non-negative (positive unless
-    ``allow_zero``)."""
+    (n,), checked finite and non-negative."""
     arr = np.asarray(xi, dtype=float)
     if arr.ndim != 1:
         if arr.ndim:
@@ -111,52 +107,9 @@ def _checked_xi(xi, allow_zero: bool) -> np.ndarray:
         hi = float(np.maximum.reduce(arr))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("xi must be finite")
-        if allow_zero and lo < 0.0:
+        if lo < 0.0:
             raise ValueError("xi must be non-negative")
-        if not allow_zero and lo <= 0.0:
-            raise ValueError("xi must be positive")
     return arr
-
-
-def _prepare_xi(xi, allow_zero: bool) -> tuple[np.ndarray, bool]:
-    return (_checked_xi(xi, allow_zero),
-            np.isscalar(xi) or getattr(xi, "ndim", 1) == 0)
-
-
-def _maybe_squeeze(out: np.ndarray, scalar: bool) -> np.ndarray:
-    return out[0] if scalar else out
-
-
-def g0(sep: Separation, xi) -> np.ndarray:
-    """Scattering Green tensor between the two points at frequency xi > 0."""
-    xis, scalar = _prepare_xi(xi, allow_zero=False)
-    rvec = sep.r_a - sep.r_b
-    out = kernels.free_scaled(rvec, xis) / (xis**2)[:, None, None]
-    return _maybe_squeeze(out, scalar)
-
-
-def g0_scaled(sep: Separation, xi) -> np.ndarray:
-    """xi^2 times the Green tensor; finite for all xi >= 0.
-
-    At xi = 0 this reduces to the static dipole field
-    (I - 3 rhat rhat^T) / (4 pi R^3).
-    """
-    xis, scalar = _prepare_xi(xi, allow_zero=True)
-    scaled = kernels.free_scaled(sep.r_a - sep.r_b, xis)
-    return _maybe_squeeze(scaled, scalar)
-
-
-def g0_curl_left(r: np.ndarray, rp: np.ndarray, xi) -> np.ndarray:
-    """Curl of the Green tensor in its first argument, at (r, r').
-
-    Equals ``pref * cross(r' - r)`` with
-    pref = exp(-k s)(1 + k s) / (4 pi s^3), s = |r - r'|.
-    """
-    xis, scalar = _prepare_xi(xi, allow_zero=True)
-    diff = np.asarray(rp, dtype=float) - np.asarray(r, dtype=float)
-    _, x, expf = kernels.free_prefactor(diff, xis)
-    out = np.multiply.outer(expf * (1.0 + x), kernels.cross_matrix(diff))
-    return _maybe_squeeze(out, scalar)
 
 
 class FreeSpaceProvider:
@@ -197,7 +150,7 @@ class FreeSpaceProvider:
         tables = kernels.free_tables((r_a - r_b).reshape(-1, 3))
 
         def blocks(xis) -> tuple[np.ndarray, np.ndarray]:
-            xis = _checked_xi(xis, allow_zero=True)
+            xis = _checked_xi(xis)
             out = kernels.free_blocks(tables, xis)
             shape = lead + (xis.shape[0], 2, 2, 3, 3)
             return out[..., :36].reshape(shape), out[..., 36:].reshape(shape)
@@ -209,7 +162,7 @@ class FreeSpaceProvider:
         rp = np.asarray(rp, dtype=float).reshape(-1)
         if r.shape != (3,) or rp.shape != (3,):
             raise ValueError("positions must be 3-vectors")
-        xis, scalar = _prepare_xi(xi, allow_zero=True)
+        xis = _checked_xi(xi)
         rvec = r - rp
         if not kernels.vector_norm(rvec) > 0.0:
             raise ValueError("points must be distinct")
@@ -223,7 +176,7 @@ class FreeSpaceProvider:
         else:
             # xi * pref * cross(r - rp), i.e. xi times the second-argument curl
             out = kernels.free_cross(rvec, xis)
-        return _maybe_squeeze(out, scalar)
+        return out[0] if np.ndim(xi) == 0 else out
 
 
 def free_space_provider() -> FreeSpaceProvider:

@@ -5,8 +5,8 @@ frequencies (the molecular response tensors are their product with a
 molecule's response table), the free-space propagator blocks on the same
 batch, and the batched trace of four 3x3 factors that the direct
 single-trace forms integrate (one contraction of two half products).  The
-module also holds the Levi-Civita symbol and the cross-product matrix
-shared by the propagator and the asymptotic forms.
+module also holds the Levi-Civita symbol, which the asymptotic forms use,
+and the cross-product matrix of the propagator's cross blocks.
 
 All arrays are float64.  Shapes: frequency batches are (n,), tensor batches
 are (n, 3, 3).  ``free_scaled`` and ``free_cross`` give S and X of one

@@ -848,6 +848,19 @@ def resolve_component(name) -> Tuple[str, str]:
         f"({', '.join(ROW_NAMES)}), or a four-label tuple like 'eeme'")
 
 
+def _direction(orientation) -> np.ndarray:
+    """The unit vector along ``orientation``, a finite non-zero 3-vector
+    of any magnitude (``kernels.vector_norm`` neither over- nor
+    underflows)."""
+    direction = np.asarray(orientation, dtype=float).reshape(-1)
+    if direction.shape != (3,) or not np.all(np.isfinite(direction)):
+        raise ValueError("orientation must be a finite 3-vector")
+    norm = kernels.vector_norm(direction)
+    if norm <= 0.0:
+        raise ValueError("orientation must be non-zero")
+    return direction / norm
+
+
 def compute_curve(mol_a: Molecule, mol_b: Molecule, orientation,
                   r_values, component, provider=None,
                   spec: Optional[QuadSpec] = None) -> PotentialCurve:
@@ -862,14 +875,7 @@ def compute_curve(mol_a: Molecule, mol_b: Molecule, orientation,
     value, error estimate and ``converged`` are those of a single-value
     call (``u_named``, ``u_row`` or ``u_unified``) at that separation.
     """
-    direction = np.asarray(orientation, dtype=float).reshape(-1)
-    if direction.shape != (3,) or not np.all(np.isfinite(direction)):
-        raise ValueError("orientation must be a finite 3-vector")
-    norm = float(np.linalg.norm(direction))
-    if norm <= 0.0:
-        raise ValueError("orientation must be non-zero")
-    direction = direction / norm
-
+    direction = _direction(orientation)
     r_values = np.asarray(r_values, dtype=float).reshape(-1)
     if r_values.size == 0:
         raise ValueError("r_values must be non-empty")

@@ -16,9 +16,9 @@ table of those products once.  ``response_table`` is the one place that
 lays them out in the 6x6 form A = [[alpha, chi_em], [chi_me, beta]], with
 the beta modes and any electric-magnetic duality rotation: a (2T+1, 6, 6)
 table whose product with ``kernels.frequency_weights`` is A on n
-frequencies.  ``response_arrays`` and ``rotate_molecule_tensors`` return
-the four 3x3 blocks of that product (one xi is ``[xi]``).  A ``Molecule``
-also holds the tables of the three beta modes side by side
+frequencies.  ``response_arrays`` returns the four 3x3 blocks of that
+product (one xi is ``[xi]``), duality-rotated when it is given an angle.
+A ``Molecule`` also holds the tables of the three beta modes side by side
 (``mode_tables``, built once at construction), and the potentials gather
 their columns from it, one ``take`` per request.
 
@@ -41,7 +41,6 @@ __all__ = [
     "Transition",
     "Molecule",
     "response_arrays",
-    "rotate_molecule_tensors",
     "response_table",
     "mode_tables",
     "MODE_COLUMNS",
@@ -201,7 +200,8 @@ class Molecule:
                                     self.beta_dia)
 
 
-def response_arrays(mol: Molecule, xis: np.ndarray, beta_mode: str = "full"):
+def response_arrays(mol: Molecule, xis: np.ndarray, beta_mode: str = "full",
+                    duality=None):
     """Batched response tensors over a frequency array.
 
     Returns (alpha, beta, chi_em, chi_me), each of shape (n, 3, 3), with
@@ -209,13 +209,16 @@ def response_arrays(mol: Molecule, xis: np.ndarray, beta_mode: str = "full"):
     first alone (``"para"``) or the second alone (``"dia"``): the blocks
     of A on the frequencies, one product of the molecule's
     ``response_table`` with its frequency weights.
+
+    A ``duality`` angle theta rotates them as A' = D(theta) A D(theta)^T
+    on the electric-magnetic block indices, with
+    D = [[cos, sin], [-sin, cos]].  At theta = pi/2 this swaps alpha with
+    beta and maps chi_em -> -chi_me, chi_me -> -chi_em, exactly (see
+    :func:`_cos_sin`).  For a generic angle the rotated tensors can
+    violate the chi_me = -(chi_em)^T relation that transition-built
+    responses obey; they are still valid inputs to every potential
+    formula.
     """
-    return _table_blocks(mol, xis, beta_mode, None)
-
-
-def _table_blocks(mol: Molecule, xis, beta_mode: str, duality):
-    """(alpha, beta, chi_em, chi_me) at xis (n,): the blocks of the one
-    product of the frequency weights with ``response_table``."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     table = response_table(mol, beta_mode, duality).reshape(-1, 36)
     blocks = response_from_table(mol, table, slice(None), xis)
@@ -230,7 +233,7 @@ def response_table(mol: Molecule, beta_mode: str = "full",
     (e, e) and, unless ``beta_mode`` is ``"dia"``, m m^T at (m, m); rows
     T..2T-1 d m^T at (e, m) and -(d m^T)^T at (m, e); row 2T ``beta_dia``
     at (m, m) unless ``beta_mode`` is ``"para"``.  A ``duality`` angle
-    rotates the table as ``rotate_molecule_tensors`` rotates the tensors."""
+    rotates the table as it rotates the tensors of ``response_arrays``."""
     if beta_mode not in _BETA_MODES:
         raise ValueError(f"unknown beta_mode {beta_mode!r}")
     return _tables(mol, (beta_mode,), duality, 36).reshape(-1, 6, 6)
@@ -252,8 +255,7 @@ def _tables(mol: Molecule, modes, duality, width: int) -> np.ndarray:
     out = np.zeros((2 * count + 1, width))
     for k, mode in enumerate(modes):
         # a view: the blocks are written into ``out`` in place
-        table = out[:, 36 * k:36 * k + 36].reshape(-1, 2, 3, 2, 3,
-                                                   copy=False)
+        table = out[:, 36 * k:36 * k + 36].reshape(-1, 2, 3, 2, 3)
         table[:count, 0, :, 0] = dd
         table[count:-1, 0, :, 1] = dm
         table[count:-1, 1, :, 0] = -dm.transpose(0, 2, 1)
@@ -320,19 +322,3 @@ def _rotate_blocks(theta, alpha, beta, chi_em, chi_me):
     blk = np.array([[alpha, chi_em], [chi_me, beta]])
     rot = np.einsum('ai,bj,ij...->ab...', D, D, blk)
     return rot[0, 0], rot[1, 1], rot[0, 1], rot[1, 0]
-
-
-def rotate_molecule_tensors(mol: Molecule, theta, xis: np.ndarray,
-                            beta_mode: str = "full"):
-    """Duality-rotated response tensors for ``mol`` at ``xis``.
-
-    Returns the (alpha, beta, chi_em, chi_me) of ``response_arrays``, each
-    (n, 3, 3), rotated as A' = D(theta) A D(theta)^T on the
-    electric-magnetic block indices, with D = [[cos, sin], [-sin, cos]].
-    At theta = pi/2 this swaps alpha with beta and maps chi_em -> -chi_me,
-    chi_me -> -chi_em, exactly (see :func:`_cos_sin`).  For a generic angle
-    the rotated tensors can violate the chi_me = -(chi_em)^T relation that
-    transition-built responses obey; they are still valid inputs to every
-    potential formula.
-    """
-    return _table_blocks(mol, xis, beta_mode, theta)

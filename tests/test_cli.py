@@ -387,6 +387,73 @@ def test_curve_input_errors(pair_files, capsys, argv_extra, fragment):
     assert fragment.lower() in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("curve", ["--points", "3"]),
+    ("curve", ["--points", "1"]),
+    ("curve", ["--points", "3", "--log"]),
+    ("powerlaw", ["--points", "5"]),
+])
+@pytest.mark.parametrize("rmin,rmax,flag", [
+    ("1", "inf", "--rmax"), ("1", "nan", "--rmax"), ("-inf", "2", "--rmin"),
+    ("nan", "2", "--rmin"),
+])
+def test_non_finite_separation_is_input_error(pair_files, capsys, command,
+                                              extra, rmin, rmax, flag):
+    a, b = pair_files
+    code = main([command, "--mol-a", a, "--mol-b", b, "--component", "EE",
+                 f"--rmin={rmin}", f"--rmax={rmax}"] + extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be a finite length")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["curve", "powerlaw"])
+def test_separation_beyond_float_range_after_conversion(tmp_path, capsys,
+                                                        command):
+    # 1e302 m is finite in the file's units and overflows in internal ones
+    mol_a, mol_b = bundled_pair()
+    paths = [str(tmp_path / "a_si.json"), str(tmp_path / "b_si.json")]
+    dump_molecule(mol_a, paths[0], units="SI")
+    dump_molecule(mol_b, paths[1], units="SI")
+    code = main([command, "--mol-a", paths[0], "--mol-b", paths[1],
+                 "--component", "EE", "--rmin", "1e-10", "--rmax", "1e302",
+                 "--points", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rmax must be a finite length")
+    assert "1e+302 (SI)" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scaled", ["1e-200,0,0", "1e200,0,0"])
+def test_orientation_of_any_magnitude(pair_files, capsys, scaled):
+    # the squared length under- or overflows a float; the direction does not
+    a, b = pair_files
+    outputs = []
+    for orientation in (scaled, "1,0,0"):
+        for argv in (["curve", "--mol-a", a, "--mol-b", b, "--component",
+                      "EE", "--rmin", "2", "--rmax", "3", "--points", "2"],
+                     ["table1", "--rows", "EE", "--only", "retarded"]):
+            assert main(argv + ["--orientation", orientation]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+    assert outputs[:2] == outputs[2:]
+
+
+@pytest.mark.parametrize("command", ["powerlaw", "table1"])
+def test_zero_orientation_is_input_error(pair_files, capsys, command):
+    # curve's case is in test_curve_input_errors
+    a, b = pair_files
+    argv = {"table1": ["table1"],
+            "powerlaw": ["powerlaw", "--mol-a", a, "--mol-b", b,
+                         "--component", "EE", "--window", "retarded"]}[command]
+    assert main(argv + ["--orientation", "0,0,0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --orientation must be a finite non-zero vector\n")
+
+
 def test_missing_subcommand_and_bad_flag_are_input_errors(capsys):
     assert main([]) == 1
     assert main(["curve", "--bogus-flag"]) == 1

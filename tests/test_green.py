@@ -9,9 +9,6 @@ from chivdw.green import (
     FreeSpaceProvider,
     Separation,
     free_space_provider,
-    g0,
-    g0_curl_left,
-    g0_scaled,
 )
 
 from oracles import (
@@ -19,14 +16,11 @@ from oracles import (
     CURL_PREF_KR1,
     G0_UNIT_XX,
     G0_UNIT_ZZ,
+    _propagator_blocks,
     fd_curl_left,
 )
 
 FOUR_PI = 4.0 * math.pi
-
-
-def unit_z_separation():
-    return Separation(r_a=np.array([0.0, 0.0, 1.0]), r_b=np.zeros(3))
 
 
 class TestSeparation:
@@ -52,82 +46,84 @@ class TestSeparation:
         np.testing.assert_allclose(sep.r_hat, [0.0, 0.6, -0.8], rtol=1e-15)
 
 
-class TestGreenTensor:
-    def test_hand_values_unit_configuration(self):
-        # R = 1 along z, xi = 1: diag entries (f, f, f - g)/(4 pi e)
-        sep = unit_z_separation()
-        G = g0(sep, 1.0)
-        assert G[0, 0] == pytest.approx(G0_UNIT_XX, rel=1e-15)
-        assert G[1, 1] == pytest.approx(G0_UNIT_XX, rel=1e-15)
-        assert G[2, 2] == pytest.approx(G0_UNIT_ZZ, rel=1e-15)
-        offdiag = G - np.diag(np.diag(G))
-        np.testing.assert_allclose(offdiag, 0.0, atol=1e-300)
+def block(lam, lamp, r, rp, xi):
+    return FreeSpaceProvider().block(lam, lamp, r, rp, xi)
 
-    def test_scaled_equals_xi_squared_times_g0(self):
-        sep = Separation(r_a=[0.4, -0.2, 0.9], r_b=[-0.1, 0.3, 0.0])
-        for xi in (0.3, 1.0, 4.2):
-            np.testing.assert_allclose(
-                g0_scaled(sep, xi), xi**2 * g0(sep, xi), rtol=1e-14)
+
+class TestGreenTensor:
+    """The ee block S = xi^2 G of the scattering Green tensor G."""
+
+    def test_hand_values_unit_configuration(self):
+        # R = 1 along z, xi = 1: xi^2 G = G, diag entries (f, f, f - g)/(4 pi e)
+        ez = np.array([0.0, 0.0, 1.0])
+        S = block("e", "e", ez, np.zeros(3), 1.0)
+        assert S[0, 0] == pytest.approx(G0_UNIT_XX, rel=1e-15)
+        assert S[1, 1] == pytest.approx(G0_UNIT_XX, rel=1e-15)
+        assert S[2, 2] == pytest.approx(G0_UNIT_ZZ, rel=1e-15)
+        offdiag = S - np.diag(np.diag(S))
+        np.testing.assert_allclose(offdiag, 0.0, atol=1e-300)
+        # R = 1/2 and xi = 2: xi R = 1 again and xi^2 G = e^-x (...)/(4 pi R^3)
+        # is 8 times larger
+        S2 = block("e", "e", 0.5 * ez, np.zeros(3), 2.0)
+        np.testing.assert_allclose(np.diag(S2),
+                                   8.0 * np.array([G0_UNIT_XX, G0_UNIT_XX,
+                                                   G0_UNIT_ZZ]), rtol=1e-15)
 
     def test_scaled_static_limit_is_dipole_field(self):
         sep = Separation(r_a=[1.0, 2.0, -1.0], r_b=[0.0, 0.5, 0.5])
         rhat = sep.r_hat
         expected = (np.eye(3) - 3.0 * np.outer(rhat, rhat)) / (FOUR_PI * sep.R**3)
-        np.testing.assert_allclose(g0_scaled(sep, 0.0), expected, rtol=1e-14)
-
-    def test_g0_rejects_nonpositive_xi(self):
-        sep = unit_z_separation()
-        with pytest.raises(ValueError):
-            g0(sep, 0.0)
-        with pytest.raises(ValueError):
-            g0(sep, -1.0)
-
-    def test_array_frequency_shape(self):
-        sep = unit_z_separation()
-        xis = np.array([0.5, 1.0, 2.0])
-        out = g0(sep, xis)
-        assert out.shape == (3, 3, 3)
-        for i, xi in enumerate(xis):
-            np.testing.assert_allclose(out[i], g0(sep, float(xi)), rtol=1e-15)
+        for lam in ("e", "m"):
+            np.testing.assert_allclose(
+                block(lam, lam, sep.r_a, sep.r_b, 0.0), expected, rtol=1e-14)
 
     def test_symmetric_in_argument_exchange(self):
         a, b = np.array([0.3, 0.1, -0.7]), np.array([-0.5, 0.9, 0.2])
-        G_ab = g0(Separation(a, b), 1.7)
-        G_ba = g0(Separation(b, a), 1.7)
-        np.testing.assert_allclose(G_ab, G_ba.T, atol=1e-300)
+        S_ab = block("e", "e", a, b, 1.7)
+        S_ba = block("e", "e", b, a, 1.7)
+        np.testing.assert_allclose(S_ab, S_ba.T, atol=1e-300)
         # and each is itself symmetric (built from I and rhat rhat^T)
-        np.testing.assert_allclose(G_ab, G_ab.T, atol=1e-300)
+        np.testing.assert_allclose(S_ab, S_ab.T, atol=1e-300)
 
 
 class TestCurls:
+    """The em and me blocks over xi: the curls of G in its first and its
+    second argument."""
+
     def test_prefactor_hand_values(self):
         # s = 1 along z: curl = pref * cross(r' - r); entry (0,1) = -(r'-r)_z
         r, rp = np.array([0.0, 0.0, 1.0]), np.zeros(3)
-        C1 = g0_curl_left(r, rp, 1.0)
+        C1 = block("e", "m", r, rp, 1.0)
         assert C1[0, 1] == pytest.approx(CURL_PREF_KR1, rel=1e-15)
-        C0 = g0_curl_left(r, rp, 0.0)
+        # the xi = 0 curl is the small-xi slope of the em block
+        xi = 1e-9
+        C0 = block("e", "m", r, rp, xi) / xi
         assert C0[0, 1] == pytest.approx(CURL_PREF_K0, rel=1e-15)
+        assert not block("e", "m", r, rp, 0.0).any()
 
     @pytest.mark.parametrize("xi", [0.0, 1.0])
     def test_curl_beyond_the_cube_overflow_is_zero(self, xi):
-        # s**3 overflows a float from s ~ 5.6e102 on; the curl is 0 there
-        C = g0_curl_left(np.array([0.0, 0.0, 1e103]), np.zeros(3), xi)
-        assert C.shape == (3, 3) and not C.any()
+        # s**3 overflows a float from s ~ 5.6e102 on; every block is 0 there
+        for lam, lamp in (("e", "e"), ("e", "m"), ("m", "e"), ("m", "m")):
+            B = block(lam, lamp, np.array([0.0, 0.0, 1e103]), np.zeros(3), xi)
+            assert B.shape == (3, 3) and not B.any(), (lam, lamp)
 
     def test_curl_is_antisymmetric(self):
         r, rp = np.array([0.2, -0.4, 1.1]), np.array([-0.3, 0.8, 0.1])
-        C = g0_curl_left(r, rp, 0.9)
+        C = block("e", "m", r, rp, 0.9)
         np.testing.assert_allclose(C, -C.T, atol=1e-300)
 
     def test_finite_difference_matches_analytic(self):
+        # the em block over xi is the curl of G = (ee block) / xi^2 in its
+        # first argument
         r, rp = np.array([0.3, 0.5, 1.2]), np.array([-0.2, 0.1, 0.0])
         xi = 0.8
 
         def field(rr, rrp, x):
-            return g0(Separation(rr, rrp), x)
+            return block("e", "e", rr, rrp, x) / (x * x)
 
         fd = fd_curl_left(field, r, rp, xi)
-        analytic = g0_curl_left(r, rp, xi)
+        analytic = block("e", "m", r, rp, xi) / xi
         np.testing.assert_allclose(fd, analytic, rtol=1e-8, atol=1e-10)
 
     def test_double_curl_by_finite_difference(self):
@@ -137,23 +133,23 @@ class TestCurls:
         xi = 0.7
 
         def second_arg_curl(rr, rrp, x):
-            # curl' of G(rr, rr') = pref * cross(rr - rr')
-            return -g0_curl_left(rr, rrp, x)
+            # curl' of G(rr, rr') = pref * cross(rr - rr'): the me block / xi
+            return block("m", "e", rr, rrp, x) / x
 
         fd = fd_curl_left(second_arg_curl, r, rp, xi)
-        expected = g0_scaled(Separation(r, rp), xi)
+        expected = block("e", "e", r, rp, xi)
         np.testing.assert_allclose(fd, expected, rtol=1e-8, atol=1e-12)
 
 
 class TestProviderBlocks:
     def test_ee_and_mm_equal_scaled_green(self):
+        # both are xi^2 G, the oracle's written-out closed form
         prov = free_space_provider()
         a, b = np.array([0.1, 0.7, -0.2]), np.array([0.9, -0.3, 0.4])
-        sep = Separation(a, b)
+        expected = _propagator_blocks(a - b, 1.1)[0, 0]
         for lam in ("e", "m"):
-            np.testing.assert_allclose(
-                prov.block(lam, lam, a, b, 1.1), g0_scaled(sep, 1.1),
-                atol=1e-300)
+            np.testing.assert_allclose(prov.block(lam, lam, a, b, 1.1),
+                                       expected, rtol=1e-14, atol=1e-300)
 
     def test_cross_blocks_vanish_at_zero_frequency(self):
         prov = free_space_provider()
@@ -172,12 +168,13 @@ class TestProviderBlocks:
         np.testing.assert_allclose(B_hi, 2.0 * B_lo, rtol=1e-6)
 
     def test_em_is_xi_times_first_argument_curl(self):
+        # xi pref cross(b - a), the oracle's written-out closed form
         prov = free_space_provider()
         a, b = np.array([0.5, -0.1, 1.0]), np.array([-0.2, 0.3, 0.1])
         xi = 0.65
         np.testing.assert_allclose(
-            prov.block("e", "m", a, b, xi), xi * g0_curl_left(a, b, xi),
-            rtol=1e-13)
+            prov.block("e", "m", a, b, xi),
+            _propagator_blocks(a - b, xi)[0, 1], rtol=1e-13)
 
     def test_reciprocity_random_sample(self):
         prov = free_space_provider()

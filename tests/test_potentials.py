@@ -32,7 +32,7 @@ from chivdw.potentials import (
 )
 from chivdw.quad import NonFiniteIntegrandError, QuadSpec
 from chivdw.response import (Molecule, Transition, response_arrays,
-                             response_table, rotate_molecule_tensors)
+                             response_table)
 from chivdw.verify import _random_pair
 
 EYE = np.eye(3)
@@ -322,6 +322,20 @@ class TestCurves:
         with pytest.raises(ValueError):
             compute_curve(*pair, [0.0, 0.0, 1.0], [-1.0], "EE")
 
+    @pytest.mark.parametrize("orientation,unit", [
+        ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        (np.ldexp([0.6, 0.8, 0.0], -700), [0.6, 0.8, 0.0]),
+        (np.ldexp([0.6, 0.8, 0.0], 700), [0.6, 0.8, 0.0]),
+    ])
+    def test_orientation_of_any_magnitude(self, pair, orientation, unit):
+        # the squared length under- or overflows a float here; the
+        # direction is the unit vector's, and no warning escapes
+        got = compute_curve(*pair, orientation, [2.0], "EE")
+        want = compute_curve(*pair, unit, [2.0], "EE")
+        assert got.u_values.tobytes() == want.u_values.tobytes()
+        assert got.error_estimates.tobytes() == want.error_estimates.tobytes()
+
     def test_env_override_rel_tol(self, pair, monkeypatch):
         # the default 1e-10 is met on the first panel layout; 1e-13 needs
         # a round of refinement
@@ -596,9 +610,7 @@ def _brute_force_columns(mol_a, mol_b, terms, weights, duality):
     """(n, P J) columns from one kernels.trace4 per term, separation and
     node batch, and the absolute sum of the weighted terms per column."""
     def responses(mol, mode):
-        if duality is None:
-            return response_arrays(mol, _FACTOR_XIS, mode)
-        return rotate_molecule_tensors(mol, duality, _FACTOR_XIS, mode)
+        return response_arrays(mol, _FACTOR_XIS, mode, duality=duality)
 
     out, scale = [], []
     for s in _FACTOR_SEPS:

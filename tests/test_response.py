@@ -16,7 +16,6 @@ from chivdw.response import (
     response_arrays,
     response_from_table,
     response_table,
-    rotate_molecule_tensors,
     static_limits,
 )
 
@@ -36,9 +35,7 @@ def at_xi(mol, xi, theta=None):
     """(alpha, beta, chi_em, chi_me) of ``mol`` at the one frequency xi,
     rotated by the duality angle ``theta`` when one is given."""
     xis = np.array([xi])
-    tensors = (response_arrays(mol, xis) if theta is None
-               else rotate_molecule_tensors(mol, theta, xis))
-    return tuple(t[0] for t in tensors)
+    return tuple(t[0] for t in response_arrays(mol, xis, duality=theta))
 
 
 def generic_molecule(seed=0, n=3, with_dia=True):
@@ -195,10 +192,7 @@ class TestResponseTable:
     def test_table_product_matches_response_arrays(self, mode, theta):
         mol = generic_molecule(seed=16)
         xis = np.array([0.0, 0.2, 1.4, 3.3])
-        if theta is None:
-            al, be, ce, cm = response_arrays(mol, xis, mode)
-        else:
-            al, be, ce, cm = rotate_molecule_tensors(mol, theta, xis, mode)
+        al, be, ce, cm = response_arrays(mol, xis, mode, duality=theta)
         table = response_table(mol, mode, theta)
         assert table.shape == (7, 6, 6)
         got = response_from_table(mol, table.reshape(7, 36), slice(None),
@@ -239,7 +233,7 @@ class TestDuality:
     def test_rotation_roundtrip(self):
         mol = generic_molecule(seed=12)
         theta = 0.37
-        rotated = rotate_molecule_tensors(mol, theta, np.array([0.6]))
+        rotated = response_arrays(mol, np.array([0.6]), duality=theta)
         back = _rotate_blocks(-theta, *rotated)
         for got, want in zip(back, response_arrays(mol, np.array([0.6]))):
             np.testing.assert_allclose(got, want, atol=1e-14)
@@ -255,7 +249,7 @@ class TestDuality:
         mol = generic_molecule(seed=15)
         xis = np.array([0.2, 1.4, 3.3])
         theta = 0.77
-        al, be, ce, cm = rotate_molecule_tensors(mol, theta, xis)
+        al, be, ce, cm = response_arrays(mol, xis, duality=theta)
         for i, xi in enumerate(xis):
             rot = at_xi(mol, xi, theta)
             np.testing.assert_allclose(al[i], rot[0], atol=1e-14)
