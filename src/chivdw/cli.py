@@ -212,6 +212,11 @@ def cmd_powerlaw(args) -> int:
     if args.points < 5:
         raise CliError("a power-law fit needs --points of at least 5")
     if args.window is not None:
+        given = [f"--{flag}" for flag in ("rmin", "rmax")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise CliError(f"--window cannot be combined with "
+                           f"{' and '.join(given)}; give one or the other")
         window_name = args.window
         r_values = _window_grid(args.window, mol_a, mol_b, args.points)
     elif args.rmin is not None and args.rmax is not None:
@@ -274,10 +279,12 @@ def cmd_table1(args) -> int:
     if args.rows is not None:
         rows = [token.strip().upper() for token in args.rows.split(",")
                 if token.strip()]
-        for row in rows:
+        for k, row in enumerate(rows):
             if row not in ROW_NAMES:
                 raise CliError(f"unknown row {row!r}; expected a subset of "
                                f"{','.join(ROW_NAMES)}")
+            if row in rows[:k]:
+                raise CliError(f"--rows names row {row!r} more than once")
         if not rows:
             raise CliError("--rows selected nothing")
     regimes = list(_REGIMES) if args.only is None else [args.only]

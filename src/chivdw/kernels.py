@@ -37,18 +37,6 @@ def cross_matrix(v: np.ndarray) -> np.ndarray:
     return np.array(rows).reshape(v.shape[:-1] + (3, 3))
 
 
-def transition_products(ds: np.ndarray, mts: np.ndarray) -> np.ndarray:
-    """The frequency-independent outer products of T transitions, (T, 27).
-
-    Row t is [d_t d_t^T | m_t m_t^T | d_t m_t^T], each 3x3 block flattened
-    row-major, from electric dipoles ds (T, 3) and real-represented
-    magnetic dipoles mts (T, 3).
-    """
-    return np.concatenate([(a[:, :, None] * b[:, None, :]).reshape(-1, 9)
-                           for a, b in ((ds, ds), (mts, mts), (ds, mts))],
-                          axis=1)
-
-
 def frequency_weights(omegas: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """The (n, 2T+1) weights [2 w_t/(w_t^2 + xi^2) | 2 xi/(w_t^2 + xi^2) | 1]
     of T transitions omegas (T,) at the frequencies xis (n,)."""

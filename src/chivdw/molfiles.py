@@ -25,7 +25,7 @@ transition dipole.  Three unit systems are accepted:
     Hartree atomic units: omega in hartree (times hbar^-1), d in e a0,
     m_imag in hbar e / m_e, beta_dia in e^2 a0^2 / m_e, distances in a0.
 
-All conversion factors are derived at runtime from the five exact or
+All conversion factors are derived at import from the five exact or
 CODATA-2018 base constants, never hard-coded.
 """
 
@@ -108,50 +108,46 @@ class Conversions:
     magnetizability: float
 
 
-def conversion_factors(units: str,
-                       base: BaseConstants = CODATA2018) -> Conversions:
+def _conversions() -> dict:
+    """The factors of each unit system, from ``CODATA2018``."""
+    base, root = CODATA2018, math.sqrt(4.0 * math.pi)
+    t0, alpha = base.atomic_time, base.alpha_fs
+    dipole = math.sqrt(base.hbar * base.eps0 * base.c) * (base.c * t0)
+    return {
+        "natural": Conversions(1.0, 1.0, 1.0, 1.0, 1.0),
+        # omega, length, electric and magnetic dipole, magnetizability
+        "SI": Conversions(t0, 1.0 / (base.c * t0), 1.0 / dipole,
+                          1.0 / (base.c * dipole),
+                          1.0 / (base.eps0 * base.c ** 5 * t0 ** 3)),
+        "au": Conversions(1.0, alpha, root * alpha ** 1.5,
+                          root * alpha ** 2.5, 4.0 * math.pi * alpha ** 5),
+    }
+
+
+_CONVERSIONS = _conversions()
+
+
+def conversion_factors(units: str) -> Conversions:
     """Factors from the named unit system into the internal natural one.
 
     The internal system sets hbar = c = eps0 = 1 and measures time in the
-    atomic unit t0 = hbar / hartree, which fixes every other scale.
+    atomic unit t0 = hbar / hartree, which fixes every other scale.  The
+    factors are derived from ``CODATA2018`` once, at import.
     """
-    if units == "natural":
-        return Conversions(1.0, 1.0, 1.0, 1.0, 1.0)
-    if units == "SI":
-        t0 = base.atomic_time
-        dipole_scale = math.sqrt(base.hbar * base.eps0 * base.c) \
-            * (base.c * t0)
-        return Conversions(
-            omega=t0,
-            length=1.0 / (base.c * t0),
-            electric_dipole=1.0 / dipole_scale,
-            magnetic_dipole=1.0 / (base.c * dipole_scale),
-            magnetizability=1.0 / (base.eps0 * base.c ** 5 * t0 ** 3),
-        )
-    if units == "au":
-        alpha = base.alpha_fs
-        root = math.sqrt(4.0 * math.pi)
-        return Conversions(
-            omega=1.0,
-            length=alpha,
-            electric_dipole=root * alpha ** 1.5,
-            magnetic_dipole=root * alpha ** 2.5,
-            magnetizability=4.0 * math.pi * alpha ** 5,
-        )
-    raise MoleculeFileError(
-        f"unknown units tag {units!r}; expected one of {UNIT_TAGS}")
+    if units not in UNIT_TAGS:
+        raise MoleculeFileError(
+            f"unknown units tag {units!r}; expected one of {UNIT_TAGS}")
+    return _CONVERSIONS[units]
 
 
-def length_to_internal(value: float, units: str,
-                       base: BaseConstants = CODATA2018) -> float:
+def length_to_internal(value: float, units: str) -> float:
     """Convert a distance given in the named units to internal units."""
-    return float(value) * conversion_factors(units, base).length
+    return float(value) * conversion_factors(units).length
 
 
-def length_from_internal(value: float, units: str,
-                         base: BaseConstants = CODATA2018) -> float:
+def length_from_internal(value: float, units: str) -> float:
     """Convert an internal distance to the named units."""
-    return float(value) / conversion_factors(units, base).length
+    return float(value) / conversion_factors(units).length
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,18 @@ responses ``chi_em``/``chi_me`` — is manifestly real on the imaginary
 frequency axis, and the cross responses obey chi_me = -(chi_em)^T.
 
 Every dynamic tensor is a transition sum of a frequency weight times an
-outer product (d d^T, m m^T or d m^T) that does not depend on frequency, so
-a ``Molecule`` holds validated transition arrays and builds the (T, 27)
-table of those products once.  ``response_table`` is the one place that
-lays them out in the 6x6 form A = [[alpha, chi_em], [chi_me, beta]], with
-the beta modes and any electric-magnetic duality rotation: a (2T+1, 6, 6)
-table whose product with ``kernels.frequency_weights`` is A on n
-frequencies.  ``response_arrays`` returns the four 3x3 blocks of that
-product (one xi is ``[xi]``), duality-rotated when it is given an angle.
-A ``Molecule`` also holds the tables of the three beta modes side by side
-(``mode_tables``, built once at construction), and the potentials gather
-their columns from it, one ``take`` per request.
+outer product (d d^T, m m^T or d m^T) that does not depend on frequency.
+``mode_tables`` is the one place that lays those products out in the 6x6
+form A = [[alpha, chi_em], [chi_me, beta]], with the beta modes and any
+electric-magnetic duality rotation: per beta mode a (2T+1, 6, 6) table
+whose product with ``kernels.frequency_weights`` is A on n frequencies,
+the three modes side by side.  A ``Molecule`` builds its own once, at
+construction (``tables``), and every reader reads them:
+``response_table`` returns one mode's table (a rotated copy for a
+duality angle), ``response_arrays`` the four 3x3 blocks of its product
+with the weights (one xi is ``[xi]``), ``static_limits`` their
+zero-frequency limits, and the potentials gather their columns, one
+``take`` per request.
 
 Internally everything is in natural units (hbar = c = eps0 = mu0 = 1); the
 file-ingestion layer converts SI or atomic-unit input on load.
@@ -128,13 +129,12 @@ class Molecule:
     """Named set of dipole transitions plus a static diamagnetisability.
 
     The state is read-only arrays: ``omegas`` (T,), ``dipoles`` (T, 3),
-    ``magnetic_dipoles`` (T, 3), their outer products ``products``
-    (T, 27) = [d d^T | m m^T | d m^T], and ``tables`` (2T+1, 109), the
+    ``magnetic_dipoles`` (T, 3) and ``tables`` (2T+1, 109), the
     ``response_table`` of each beta mode flattened to 36 columns, in the
-    order full, para, dia, then one zero column (``mode_tables``; the
-    columns of a mode start at ``MODE_COLUMNS[mode]``).  Every molecule
-    builds its own tables once, when it is made, so a request only
-    gathers from them.  ``Molecule(name, transitions, beta_dia)`` packs
+    order full, para, dia, then one zero column (built by ``mode_tables``;
+    the columns of a mode start at ``MODE_COLUMNS[mode]``).  Every
+    molecule builds its own tables once, when it is made, so a request
+    only reads them.  ``Molecule(name, transitions, beta_dia)`` packs
     ``Transition`` objects into the arrays and ``from_arrays`` takes them
     directly, through the same validation; ``transitions`` is built on
     first access.
@@ -173,11 +173,8 @@ class Molecule:
         eig = np.linalg.eigvalsh(0.5 * (bd + bd.T))
         if np.max(eig) > 1e-10 * scale:
             raise ValueError("beta_dia must be negative semi-definite")
-        products = kernels.transition_products(ds, mts)
-        products.setflags(write=False)
         self.__dict__.update(name=name, beta_dia=bd, omegas=omegas,
-                             dipoles=ds, magnetic_dipoles=mts,
-                             products=products)
+                             dipoles=ds, magnetic_dipoles=mts)
         tables = mode_tables(self)
         tables.setflags(write=False)
         self.__dict__["tables"] = tables
@@ -232,33 +229,35 @@ def response_table(mol: Molecule, beta_mode: str = "full",
     ``kernels.frequency_weights`` times it.  Rows 0..T-1 hold d d^T at
     (e, e) and, unless ``beta_mode`` is ``"dia"``, m m^T at (m, m); rows
     T..2T-1 d m^T at (e, m) and -(d m^T)^T at (m, e); row 2T ``beta_dia``
-    at (m, m) unless ``beta_mode`` is ``"para"``.  A ``duality`` angle
-    rotates the table as it rotates the tensors of ``response_arrays``."""
+    at (m, m) unless ``beta_mode`` is ``"para"``.  The table is a copy of
+    the mode's 36 columns of ``mol.tables``, or, for a ``duality`` angle,
+    of ``mode_tables(mol, duality)``, rotated as the tensors of
+    ``response_arrays`` are."""
     if beta_mode not in _BETA_MODES:
         raise ValueError(f"unknown beta_mode {beta_mode!r}")
-    return _tables(mol, (beta_mode,), duality, 36).reshape(-1, 6, 6)
+    tables = mol.tables if duality is None else mode_tables(mol, duality)
+    first = MODE_COLUMNS[beta_mode]
+    return tables[:, first:first + 36].copy().reshape(-1, 6, 6)
 
 
 def mode_tables(mol: Molecule, duality=None) -> np.ndarray:
     """The (2T+1, 109) tables of the three beta modes side by side: the
     ``response_table`` of "full", "para" and "dia", each flattened to 36
-    columns, then one zero column.  A ``Molecule`` holds its own as
-    ``tables``; a ``duality`` angle rotates every mode's table."""
-    return _tables(mol, _BETA_MODES, duality, ZERO_COLUMN + 1)
-
-
-def _tables(mol: Molecule, modes, duality, width: int) -> np.ndarray:
-    """(2T+1, width): the flattened response tables of ``modes`` side by
-    side, zeros after them (see ``response_table``)."""
+    columns, then one zero column.  This is the one builder of those
+    tables: a ``Molecule`` holds its own as ``tables``, and a ``duality``
+    angle rotates every mode's table of a new copy."""
     count = mol.omegas.shape[0]
-    dd, mm, dm = mol.products.reshape(count, 3, 3, 3).transpose(1, 0, 2, 3)
-    out = np.zeros((2 * count + 1, width))
-    for k, mode in enumerate(modes):
+    ds, mts = mol.dipoles, mol.magnetic_dipoles
+    dd, mm, dm = (a[:, :, None] * b[:, None, :]
+                  for a, b in ((ds, ds), (mts, mts), (ds, mts)))
+    md = -dm.transpose(0, 2, 1)
+    out = np.zeros((2 * count + 1, ZERO_COLUMN + 1))
+    for mode, first in MODE_COLUMNS.items():
         # a view: the blocks are written into ``out`` in place
-        table = out[:, 36 * k:36 * k + 36].reshape(-1, 2, 3, 2, 3)
+        table = out[:, first:first + 36].reshape(-1, 2, 3, 2, 3)
         table[:count, 0, :, 0] = dd
         table[count:-1, 0, :, 1] = dm
-        table[count:-1, 1, :, 0] = -dm.transpose(0, 2, 1)
+        table[count:-1, 1, :, 0] = md
         if mode != "dia":
             table[:count, 1, :, 1] = mm
         if mode != "para":

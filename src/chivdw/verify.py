@@ -32,6 +32,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -307,8 +308,8 @@ def check_contour_gn(n: int, omega: float, distance: float,
     floored at ``1/(4 R)`` because the right-hand side vanishes whenever
     ``cos(omega R)`` does.
     """
-    n = int(n)
-    if n not in (0, 1, 2, 3):
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or n not in (0, 1, 2, 3)):
         raise ValueError("moment order n must be 0, 1, 2 or 3")
     omega = float(omega)
     distance = float(distance)

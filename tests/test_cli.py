@@ -511,6 +511,22 @@ def test_powerlaw_requires_window_or_range(pair_files, capsys):
     assert "--window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,flags", [
+    (["--rmin", "1", "--rmax", "2"], "--rmin and --rmax"),
+    (["--rmin", "1"], "--rmin"),
+    (["--rmax", "2"], "--rmax"),
+])
+def test_powerlaw_window_with_a_range_is_input_error(pair_files, capsys,
+                                                     extra, flags):
+    a, b = pair_files
+    code = main(["powerlaw", "--mol-a", a, "--mol-b", b, "--component", "EE",
+                 "--window", "retarded"] + extra)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--window cannot be combined with {flags};" in captured.err
+
+
 def test_powerlaw_fit_failure_is_numerical_warning(tmp_path, capsys):
     zero = Molecule("null", (Transition(1.0, (0, 0, 0), (0, 0, 0)),))
     path = tmp_path / "zero.json"
@@ -592,6 +608,18 @@ def test_table1_fits_the_two_sided_pc_row(capsys):
 def test_table1_unknown_row_is_input_error(capsys):
     assert main(["table1", "--rows", "EE,XX"]) == 1
     assert "unknown row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["EE,EE", "EE,CC,ee"])
+def test_table1_repeated_row_is_input_error(capsys, monkeypatch, rows):
+    def no_cell(*args):
+        raise AssertionError("a cell was integrated")
+
+    monkeypatch.setattr(cli, "_table_cell", no_cell)
+    assert main(["table1", "--rows", rows, "--only", "retarded"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--rows names row 'EE' more than once" in captured.err
 
 
 def test_table1_custom_pair_requires_both_files(pair_files, capsys):

@@ -393,7 +393,7 @@ def test_empty_transition_list_loads(tmp_path):
     mol, _ = load_molecule(path)
     assert mol.omegas.shape == (0,)
     assert mol.dipoles.shape == mol.magnetic_dipoles.shape == (0, 3)
-    assert mol.products.shape == (0, 27)
+    assert mol.tables.shape == (1, 109)
     assert mol.transitions == ()
 
 
@@ -405,7 +405,7 @@ def test_constructor_and_loaded_file_are_bit_identical(tmp_path):
     path = tmp_path / "random.json"
     dump_molecule(mol, path, units="natural")
     loaded, _ = load_molecule(path)
-    for attr in ("omegas", "dipoles", "magnetic_dipoles", "products",
+    for attr in ("omegas", "dipoles", "magnetic_dipoles", "tables",
                  "beta_dia"):
         got, want = getattr(loaded, attr), getattr(mol, attr)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

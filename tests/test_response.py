@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chivdw import response
 from chivdw.response import (
     MODE_COLUMNS,
     ZERO_COLUMN,
@@ -289,7 +290,7 @@ class TestMoleculeArrays:
     def test_arrays_are_read_only_and_the_molecule_immutable(self):
         mol = generic_molecule(seed=3)
         for arr in (mol.omegas, mol.dipoles, mol.magnetic_dipoles,
-                    mol.products):
+                    mol.tables):
             assert not arr.flags.writeable
         with pytest.raises(AttributeError):
             mol.omegas = np.ones(3)
@@ -300,7 +301,7 @@ class TestMoleculeArrays:
         mol = generic_molecule(seed=4)
         again = Molecule.from_arrays(mol.name, mol.omegas, mol.dipoles,
                                      mol.magnetic_dipoles, mol.beta_dia)
-        for attr in ("omegas", "dipoles", "magnetic_dipoles", "products"):
+        for attr in ("omegas", "dipoles", "magnetic_dipoles", "tables"):
             assert np.array_equal(getattr(again, attr), getattr(mol, attr))
 
     @pytest.mark.parametrize("column,value,message", [
@@ -417,3 +418,22 @@ class TestHeldTables:
         assert np.array_equal(mirror.tables[count:-1],
                               -mol.tables[count:-1])
         assert np.array_equal(mirror.tables[:count], mol.tables[:count])
+
+
+def test_readers_without_an_angle_build_no_table(monkeypatch):
+    mol, empty = _molecule_with(3), _molecule_with(0)
+
+    def no_build(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(response, "mode_tables", no_build)
+    xis = np.geomspace(1e-2, 1e2, 7)
+    for mode in ("full", "para", "dia"):
+        assert response_arrays(mol, xis, mode)[0].shape == (7, 3, 3)
+        assert response_table(mol, mode).shape == (7, 6, 6)
+    assert static_limits(mol)[0].shape == (3, 3)
+    # a copy, also where the held columns are contiguous
+    assert not np.shares_memory(response_table(empty), empty.tables)
+    # an angle still rotates a new copy
+    with pytest.raises(AssertionError, match="a table was built"):
+        response_table(mol, "full", math.pi / 5)

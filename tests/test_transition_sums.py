@@ -1,9 +1,9 @@
 """The molecule-array contractions against explicit per-transition sums.
 
 Every function below reads a molecule through its transition arrays and
-their cached outer products; each is compared with the transition-by-
-transition loop that defines it, written out here, on seeded molecules of
-one to five transitions.
+the tables of their outer products it holds; each is compared with the
+transition-by-transition loop that defines it, written out here, on
+seeded molecules of one to five transitions.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from chivdw.asymptotics import _nr_cc, _nr_dc, _nr_ec_pc
 from chivdw.green import Separation
 from chivdw.kernels import LEVI_CIVITA
 from chivdw.potentials import _isotropic_rotatory
-from chivdw.response import Molecule, Transition, static_limits
+from chivdw.response import MODE_COLUMNS, Molecule, Transition, static_limits
 
 RTOL = 1e-13
 SEEDS = range(10)
@@ -120,7 +120,7 @@ def test_enantiomer_equals_the_transition_rebuild(seed):
         mol.beta_dia)
     mirror = mol.enantiomer()
     assert mirror.name == rebuilt.name
-    for attr in ("omegas", "dipoles", "magnetic_dipoles", "products",
+    for attr in ("omegas", "dipoles", "magnetic_dipoles", "tables",
                  "beta_dia"):
         assert np.array_equal(getattr(mirror, attr), getattr(rebuilt, attr))
     for got, want in zip(mirror.transitions, rebuilt.transitions):
@@ -130,10 +130,19 @@ def test_enantiomer_equals_the_transition_rebuild(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_products_are_the_outer_products(seed):
+def test_tables_hold_the_outer_products(seed):
     mol, _, _ = seeded_pair(seed)
-    for t, row in zip(mol.transitions, mol.products):
-        want = np.concatenate([np.outer(t.d, t.d).ravel(),
-                               np.outer(t.m_tilde, t.m_tilde).ravel(),
-                               np.outer(t.d, t.m_tilde).ravel()])
-        assert np.array_equal(row, want)
+    count = len(mol.omegas)
+    for mode, first in MODE_COLUMNS.items():
+        table = mol.tables[:, first:first + 36].reshape(-1, 2, 3, 2, 3)
+        for k, t in enumerate(mol.transitions):
+            dm = np.outer(t.d, t.m_tilde)
+            mm = (np.outer(t.m_tilde, t.m_tilde) if mode != "dia"
+                  else np.zeros((3, 3)))
+            assert np.array_equal(table[k, 0, :, 0], np.outer(t.d, t.d))
+            assert np.array_equal(table[k, 1, :, 1], mm)
+            assert not table[k, 0, :, 1].any() and not table[k, 1, :, 0].any()
+            assert np.array_equal(table[count + k, 0, :, 1], dm)
+            assert np.array_equal(table[count + k, 1, :, 0], -dm.T)
+            assert not table[count + k, 0, :, 0].any()
+            assert not table[count + k, 1, :, 1].any()

@@ -308,6 +308,10 @@ def test_contour_projection_deep_evanescent_tail():
 def test_contour_validation():
     with pytest.raises(ValueError):
         check_contour_gn(4, 1.0, 1.0)
+    # no order is truncated to an integer
+    for n in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="n must be 0, 1, 2 or 3"):
+            check_contour_gn(n, 1.0, 1.0)
     with pytest.raises(ValueError):
         check_contour_gn(0, 0.0, 1.0)
     with pytest.raises(ValueError):
