@@ -24,19 +24,26 @@ transpose plainly under argument exchange.
 
 A Green-tensor provider is any object with a method ``bind(r_a, r_b)``
 that takes P position pairs stacked as two (P, 3) arrays and returns its
-propagator for those positions: a callable of a frequency array ``xis`` of
-shape (n,) returning the pair (B(r_a, r_b), B(r_b, r_a)) of 2x2 block
-matrices, each a (P, n, 2, 2, 3, 3) stack indexed [p, node, lam, lamp]
-with 0 = 'e' and 1 = 'm'.  The split lets a provider do the work that
-depends on the positions alone once.  The potential integrators bind once
-per pass with every separation of the pass (P = 1 for a single value) and
-call the bound propagator once per node batch; they raise ``ValueError``
-on any other shape, raise ``TypeError`` for a provider without ``bind``
-and let the provider's own errors propagate.  A provider written for the
-one-call form ``blocks(r_a, r_b, xis)`` binds as
-``lambda r_a, r_b: lambda xis: blocks(r_a, r_b, xis)``.
-``FreeSpaceProvider`` is the bundled vacuum implementation; any structural
-look-alike (e.g. a cavity or surface-dressed provider) is accepted.
+propagator for those positions in separable form: the pair
+``(table, coefficients)`` of a (P, K, 72) table and a callable of a
+frequency array ``xis`` of shape (n,) returning (P, n, K) coefficients.
+The block matrices at the frequencies are their product,
+``coefficients(xis) @ table``, (P, n, 72): per separation and node the
+72 entries of [B(r_a, r_b) | B(r_b, r_a)], each a flattened 2x2 block
+matrix (2, 2, 3, 3) indexed [lam, lamp] with 0 = 'e' and 1 = 'm'.  The
+split lets a provider do the work that depends on the positions alone
+once.  The potential integrators bind once per pass with every separation
+of the pass (P = 1 for a single value) and call ``coefficients`` once per
+node batch: their product route multiplies the coefficients with the
+table into the blocks, and their table route, for small passes, folds
+the table into per-pass tables of its traces once and reads only the
+coefficients per node.  They raise ``ValueError`` on any other shape,
+``TypeError`` for a provider without ``bind`` or one whose ``bind`` does
+not return the pair, and let the provider's own errors propagate.  A
+propagator that can only produce its blocks is the K = 72 case with an
+identity table (``from_blocks``).  ``FreeSpaceProvider`` is the bundled
+vacuum implementation (K = 5); any structural look-alike (e.g. a cavity
+or surface-dressed provider) is accepted.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ __all__ = [
     "Separation",
     "FreeSpaceProvider",
     "free_space_provider",
+    "from_blocks",
 ]
 
 
@@ -123,23 +131,24 @@ class FreeSpaceProvider:
     blocks vanish there.
     """
 
-    def bind(self, r_a, r_b) -> Callable:
+    def bind(self, r_a, r_b) -> tuple:
         """The propagator of the positions ``r_a`` and ``r_b``, stacked as
-        (P, 3): a callable of ``xis`` (n,) returning
-        (B(r_a, r_b), B(r_b, r_a)), each (P, n, 2, 2, 3, 3).  The leading
-        axes of the positions lead the output, so a single pair (3,) gives
-        (n, 2, 2, 3, 3).
+        (P, 3), in separable form: the (P, 5, 72) table and a callable of
+        ``xis`` (n,) returning the (P, n, 5) coefficients, whose product is
+        [B(r_a, r_b) | B(r_b, r_a)], (P, n, 72).  The leading axes of the
+        positions lead both, so a single pair (3,) gives a (5, 72) table
+        and (n, 5) coefficients.
 
         All eight blocks of every separation r_a - r_b come from one S and
         one X: B(r_a, r_b) = [[S, -X], [X, S]], and B(r_b, r_a) holds its
         transposed blocks, [[S, -X^T], [X^T, S]].  Binding computes what
         depends on the separations alone, once (``kernels.free_tables``):
         each one's R, the cut of x = xi R, 4 pi R^3 and the table of the
-        geometric factors of its 72 entries.  Each call is then one product
-        of five coefficients per node with that table
-        (``kernels.free_blocks``).  Each block equals the corresponding
-        ``block`` call, and a stack what its pairs give one by one, bit for
-        bit; a zero entry may carry the other sign.
+        geometric factors of its 72 entries.  Each call then forms five
+        coefficients per node (``kernels.free_coefficients``).  Each block
+        of the product equals the corresponding ``block`` call, and a
+        stack what its pairs give one by one, bit for bit; a zero entry
+        may carry the other sign.
         """
         r_a = np.asarray(r_a, dtype=float)
         r_b = np.asarray(r_b, dtype=float)
@@ -147,15 +156,15 @@ class FreeSpaceProvider:
             raise ValueError("positions must be 3-vectors, or two equal "
                              "stacks of them")
         lead = r_a.shape[:-1]
-        tables = kernels.free_tables((r_a - r_b).reshape(-1, 3))
+        geometry, diagonal, table = kernels.free_tables(
+            (r_a - r_b).reshape(-1, 3))
 
-        def blocks(xis) -> tuple[np.ndarray, np.ndarray]:
+        def coefficients(xis) -> np.ndarray:
             xis = _checked_xi(xis)
-            out = kernels.free_blocks(tables, xis)
-            shape = lead + (xis.shape[0], 2, 2, 3, 3)
-            return out[..., :36].reshape(shape), out[..., 36:].reshape(shape)
+            out = kernels.free_coefficients(geometry, diagonal, xis)
+            return out.reshape(lead + out.shape[1:])
 
-        return blocks
+        return table.reshape(lead + table.shape[1:]), coefficients
 
     def block(self, lam: str, lamp: str, r, rp, xi) -> np.ndarray:
         r = np.asarray(r, dtype=float).reshape(-1)
@@ -177,6 +186,25 @@ class FreeSpaceProvider:
             # xi * pref * cross(r - rp), i.e. xi times the second-argument curl
             out = kernels.free_cross(rvec, xis)
         return out[0] if np.ndim(xi) == 0 else out
+
+
+def from_blocks(blocks: Callable, count: int) -> tuple:
+    """The separable form of a propagator that can only produce its
+    blocks: ``blocks`` is a callable of ``xis`` (n,) returning
+    (B(r_a, r_b), B(r_b, r_a)), each (count, n, 2, 2, 3, 3), for ``count``
+    separations.  Returns the (count, 72, 72) identity table and the
+    coefficients, the 72 block entries themselves (count, n, 72); a
+    provider's ``bind(r_a, r_b)`` returns
+    ``from_blocks(lambda xis: ..., len(r_a))``."""
+    table = np.broadcast_to(np.eye(72), (count, 72, 72))
+
+    def coefficients(xis) -> np.ndarray:
+        n = np.shape(xis)[0]
+        ab, ba = blocks(xis)
+        return np.concatenate([np.reshape(ab, (count, n, 36)),
+                               np.reshape(ba, (count, n, 36))], axis=-1)
+
+    return table, coefficients
 
 
 def free_space_provider() -> FreeSpaceProvider:

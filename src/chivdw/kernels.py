@@ -2,17 +2,27 @@
 
 The frequency weights of the transition sums on a batch of imaginary
 frequencies (the molecular response tensors are their product with a
-molecule's response table), the free-space propagator blocks on the same
-batch, and the batched trace of four 3x3 factors that the direct
-single-trace forms integrate (one contraction of two half products).  The
-module also holds the Levi-Civita symbol, which the asymptotic forms use,
-and the cross-product matrix of the propagator's cross blocks.
+molecule's response table), node-major for the potentials' product route
+(``frequency_weights``) and row-major for their table route
+(``frequency_rows``); the free-space propagator on the same batch, as a
+per-pass table of geometric factors (``free_tables``) and five
+coefficients per node (``free_coefficients``), whose product is the
+blocks; and the batched trace of four 3x3 factors that the direct
+single-trace forms integrate (one contraction of two half products).
+The module also holds the Levi-Civita symbol, which the asymptotic forms
+use, and the cross-product matrix of the propagator's cross blocks.
+
+Per node batch, the potentials' product route forms the weights, the
+coefficients and their products with the tables; the table route forms
+only the weights (row-major) and the coefficients, whose outer products
+feed per-pass bilinear forms.
 
 All arrays are float64.  Shapes: frequency batches are (n,), tensor batches
 are (n, 3, 3).  ``free_scaled`` and ``free_cross`` give S and X of one
 separation (3,); for P separations at once, ``free_tables`` forms what
-depends on the separations alone and ``free_blocks`` all 72 entries of
-both directions' block matrices per frequency, (P, n, 72).
+depends on the separations alone, including the (P, 5, 72) table of all
+72 entries of both directions' block matrices, and ``free_coefficients``
+the (P, n, 5) coefficients per frequency.
 """
 
 from __future__ import annotations
@@ -45,6 +55,17 @@ def frequency_weights(omegas: np.ndarray, xis: np.ndarray) -> np.ndarray:
     out = np.ones((xis.shape[0], 2 * count + 1))
     np.divide(2.0 * omegas, denom, out=out[:, :count])
     np.divide(2.0 * xis, denom, out=out[:, count:-1])
+    return out
+
+
+def frequency_rows(omegas: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """The weights of ``frequency_weights`` laid out (2T+1, n), each row
+    contiguous over the frequencies: the same values, entry for entry."""
+    xis = np.asarray(xis, dtype=float)
+    denom, count = omegas[:, None] ** 2 + xis ** 2, omegas.shape[0]
+    out = np.ones((2 * count + 1, xis.shape[0]))
+    np.divide((2.0 * omegas)[:, None], denom, out=out[:count])
+    np.divide(2.0 * xis, denom, out=out[count:-1])
     return out
 
 
@@ -142,12 +163,13 @@ def free_cross(rvec: np.ndarray, xis: np.ndarray) -> np.ndarray:
 #   row 1, c1 = (xi p)(1 + x): [r]_x in the four cross blocks, with signs;
 #   row 2 + i, d_i = c0 (-Rh_i^2) + p f(x), S's i-th diagonal entry:
 #   factor 1.
-# ``_ROW`` is each entry's coefficient row, and ``_TABLE`` the index of its
-# factor among a separation's 17 values [0, 1, r, -r, -RhRh^T] in that row.
+# ``_TABLE`` is the (5, 72) index of each entry's factor among a
+# separation's 17 values [0, 1, r, -r, -RhRh^T], in its coefficient's row,
+# and of 0 (value 0) in the other rows.
 _TRANSPOSED_BLOCKS = np.arange(36).reshape(2, 2, 3, 3).swapaxes(2, 3).ravel()
 
 
-def _entry_maps() -> tuple:
+def _factor_table() -> np.ndarray:
     cross = [0, 7, 3, 4, 0, 5, 6, 2, 0]   # 0, -z, y, z, 0, -x, -y, x, 0
     minus_cross = [0, 4, 6, 7, 0, 2, 3, 5, 0]
     scaled = np.arange(8, 17)
@@ -158,15 +180,12 @@ def _entry_maps() -> tuple:
     row = np.concatenate([scaled_row, np.ones(18, dtype=int), scaled_row])
     row = np.concatenate([row, row[_TRANSPOSED_BLOCKS]])
     factor = np.concatenate([factor, factor[_TRANSPOSED_BLOCKS]])
-    # the (5, 72) table of factors, 0 (value 0) outside each entry's row
     table = np.where(np.arange(5)[:, None] == row, factor, 0)
-    for m in (row, table):
-        m.setflags(write=False)
-    return row, table
+    table.setflags(write=False)
+    return table
 
 
-_ROW, _TABLE = _entry_maps()
-_ENTRIES = np.arange(72)
+_TABLE = _factor_table()
 
 
 def free_tables(rvec: np.ndarray) -> tuple:
@@ -191,23 +210,19 @@ def free_tables(rvec: np.ndarray) -> tuple:
             values.take(_TABLE, axis=1))
 
 
-def free_blocks(tables, xis: np.ndarray) -> np.ndarray:
-    """Both directions' block matrices (P, n, 72) of the separations of
-    ``free_tables`` over the frequencies ``xis`` (n,): [B(r_a, r_b) |
-    B(r_b, r_a)], each a flattened (2, 2, 3, 3).
-
-    Per node the coefficients [c0, c1, d_0, d_1, d_2] are formed as
-    ``free_scaled`` and ``free_cross`` form them, the f term of the
-    diagonal last, and the blocks are their product with the table.  Every
-    entry is one coefficient times its factor plus exact zeros, so each
-    block equals ``free_scaled`` or ``free_cross`` (or its negation)
-    exactly, whatever the order of the product's sums; a zero entry may
-    carry the other sign.  Where a coefficient is not finite (4 pi R^3
-    underflows, or a coefficient overflows), each entry is its own
-    coefficient times its factor, so the blocks hold the infinities of
-    those kernels rather than the NaN of inf * 0 in the product.  No
-    floating point warning escapes."""
-    geometry, diagonal, table = tables
+def free_coefficients(geometry, diagonal: np.ndarray,
+                      xis: np.ndarray) -> np.ndarray:
+    """The (P, n, 5) frequency coefficients [c0, c1, d_0, d_1, d_2] of the
+    separations of ``free_tables`` (its ``geometry`` and ``diagonal``) over
+    the frequencies ``xis`` (n,), formed as ``free_scaled`` and
+    ``free_cross`` form them, the f term of the diagonal last.  Their
+    product with the ``free_tables`` table is both directions' block
+    matrices, (P, n, 72): each entry is one coefficient times its factor
+    plus exact zeros, so each block equals ``free_scaled`` or
+    ``free_cross`` (or its negation) exactly, whatever the order of the
+    product's sums; a zero entry may carry the other sign.  Where
+    4 pi R^3 underflows or a coefficient overflows, the coefficients hold
+    the infinity, and no floating point warning escapes."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x, expf = _exp_factor(geometry, xis)
         x2 = x * x
@@ -217,10 +232,7 @@ def free_blocks(tables, xis: np.ndarray) -> np.ndarray:
         np.multiply(xis * expf, one_x, out=coeffs[:, 1])
         d = np.multiply(c0[:, None], diagonal[:, :, None], out=coeffs[:, 2:])
         d += (expf * (one_x + x2))[:, None]
-        coeffs = coeffs.transpose(0, 2, 1)
-        if np.isfinite(coeffs).all():
-            return coeffs @ table
-        return coeffs[..., _ROW] * table[:, None, _ROW, _ENTRIES]
+    return coeffs.transpose(0, 2, 1)
 
 
 def trace4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):

@@ -55,13 +55,27 @@ the halves' columns from the tables every ``Molecule`` holds, the three
 beta modes' ``response_table`` side by side (``response.mode_tables``;
 a duality request rotates a copy), and the trim to its non-zero rows.
 Per transition, A is linear in 2 omega/(omega^2 + xi^2),
-2 xi/(omega^2 + xi^2) and 1, so per node batch each molecule's responses
-are one product with those weights.  The provider is bound once per pass
-to the stacked positions of every separation of the pass (``bind``, see
-``chivdw.green``), and per node batch the bound propagator gives both
-block matrices at all of them in one call.  Each half product is one
-batched matrix product (6x6 for TOTAL, 3x3 for one tuple), each trace one
-contraction, and the columns one product with the weights.
+2 xi/(omega^2 + xi^2) and 1, so A = sum_s w_s(xi) T_s over the side
+table's rows.  The provider is bound once per pass to the stacked
+positions of every separation of the pass (``bind``, see
+``chivdw.green``): the propagator is B = sum_k c_k(xi) F_k, a per-pass
+table of K factor rows and K coefficients per node.  So every trace is
+bilinear in (c w_a) and (c w_b), and a pass takes one of two routes
+(``_TABLE_ROUTE_MAX``, one constant on the size of that bilinear form):
+
+* the table route, for small forms (free space up to TOTAL with two
+  transitions a side): once per pass, each half's side table times the
+  K factor tables, and per product and column the table of its bilinear
+  form; per node batch the frequency weights, the coefficients, their
+  outer products and per column one GEMM and one row-wise dot, for every
+  separation at once;
+* the product route, for larger forms: per node batch each molecule's
+  responses are one product of its weights with its side table, the
+  blocks one product of the coefficients with the table, each half
+  product one batched matrix product (6x6 for TOTAL, 3x3 for one
+  tuple), each trace one contraction, and the columns one product with
+  the weights.
+
 ``u_terms`` weights by the identity, so each term is its own column and
 is converged on its own; a summed request (a named component, a row, a
 raw tuple) weights by a row of ones and integrates only its sum, held to
@@ -82,14 +96,14 @@ layout spans its members' scales; a single value is the one-separation
 case of the same pass.
 
 Besides the provider path, the chiral components have direct
-single-trace forms (``u_ec_direct`` and its kin): one integrand that sums
-each form's 3x3 traces, listed in block labels in ``_DIRECT_TRACES``, with
-``kernels.trace4`` over the ``response_arrays`` tensors and the provider's
-blocks.  Their derivation folds the tuples of a component together with
-reciprocity (B(r_b, r_a) holds the blocks of B(r_a, r_b) transposed, the
-cross blocks with a sign) and B_me = -B_em, as in free space; for such a
-provider they are an independent cross-check of the product route, and for
-a provider without those symmetries they are not the components.
+single-trace forms in free space (``u_ec_direct`` and its kin): one
+integrand that sums each form's 3x3 traces, listed in block labels in
+``_DIRECT_TRACES``, with ``kernels.trace4`` over the ``response_arrays``
+tensors and the vacuum blocks.  Their derivation folds the tuples of a
+component together with free space's reciprocity (B(r_b, r_a) holds the
+blocks of B(r_a, r_b) transposed, the cross blocks with a sign) and
+B_me = -B_em, so they take no provider: they are an independent
+cross-check of the product route in vacuum.
 ``u_cc_isotropic`` gives the orientation-averaged
 chiral-chiral potential in vacuum from one scalar radial integral.
 """
@@ -107,7 +121,7 @@ from typing import (Callable, Iterable, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from chivdw import kernels
-from chivdw.green import FreeSpaceProvider, Separation, free_space_provider
+from chivdw.green import Separation, free_space_provider
 from chivdw.quad import (NonFiniteIntegrandError, QuadResult, QuadSpec,
                          integrate_halfline)
 from chivdw.response import (MODE_COLUMNS, ZERO_COLUMN, Molecule,
@@ -206,17 +220,21 @@ _BLOCK_INDEX = {"e": 0, "m": 1}
 
 
 def _block_entries() -> dict:
-    """The entries of B[C, R], in matrix order, among the 36 of a flattened
-    (2, 2, 3, 3) block matrix, for every pair of block index ranges C and
-    R: a slice (so a view) for a single block, else an index array."""
-    entries = np.arange(36).reshape(2, 2, 3, 3)
+    """The entries of B[C, R], in matrix order, among the 72 of the two
+    flattened (2, 2, 3, 3) block matrices [B(r_a, r_b) | B(r_b, r_a)], for
+    either of them (its first entry, 0 or 36) and every pair of block
+    index ranges C and R: a slice (so a view) for a single block, else an
+    index array."""
+    entries = np.arange(72).reshape(2, 2, 2, 3, 3)
     table = {}
-    for cols in ((0,), (1,), (0, 1)):
-        for rows in ((0,), (1,), (0, 1)):
-            take = entries[cols[0]:cols[-1] + 1, rows[0]:rows[-1] + 1]
-            take = take.transpose(0, 2, 1, 3).ravel()
-            table[(cols, rows)] = (slice(take[0], take[0] + 9)
-                                   if take.size == 9 else take)
+    for first in (0, 36):
+        for cols in ((0,), (1,), (0, 1)):
+            for rows in ((0,), (1,), (0, 1)):
+                take = entries[first // 36, cols[0]:cols[-1] + 1,
+                               rows[0]:rows[-1] + 1]
+                take = take.transpose(0, 2, 1, 3).ravel()
+                table[(first, cols, rows)] = (
+                    slice(take[0], take[0] + 9) if take.size == 9 else take)
     return table
 
 
@@ -341,40 +359,50 @@ def _validate_tuple(tup: str) -> str:
     return tup
 
 
-def _bind(provider, r_a: np.ndarray, r_b: np.ndarray) -> Callable:
+def _bind(provider, r_a: np.ndarray, r_b: np.ndarray) -> tuple:
     """The provider's propagator for the P position pairs stacked in ``r_a``
-    and ``r_b`` (P, 3): a callable of the frequency array ``xis`` (n,)
-    returning the block matrices [B(r_a, r_b), B(r_b, r_a)], checked.
+    and ``r_b`` (P, 3), checked: its (P, K, 72) table and a callable of
+    the frequency array ``xis`` (n,) returning the (P, n, K) coefficients.
 
-    The provider contract: ``provider.bind(r_a, r_b)`` returns a callable
-    of ``xis`` that gives the two (P, n, 2, 2, 3, 3) stacks, indexed
-    [p, node, lam, lamp] with 0 = 'e' and 1 = 'm'; the integrators bind
-    once per pass, with every separation of the pass, and call the bound
-    propagator once per node batch.  A provider without ``bind`` raises
-    ``TypeError``; any other shape raises ``ValueError``; an error raised
-    by the provider propagates.
+    The provider contract (``chivdw.green``): ``provider.bind(r_a, r_b)``
+    returns the pair ``(table, coefficients)``, and the block matrices
+    [B(r_a, r_b) | B(r_b, r_a)] at ``xis`` are
+    ``coefficients(xis) @ table``; the integrators bind once per pass, with
+    every separation of the pass, and call ``coefficients`` once per node
+    batch.  A provider without ``bind``, or whose ``bind`` returns anything
+    but that pair, raises ``TypeError``; any other shape raises
+    ``ValueError``; an error raised by the provider propagates.
     """
+    name = type(provider).__name__
     bind = getattr(provider, "bind", None)
     if bind is None:
+        raise TypeError(f"provider {name!r} has no bind(r_a, r_b) method")
+    pair = bind(r_a, r_b)
+    table, bound = (pair if isinstance(pair, (tuple, list)) and len(pair) == 2
+                    else (None, None))
+    if not callable(bound):
         raise TypeError(
-            f"provider {type(provider).__name__!r} has no "
-            f"bind(r_a, r_b) method")
-    bound = bind(r_a, r_b)
+            f"provider {name!r}: bind(r_a, r_b) must return a (table, "
+            f"coefficients) pair, a (P, K, 72) table and a callable of xis "
+            f"giving (P, n, K) coefficients")
+    table = np.asarray(table, dtype=float)
     count = r_a.shape[0]
+    if table.ndim != 3 or table.shape[0] != count or table.shape[2] != 72:
+        raise ValueError(
+            f"provider table has shape {table.shape} for {count} "
+            f"separations; expected ({count}, K, 72)")
 
-    def blocks(xis: np.ndarray) -> list:
-        expected = (count, xis.shape[0], 2, 2, 3, 3)
-        pair = [np.asarray(b, dtype=float) for b in bound(xis)]
-        if (len(pair) != 2 or pair[0].shape != expected
-                or pair[1].shape != expected):
-            shapes = [b.shape for b in pair]
+    def coefficients(xis: np.ndarray) -> np.ndarray:
+        expected = (count, xis.shape[0], table.shape[1])
+        out = np.asarray(bound(xis), dtype=float)
+        if out.shape != expected:
             raise ValueError(
-                f"provider blocks returned shapes {shapes} for "
-                f"{expected[0]} separations and {expected[1]} frequencies; "
-                f"expected two of {expected}")
-        return pair
+                f"provider coefficients have shape {out.shape} for "
+                f"{count} separations and {expected[1]} frequencies; "
+                f"expected {expected}")
+        return out
 
-    return blocks
+    return table, coefficients
 
 
 def _products(terms: Sequence[Tuple[str, str, str]],
@@ -425,7 +453,7 @@ class _Side(NamedTuple):
     molecule's ``tables`` (``response.mode_tables``): the 36 columns of
     the half's beta mode, and the zero column for the entries outside S.
     ``specs`` holds per half its columns, (3 |R|, 3 |C|) and the entries
-    of B[C, R_out]."""
+    of B[C, R_out] among the 72 of both block matrices."""
 
     index: np.ndarray
     specs: tuple
@@ -442,10 +470,11 @@ class _Plan(NamedTuple):
     side_b: _Side
 
 
-def _side_plan(halves: Sequence[tuple]) -> _Side:
+def _side_plan(halves: Sequence[tuple], block: int = 0) -> _Side:
     """The ``_Side`` of halves (mode, S, R_out), each A|S[R, C] @
     B[C, R_out] with R, C the rows and columns of the blocks S and R_out
-    the other side's rows."""
+    the other side's rows, and B the block matrix whose entries start at
+    ``block`` among the 72 (0 for B(r_a, r_b), 36 for B(r_b, r_a))."""
     entries = np.arange(36).reshape(2, 3, 2, 3)
     index, specs, first = [], [], 0
     for mode, blocks, rows_out in halves:
@@ -461,7 +490,7 @@ def _side_plan(halves: Sequence[tuple]) -> _Side:
         index.append(part.ravel())
         specs.append((slice(first, first + part.size),
                       (3 * len(rows), 3 * len(cols)),
-                      _BLOCK_ENTRIES[(tuple(cols), rows_out)]))
+                      _BLOCK_ENTRIES[(block, tuple(cols), rows_out)]))
         first += part.size
     index = np.concatenate(index)
     index.setflags(write=False)
@@ -482,7 +511,7 @@ def _plan(terms: Sequence[Tuple[str, str, str]],
              rights.setdefault((mode_b, blocks_b, rows_a), len(rights))))
     product_weights.setflags(write=False)
     return _Plan(product_weights, tuple(pairs), _side_plan(list(lefts)),
-                 _side_plan(list(rights)))
+                 _side_plan(list(rights), 36))
 
 
 def _sum_plan(terms: Sequence[Tuple[str, str, str]]) -> _Plan:
@@ -505,19 +534,137 @@ def _side_table(mol: Molecule, side: _Side,
 
 
 def _check_columns(columns: np.ndarray, seps: Sequence[Separation],
-                   blocks: Sequence[np.ndarray]) -> None:
+                   coefficients: np.ndarray, table: np.ndarray) -> None:
     """Raise ``_overflow`` at the first separation whose columns (n, P, J)
-    are not finite, unless the provider's ``blocks`` (P, n, 2, 2, 3, 3)
-    there hold a NaN and no infinity: that is the provider's fault, and
-    the quadrature names the abscissa."""
+    are not finite, unless the provider's ``coefficients`` (P, n, K) and
+    ``table`` (P, K, 72) there hold a NaN and no infinity: that is the
+    provider's fault, and the quadrature names the abscissa."""
     for p, sep in enumerate(seps):
         if np.isfinite(columns[:, p]).all():
             continue
-        own = [b[p] for b in blocks]
-        if (any(np.isnan(b).any() for b in own)
-                and not any(np.isinf(b).any() for b in own)):
+        own = (coefficients[p], table[p])
+        if (any(np.isnan(a).any() for a in own)
+                and not any(np.isinf(a).any() for a in own)):
             return
         raise _overflow(sep.R)
+
+
+# A pass takes the table route (``_table_columns``) when its per-node
+# bilinear form, K |rows_a| by K |rows_b| (K propagator coefficients, the
+# side tables' rows after the trim), has at most this many entries, and
+# the product route (``_product_columns``) otherwise.  625 is free space's
+# TOTAL at T = 2 (K = 5, 2T + 1 = 5 rows a side).  Per pass (set-up and
+# one 165-node call, free space, TOTAL, EC and the PD row, 1 and 8
+# separations) forms of up to 625 entries took 0.57-0.97 of the product
+# route's time, 1225 (T = 3) 0.27-0.99, and from 2025 (T = 4) on a pass
+# of 8 separations took 1.2-3.0 times as long.
+_TABLE_ROUTE_MAX = 625
+
+
+def _trace_tables(plan: _Plan, table_a: np.ndarray, table_b: np.ndarray,
+                  table: np.ndarray) -> np.ndarray:
+    """The (P, J, K S_b, K S_a) tables of the plan's J columns at the P
+    separations of the propagator ``table`` (P, K, 72), for the side
+    tables ``table_a`` (S_a rows) and ``table_b`` (S_b rows).
+
+    A side's A|S is sum_s w_s T_s over its rows s (``_side_table``) and
+    the propagator B = sum_k c_k F_k over the table's rows k, so a half
+    product A|S B is sum_(k,s) c_k w_s H_ks with H_ks = T_s|S F_k, one
+    matrix product of the side table with the K factor tables per half.
+    Product q's trace is then the bilinear form u_a G_q u_b of u = c (x) w,
+    with G_q = H_a H_b^T, and column j's the form of G_j = sum_q W_jq G_q,
+    held transposed.
+    """
+    count, K = table.shape[:2]
+    halves = []
+    for side_table, specs in ((table_a, plan.side_a.specs),
+                              (table_b, plan.side_b.specs)):
+        rows, side = side_table.shape[0], []
+        for cols, (height, width), take in specs:
+            factors = (table[..., take] if isinstance(take, slice)
+                       else table.take(take, axis=2))
+            factors = factors.reshape(count, K, width, -1)
+            out = factors.shape[3]
+            # (P, K, S height, out): the side table against each F_k
+            h = side_table[:, cols].reshape(rows * height, width) @ factors
+            side.append(h.reshape(count, K * rows, height, out))
+        halves.append(side)
+    # The quarter duality turn is exact on this route: it maps the side
+    # tables onto each other exactly (``response._cos_sin``); the ee and
+    # mm blocks share their factor tables, and the em and me blocks'
+    # differ only in sign, with each F_k an S or a cross factor, never
+    # both; so the swapped products meet the same non-zero terms, with
+    # the zeros elsewhere, and every contraction below runs in the same
+    # order on equal values.
+    lefts, rights = ([h.reshape(count, h.shape[1], h.shape[2] * h.shape[3])
+                      for h in side]
+                     for side in (halves[0],
+                                  [h.transpose(0, 1, 3, 2) for h in halves[1]]))
+    products = np.empty((len(plan.pairs), count, rights[0].shape[1],
+                         lefts[0].shape[1]))            # (Q, P, KS_b, KS_a)
+    for q, (i, k) in enumerate(plan.pairs):
+        np.matmul(rights[k], lefts[i].transpose(0, 2, 1), out=products[q])
+    forms = plan.weights @ products.reshape(len(products), -1)
+    forms = forms.reshape(len(forms), *products.shape[1:])  # (J, P, ...)
+    return np.ascontiguousarray(forms.transpose(1, 0, 2, 3))
+
+
+def _table_columns(mol_a: Molecule, mol_b: Molecule, plan: _Plan,
+                   sides: tuple, table: np.ndarray) -> Callable:
+    """The columns (J, P, n) at the nodes ``xis`` from the coefficients
+    (P, n, K): per node the J bilinear forms in u = c (x) w of the tables
+    that ``_trace_tables`` builds once from the two ``_side_table``s
+    ``sides`` and the propagator ``table``, per column one GEMM and a dot
+    over the rows of u_b for every separation at once, so a column's
+    arithmetic does not depend on the others."""
+    (table_a, kept_a), (table_b, kept_b) = sides
+    forms = _trace_tables(plan, table_a, table_b, table)
+    count, n_cols, size_b, size_a = forms.shape
+
+    def columns(xis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        n = xis.shape[0]
+        c = coeffs.transpose(0, 2, 1)[:, :, None]       # (P, K, 1, n)
+        u_a, u_b = ((c * kernels.frequency_rows(mol.omegas, xis)[kept])
+                    .reshape(count, size, n)
+                    for mol, kept, size in ((mol_a, kept_a, size_a),
+                                            (mol_b, kept_b, size_b)))
+        out = np.empty((n_cols, count, n))
+        for j in range(n_cols):
+            np.einsum('psn,psn->pn', forms[:, j] @ u_a, u_b, out=out[j])
+        return out
+
+    return columns
+
+
+def _product_columns(mol_a: Molecule, mol_b: Molecule, plan: _Plan,
+                     sides: tuple, table: np.ndarray) -> Callable:
+    """The columns (J, P, n) at the nodes ``xis`` from the coefficients
+    (P, n, K): per node batch each molecule's A|S are one product with its
+    side table (``response_from_table``, ``sides`` the two
+    ``_side_table``s), the blocks one product of the coefficients with the
+    propagator ``table``, each half product one batched matrix product and
+    each trace one contraction."""
+    (table_a, kept_a), (table_b, kept_b) = sides
+    lefts, rights = plan.side_a.specs, plan.side_b.specs
+    product_weights, pairs_q = plan.weights, plan.pairs
+    count, n_prod = table.shape[0], len(pairs_q)
+
+    def columns(xis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        n = xis.shape[0]
+        resp_a = response_from_table(mol_a, table_a, kept_a, xis)
+        resp_b = response_from_table(mol_b, table_b, kept_b, xis)
+        blocks = coeffs @ table
+        left, right = ([resp[:, cols].reshape(n, *shape)
+                        @ blocks[..., take].reshape(count, n, shape[1], -1)
+                        for cols, shape, take in specs]
+                       for resp, specs in ((resp_a, lefts), (resp_b, rights)))
+        traces = np.empty((n_prod, count, n))
+        for q, (i, k) in enumerate(pairs_q):
+            np.einsum('pnij,pnji->pn', left[i], right[k], out=traces[q])
+        return (product_weights @ traces.reshape(n_prod, -1)).reshape(
+            -1, count, n)
+
+    return columns
 
 
 def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
@@ -529,40 +676,34 @@ def _plan_integrand(mol_a: Molecule, mol_b: Molecule,
 
     Product q is tr[A_a|S_a B(r_a, r_b) A_b|S_b B(r_b, r_a)]; each side's
     halves are gathered from the molecule's tables once (``_side_table``)
-    and the provider is bound once to the positions (``_bind``).  Per node
-    batch each molecule's A|S are one product (``response_from_table``)
-    and the blocks one call of the bound propagator.  Columns that are not
-    finite raise ``_check_columns``' overflow.
+    and the provider is bound once to the positions (``_bind``).  A pass
+    whose bilinear form is small (``_TABLE_ROUTE_MAX``) folds the side
+    tables and the propagator's table into per-column tables once
+    (``_trace_tables``), and per node batch reads the columns from the
+    weights and coefficients (``_table_columns``); a larger one forms the
+    responses, blocks and half products per node batch
+    (``_product_columns``).  Columns that are not finite raise
+    ``_check_columns``' overflow.
     """
-    table_a, kept_a = _side_table(mol_a, plan.side_a, duality)
-    table_b, kept_b = _side_table(mol_b, plan.side_b, duality)
-    lefts, rights = plan.side_a.specs, plan.side_b.specs
-    product_weights, pairs_q = plan.weights, plan.pairs
-    n_sep, n_prod = len(seps), len(pairs_q)
+    sides = (_side_table(mol_a, plan.side_a, duality),
+             _side_table(mol_b, plan.side_b, duality))
     positions = np.array([(s.r_a, s.r_b) for s in seps])
-    propagator = _bind(provider, positions[:, 0], positions[:, 1])
+    table, coefficients = _bind(provider, positions[:, 0], positions[:, 1])
+    count, K = table.shape[:2]
+    rows_a, rows_b = (side[0].shape[0] for side in sides)
+    route = (_table_columns if K * rows_a * K * rows_b <= _TABLE_ROUTE_MAX
+             else _product_columns)
+    columns = route(mol_a, mol_b, plan, sides, table)
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        n = xis.shape[0]
-        resp_a = response_from_table(mol_a, table_a, kept_a, xis)
-        resp_b = response_from_table(mol_b, table_b, kept_b, xis)
-        blocks = propagator(xis)
-        ab, ba = (b.reshape(n_sep, n, 36) for b in blocks)
-        left, right = ([resp[:, cols].reshape(n, *shape)
-                        @ b[..., take].reshape(n_sep, n, shape[1], -1)
-                        for cols, shape, take in specs]
-                       for resp, b, specs in ((resp_a, ab, lefts),
-                                              (resp_b, ba, rights)))
-        traces = np.empty((n_prod, n_sep, n))
-        for q, (i, k) in enumerate(pairs_q):
-            np.einsum('pnij,pnji->pn', left[i], right[k], out=traces[q])
-        # formed as (J, P n) so each column is contiguous over the nodes:
+        coeffs = coefficients(xis)
+        # formed as (J, P, n) so each column is contiguous over the nodes:
         # the rounding of the panel sums depends on that layout
-        out = product_weights @ traces.reshape(n_prod, -1)
-        out = out.reshape(-1, n_sep, n).T.reshape(n, -1)
+        out = columns(xis, coeffs).T.reshape(xis.shape[0], -1)
         if not np.isfinite(out).all():
-            _check_columns(out.reshape(n, n_sep, -1), seps, blocks)
+            _check_columns(out.reshape(xis.shape[0], count, -1), seps,
+                           coeffs, table)
         return out
 
     return integrand
@@ -600,12 +741,20 @@ def u_terms(mol_a: Molecule, mol_b: Molecule, sep: Separation,
     term, each converged to the requested relative tolerance on its own
     (the only request that converges its terms separately), ``evals``
     counts the shared nodes and ``converged`` holds only if every term
-    converged.
+    converged.  A repeated term is integrated once and its column
+    repeated: the quadrature's rounding depends on how many columns share
+    a pass, so a repeated term is then bit for bit what it is alone.
     """
     terms = _checked_terms(terms)
-    return _terms_quadrature(mol_a, mol_b, [sep],
-                             _plan(terms, np.eye(len(terms))), provider,
-                             spec, duality)
+    distinct = list(dict.fromkeys(terms))
+    res = _terms_quadrature(mol_a, mol_b, [sep],
+                            _plan(distinct, np.eye(len(distinct))), provider,
+                            spec, duality)
+    if len(distinct) == len(terms):
+        return res
+    index = [distinct.index(term) for term in terms]
+    return QuadResult(res.value[index], res.error_estimate[index], res.evals,
+                      res.converged)
 
 
 def _summed(mol_a: Molecule, mol_b: Molecule, seps: Sequence[Separation],
@@ -701,11 +850,11 @@ def u_row(mol_a: Molecule, mol_b: Molecule, sep: Separation, row: str,
 
 
 # ---------------------------------------------------------------------------
-# Direct single-trace forms of the chiral components.  The frequency powers
-# of the cross responses and cross blocks cancel analytically, leaving
-# division-free integrands finite at xi = 0; they equal the components for
-# providers with free space's reciprocity and B_me = -B_em (module
-# docstring).
+# Direct single-trace forms of the chiral components, in free space.  The
+# frequency powers of the cross responses and cross blocks cancel
+# analytically, leaving division-free integrands finite at xi = 0; they
+# equal the components through free space's reciprocity and B_me = -B_em
+# (module docstring).
 # ---------------------------------------------------------------------------
 
 # Each form is sign/pi times a sum of traces tr[A_a B(r_a, r_b) A_b
@@ -722,21 +871,21 @@ _RESPONSE_INDEX = {"ee": 0, "mm": 1, "em": 2, "me": 3}
 
 
 def _direct(form: str, mol_a: Molecule, mol_b: Molecule, sep: Separation,
-            provider, spec: Optional[QuadSpec],
-            beta_mode_a: str = "full") -> QuadResult:
-    """The direct form ``form`` of ``_DIRECT_TRACES``, with molecule A's
-    beta restricted by ``beta_mode_a``."""
-    if provider is None:
-        provider = free_space_provider()
+            spec: Optional[QuadSpec], beta_mode_a: str = "full") -> QuadResult:
+    """The direct form ``form`` of ``_DIRECT_TRACES`` in free space, with
+    molecule A's beta restricted by ``beta_mode_a``."""
     sign, traces = _DIRECT_TRACES[form]
-    propagator = _bind(provider, sep.r_a[None], sep.r_b[None])
+    table, coefficients = _bind(free_space_provider(), sep.r_a[None],
+                                sep.r_b[None])
 
     def integrand(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         resp_a = response_arrays(mol_a, xis, beta_mode_a)
         resp_b = response_arrays(mol_b, xis)
-        blocks = propagator(xis)
-        ab, ba = (b[0] for b in blocks)
+        coeffs = coefficients(xis)
+        blocks = (coeffs @ table)[0]
+        ab, ba = (b.reshape(-1, 2, 2, 3, 3)
+                  for b in (blocks[:, :36], blocks[:, 36:]))
         total = (sign / _PI) * sum(kernels.trace4(
             resp_a[_RESPONSE_INDEX[a]],
             ab[:, _BLOCK_INDEX[b[0]], _BLOCK_INDEX[b[1]]],
@@ -744,37 +893,41 @@ def _direct(form: str, mol_a: Molecule, mol_b: Molecule, sep: Separation,
             ba[:, _BLOCK_INDEX[d[0]], _BLOCK_INDEX[d[1]]])
             for a, b, c, d in traces)
         if not np.isfinite(total).all():
-            _check_columns(total.reshape(-1, 1, 1), [sep], blocks)
+            _check_columns(total.reshape(-1, 1, 1), [sep], coeffs, table)
         return total
 
     return _halfline(mol_a, mol_b, [sep.R], integrand, spec)
 
 
 def u_ec_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                provider=None, spec: Optional[QuadSpec] = None) -> QuadResult:
-    """Electric-chiral component as a single combined trace."""
-    return _direct("EC", mol_a, mol_b, sep, provider, spec)
+                spec: Optional[QuadSpec] = None) -> QuadResult:
+    """Electric-chiral component in free space as a single combined
+    trace."""
+    return _direct("EC", mol_a, mol_b, sep, spec)
 
 
-def u_mc_direct(mol_a, mol_b, sep, provider=None, spec=None) -> QuadResult:
-    """Magnetic-chiral component as a single combined trace."""
-    return _direct("MC", mol_a, mol_b, sep, provider, spec)
+def u_mc_direct(mol_a, mol_b, sep, spec=None) -> QuadResult:
+    """Magnetic-chiral component in free space as a single combined
+    trace."""
+    return _direct("MC", mol_a, mol_b, sep, spec)
 
 
-def u_pc_direct(mol_a, mol_b, sep, provider=None, spec=None) -> QuadResult:
-    """Paramagnetic-chiral component as a single combined trace."""
-    return _direct("MC", mol_a, mol_b, sep, provider, spec, "para")
+def u_pc_direct(mol_a, mol_b, sep, spec=None) -> QuadResult:
+    """Paramagnetic-chiral component in free space as a single combined
+    trace."""
+    return _direct("MC", mol_a, mol_b, sep, spec, "para")
 
 
-def u_dc_direct(mol_a, mol_b, sep, provider=None, spec=None) -> QuadResult:
-    """Diamagnetic-chiral component as a single combined trace."""
-    return _direct("MC", mol_a, mol_b, sep, provider, spec, "dia")
+def u_dc_direct(mol_a, mol_b, sep, spec=None) -> QuadResult:
+    """Diamagnetic-chiral component in free space as a single combined
+    trace."""
+    return _direct("MC", mol_a, mol_b, sep, spec, "dia")
 
 
 def u_cc_direct(mol_a: Molecule, mol_b: Molecule, sep: Separation,
-                provider=None, spec: Optional[QuadSpec] = None) -> QuadResult:
-    """Chiral-chiral component as two combined traces."""
-    return _direct("CC", mol_a, mol_b, sep, provider, spec)
+                spec: Optional[QuadSpec] = None) -> QuadResult:
+    """Chiral-chiral component in free space as two combined traces."""
+    return _direct("CC", mol_a, mol_b, sep, spec)
 
 
 def _isotropic_rotatory(mol: Molecule, ks: np.ndarray) -> np.ndarray:

@@ -242,11 +242,11 @@ def _propagator(r_a, r_b, provider):
         v = r_a - r_b
         return lambda xi: (_propagator_blocks(v, xi),
                            _propagator_blocks(-v, xi))
-    bound = provider.bind(r_a.reshape(1, 3), r_b.reshape(1, 3))
+    table, coefficients = provider.bind(r_a.reshape(1, 3), r_b.reshape(1, 3))
 
     def blocks(xi):
-        ab, ba = bound(np.array([xi]))
-        return ab[0, 0], ba[0, 0]
+        flat = (coefficients(np.array([xi])) @ table)[0, 0]
+        return flat[:36].reshape(2, 2, 3, 3), flat[36:].reshape(2, 2, 3, 3)
 
     return blocks
 
@@ -299,8 +299,9 @@ class SyntheticMedium:
     its 3x3 blocks transposed.  With ``reciprocal`` only B_ee != B_mm
     remains: K_me = -K_em, and K' holds the blocks of K transposed, the
     cross blocks with a sign, as in free space.  The blocks are smooth in
-    xi, finite at xi = 0 and decay with xi and R; ``bind`` follows the
-    package's provider contract."""
+    xi, finite at xi = 0 and decay with xi and R.  ``bind`` follows the
+    package's provider contract with K = 1: the table is [K | K'] at every
+    separation and the one coefficient the decay."""
 
     def __init__(self, seed: int = 3, reciprocal: bool = False):
         rng = np.random.default_rng(seed)
@@ -313,14 +314,15 @@ class SyntheticMedium:
     def bind(self, r_a, r_b):
         diff = np.asarray(r_a, dtype=float) - np.asarray(r_b, dtype=float)
         R = np.sqrt(np.sum(diff * diff, axis=-1))
+        row = np.concatenate([self.forward.ravel(), self.backward.ravel()])
+        table = np.tile(row, (R.shape[0], 1, 1))
 
-        def blocks(xis):
+        def coefficients(xis):
             decay = (np.exp(-2.0 * np.multiply.outer(R, xis))
                      / (4.0 * math.pi * R[:, None] ** 3))
-            decay = decay[..., None, None, None, None]
-            return decay * self.forward, decay * self.backward
+            return decay[..., None]
 
-        return blocks
+        return table, coefficients
 
 
 def quad_vec_geometric(f, lo: float, hi: float, scale) -> np.ndarray:

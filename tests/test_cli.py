@@ -91,11 +91,10 @@ def test_curve_non_finite_provider_exits_numerical(pair_files, capsys,
     from chivdw.green import FreeSpaceProvider
 
     def nan_bind(self, r_a, r_b):
-        def nan_blocks(xis):
-            nan = np.full((len(r_a), np.size(xis), 2, 2, 3, 3), np.nan)
-            return nan, nan
+        def nan_coefficients(xis):
+            return np.full((len(r_a), np.size(xis), 1), np.nan)
 
-        return nan_blocks
+        return np.ones((len(r_a), 1, 72)), nan_coefficients
 
     monkeypatch.setattr(FreeSpaceProvider, "bind", nan_bind)
     a, b = pair_files

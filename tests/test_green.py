@@ -260,8 +260,27 @@ def test_provider_block_computes_only_the_block_asked_for(xi, monkeypatch):
         assert np.array_equal(out, block), (lam, lamp)
 
 
+def _blocks(prov, r_a, r_b, xis):
+    """Both directions' 2x2 block matrices (..., n, 2, 2, 3, 3) of
+    ``prov.bind(r_a, r_b)`` at ``xis``: the product of its coefficients
+    with its table."""
+    table, coefficients = prov.bind(r_a, r_b)
+    flat = coefficients(xis) @ table
+    shape = flat.shape[:-1] + (2, 2, 3, 3)
+    return flat[..., :36].reshape(shape), flat[..., 36:].reshape(shape)
+
+
+def _entry_rows():
+    """The coefficient of each of the 72 entries of free space's table:
+    1 (c1) in the cross blocks, 2 + i (d_i) on the diagonal of an S block,
+    0 (c0) off it."""
+    _, lam, lamp, i, j = np.indices((2, 2, 2, 3, 3)).reshape(5, 72)
+    return np.where(lam != lamp, 1, np.where(i == j, 2 + i, 0))
+
+
 class TestProviderBlockMatrices:
-    """``bind(r_a, r_b)(xis)``: both directions' 2x2 block matrices."""
+    """``bind(r_a, r_b)``: both directions' 2x2 block matrices, the product
+    of the coefficients with the table."""
 
     @staticmethod
     def _expected(prov, r, rp, xis):
@@ -293,7 +312,7 @@ class TestProviderBlockMatrices:
         # values, though a zero entry may carry the other sign
         r_a, r_b = (np.array(r, dtype=float) for r in self._STACKS[case])
         prov = FreeSpaceProvider()
-        ab, ba = prov.bind(r_a, r_b)(self._XIS)
+        ab, ba = _blocks(prov, r_a, r_b, self._XIS)
         for p in range(3):
             assert np.array_equal(
                 ab[p], self._expected(prov, r_a[p], r_b[p], self._XIS)), p
@@ -304,49 +323,60 @@ class TestProviderBlockMatrices:
     def test_stack_equals_its_pairs_bit_for_bit(self, case):
         r_a, r_b = (np.array(r, dtype=float) for r in self._STACKS[case])
         prov = FreeSpaceProvider()
-        ab, ba = prov.bind(r_a, r_b)(self._XIS)
+        ab, ba = _blocks(prov, r_a, r_b, self._XIS)
         assert ab.shape == ba.shape == (3, len(self._XIS), 2, 2, 3, 3)
         for p in range(3):
-            one_ab, one_ba = prov.bind(r_a[p], r_b[p])(self._XIS)
+            one_ab, one_ba = _blocks(prov, r_a[p], r_b[p], self._XIS)
             assert ab[p].tobytes() == one_ab.tobytes(), (case, p)
             assert ba[p].tobytes() == one_ba.tobytes(), (case, p)
 
     @pytest.mark.parametrize("R", [1e-110, 1e-103, 1e-80])
     def test_an_overflowing_prefactor_keeps_its_infinities(self, R):
         # 4 pi R^3 underflows (1e-110), e^{-x}/(4 pi R^3) g(x) overflows
-        # (1e-103) or xi e^{-x}/(4 pi R^3) does (1e-80): the blocks hold the
-        # infinities and NaN that ``block`` gives, not the NaN of inf * 0 in
-        # a product, and no floating point warning escapes
+        # (1e-103) or xi e^{-x}/(4 pi R^3) does (1e-80): the coefficients
+        # hold the infinities, each entry's own coefficient times its
+        # factor is what ``block`` gives, infinities and NaN included, and
+        # no floating point warning escapes
         r_a, r_b = np.array([0.0, 0.0, R]), np.zeros(3)
         xis = np.array([0.0, 1.0, 1e50, 1e80, 1e100, 1e120])
         prov = FreeSpaceProvider()
-        ab, ba = prov.bind(r_a, r_b)(xis)
-        assert np.isinf(ab).any() and np.isinf(ba).any()
+        table, coefficients = prov.bind(r_a, r_b)
+        coeffs = coefficients(xis)
+        assert np.isinf(coeffs).any()
+        rows = _entry_rows()
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            entries = coeffs[:, rows] * table[rows, np.arange(72)]
             expected = (self._expected(prov, r_a, r_b, xis),
                         self._expected(prov, r_b, r_a, xis))
-        assert np.array_equal(ab, expected[0], equal_nan=True)
-        assert np.array_equal(ba, expected[1], equal_nan=True)
+        shape = (len(xis), 2, 2, 3, 3)
+        assert np.isinf(entries).any()
+        assert np.array_equal(entries[:, :36].reshape(shape), expected[0],
+                              equal_nan=True)
+        assert np.array_equal(entries[:, 36:].reshape(shape), expected[1],
+                              equal_nan=True)
 
     def test_leading_axes_of_the_positions_lead_the_output(self):
         prov = FreeSpaceProvider()
         r_a = np.arange(1.0, 19.0).reshape(2, 3, 3)
         xis = np.array([0.5, 2.0])
-        ab, ba = prov.bind(r_a, np.zeros((2, 3, 3)))(xis)
+        table, coefficients = prov.bind(r_a, np.zeros((2, 3, 3)))
+        assert table.shape == (2, 3, 5, 72)
+        assert coefficients(xis).shape == (2, 3, 2, 5)
+        ab, ba = _blocks(prov, r_a, np.zeros((2, 3, 3)), xis)
         assert ab.shape == ba.shape == (2, 3, 2, 2, 2, 3, 3)
-        one_ab, one_ba = prov.bind(r_a[1, 2], np.zeros(3))(xis)
+        one_ab, one_ba = _blocks(prov, r_a[1, 2], np.zeros(3), xis)
         assert one_ab.shape == (2, 2, 2, 3, 3)
         assert ab[1, 2].tobytes() == one_ab.tobytes()
         assert ba[1, 2].tobytes() == one_ba.tobytes()
 
     def test_geometry_once_per_bind_and_one_kernel_per_call(self,
                                                             monkeypatch):
-        # binding a stack makes its tables once; each call is one product,
-        # and no per-block kernel runs
+        # binding a stack makes its tables once; each call forms the
+        # coefficients, and no per-block kernel runs
         from chivdw import kernels
 
         built = []
-        for name in ("free_tables", "free_blocks", "free_prefactor",
+        for name in ("free_tables", "free_coefficients", "free_prefactor",
                      "free_scaled", "free_cross"):
             def counted(*args, _f=getattr(kernels, name), _name=name):
                 built.append(_name)
@@ -354,12 +384,12 @@ class TestProviderBlockMatrices:
             monkeypatch.setattr(kernels, name, counted)
         r_a = np.array([[0.3, -1.1, 0.8], [0.0, 0.0, 2.0], [5.0, 1.0, 0.0],
                         [0.0, 0.0, 1e200]])
-        bound = FreeSpaceProvider().bind(r_a, np.zeros((4, 3)))
+        _, bound = FreeSpaceProvider().bind(r_a, np.zeros((4, 3)))
         assert built == ["free_tables"]
         built.clear()
         bound(np.array([0.0, 0.5, 2.0]))
         bound(np.array([1.0]))
-        assert built == ["free_blocks", "free_blocks"]
+        assert built == ["free_coefficients", "free_coefficients"]
 
     def test_invalid_input_rejected(self):
         prov = FreeSpaceProvider()
@@ -368,9 +398,9 @@ class TestProviderBlockMatrices:
         with pytest.raises(ValueError, match="3-vectors"):
             prov.bind(np.zeros(2), np.ones(3))
         with pytest.raises(ValueError, match="non-negative"):
-            prov.bind(np.ones(3), np.zeros(3))(np.array([-1.0]))
+            prov.bind(np.ones(3), np.zeros(3))[1](np.array([-1.0]))
         with pytest.raises(ValueError, match="finite"):
-            prov.bind(np.ones(3), np.zeros(3))(np.array([np.inf]))
+            prov.bind(np.ones(3), np.zeros(3))[1](np.array([np.inf]))
         with pytest.raises(ValueError, match="3-vectors"):
             prov.bind(np.ones((2, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="distinct"):

@@ -359,49 +359,69 @@ class TestProviderContract:
 
         class ScalarOnly:
             def bind(self, r_a, r_b):
-                blocks = base.bind(r_a, r_b)
+                table, coefficients = base.bind(r_a, r_b)
 
-                def scalar_blocks(xis):
+                def scalar_coefficients(xis):
                     if not np.isscalar(xis) and np.ndim(xis) != 0:
                         raise TypeError("scalar frequencies only")
-                    return blocks(float(xis))
+                    return coefficients(float(xis))
 
-                return scalar_blocks
+                return table, scalar_coefficients
 
         with pytest.raises(TypeError, match="scalar frequencies only"):
             u_named(*pair, sep, "EC", provider=ScalarOnly())
 
-    def test_provider_block_of_wrong_shape_raises_naming_it(self, pair, sep):
+    def test_provider_coefficients_of_wrong_shape_raise_naming_them(
+            self, pair, sep):
         base = FreeSpaceProvider()
 
         class FirstNodeOnly:
             def bind(self, r_a, r_b):
-                blocks = base.bind(r_a, r_b)
-                return lambda xis: blocks(xis[:1])
+                table, coefficients = base.bind(r_a, r_b)
+                return table, lambda xis: coefficients(xis[:1])
 
-        with pytest.raises(ValueError, match=r"\(1, 1, 2, 2, 3, 3\)"):
+        with pytest.raises(ValueError, match=r"coefficients.*\(1, 1, 5\)"):
             u_named(*pair, sep, "EC", provider=FirstNodeOnly())
+
+    def test_provider_table_of_wrong_shape_raises_naming_it(self, pair, sep):
+        base = FreeSpaceProvider()
+
+        class Flat:
+            def bind(self, r_a, r_b):
+                table, coefficients = base.bind(r_a, r_b)
+                return table.reshape(len(r_a), -1), coefficients
+
+        with pytest.raises(ValueError, match=r"table.*\(1, K, 72\)"):
+            u_named(*pair, sep, "EC", provider=Flat())
 
     def test_rescaled_provider_rescales_quadratically(self, pair, sep):
         base = FreeSpaceProvider()
 
         class Doubled:
             def bind(self, r_a, r_b):
-                blocks = base.bind(r_a, r_b)
-
-                def doubled(xis):
-                    ab, ba = blocks(xis)
-                    return 2.0 * ab, 2.0 * ba
-
-                return doubled
+                table, coefficients = base.bind(r_a, r_b)
+                return 2.0 * table, coefficients
 
         one = u_named(*pair, sep, "TOTAL")
         four = u_named(*pair, sep, "TOTAL", provider=Doubled())
         assert four.value == pytest.approx(4.0 * one.value, rel=1e-11)
 
+    def test_provider_of_the_one_callable_form_raises_naming_the_pair(
+            self, pair, sep):
+        base = FreeSpaceProvider()
+
+        class OldForm:
+            def bind(self, r_a, r_b):
+                table, coefficients = base.bind(r_a, r_b)
+                return lambda xis: coefficients(xis) @ table
+
+        with pytest.raises(TypeError,
+                           match=r"'OldForm'.*\(table, coefficients\)"):
+            u_named(*pair, sep, "TOTAL", provider=OldForm())
+
     @pytest.mark.parametrize("integral", [
         lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
-        lambda a, b, s, p: u_ec_direct(a, b, s, provider=p),
+        lambda a, b, s, p: u_row(a, b, s, "EC", provider=p),
     ])
     def test_provider_with_only_block_raises_naming_bind(self, pair, sep,
                                                          integral):
@@ -417,7 +437,8 @@ class TestProviderContract:
 
 class _CountingProvider:
     """Free space, recording the separations of every ``bind`` and, per
-    call of a bound propagator, the separations it was bound to."""
+    call of a bound propagator's coefficients, the separations it was bound
+    to."""
 
     def __init__(self):
         self.binds = []
@@ -427,29 +448,33 @@ class _CountingProvider:
     def bind(self, r_a, r_b):
         separations = [tuple(v) for v in np.subtract(r_a, r_b).tolist()]
         self.binds.append(separations)
-        blocks = self._base.bind(r_a, r_b)
+        table, coefficients = self._base.bind(r_a, r_b)
 
         def counted(xis):
             self.calls.append(separations)
-            return blocks(xis)
+            return coefficients(xis)
 
-        return counted
+        return table, counted
 
 
 class TestOneBlocksCallPerSeparation:
     """The provider is bound once per pass and its propagator called once
-    per node batch, for every separation of the pass at once."""
+    per node batch, for every separation of the pass at once.  The direct
+    forms bind free space themselves (``potentials.free_space_provider``),
+    so the default provider is the counting one here."""
 
     @pytest.mark.parametrize("integral", [
-        lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
-        lambda a, b, s, p: u_ec_direct(a, b, s, provider=p),
-        lambda a, b, s, p: u_mc_direct(a, b, s, provider=p),
-        lambda a, b, s, p: u_cc_direct(a, b, s, provider=p),
+        lambda a, b, s: u_named(a, b, s, "TOTAL"),
+        lambda a, b, s: u_ec_direct(a, b, s),
+        lambda a, b, s: u_mc_direct(a, b, s),
+        lambda a, b, s: u_cc_direct(a, b, s),
     ], ids=["TOTAL", "ec_direct", "mc_direct", "cc_direct"])
     def test_single_value(self, pair, sep, integral, monkeypatch):
         spy = _HalflineSpy(monkeypatch)
         provider = _CountingProvider()
-        assert integral(*pair, sep, provider).converged
+        monkeypatch.setattr(potentials, "free_space_provider",
+                            lambda: provider)
+        assert integral(*pair, sep).converged
         assert len(spy.calls) == 1
         assert spy.integrand_calls >= 1
         assert provider.binds == [[tuple(sep.r_a - sep.r_b)]]
@@ -614,7 +639,10 @@ def _brute_force_columns(mol_a, mol_b, terms, weights, duality):
 
     out, scale = [], []
     for s in _FACTOR_SEPS:
-        ab, ba = FreeSpaceProvider().bind(s.r_a, s.r_b)(_FACTOR_XIS)
+        table, coefficients = FreeSpaceProvider().bind(s.r_a, s.r_b)
+        blocks = coefficients(_FACTOR_XIS) @ table
+        ab, ba = (blocks[:, k:k + 36].reshape(-1, 2, 2, 3, 3)
+                  for k in (0, 36))
         traces = []
         for tup, mode_a, mode_b in terms:
             l1, l2, l3, l4 = ("em".index(lam) for lam in tup)
@@ -856,25 +884,28 @@ def test_direct_forms_name_the_overflow(direct):
 
 
 @pytest.mark.parametrize("integral", [
-    lambda a, b, s, p: u_named(a, b, s, "TOTAL", provider=p),
-    lambda a, b, s, p: u_ec_direct(a, b, s, provider=p),
+    lambda a, b, s: u_named(a, b, s, "TOTAL"),
+    lambda a, b, s: u_ec_direct(a, b, s),
 ])
-def test_a_providers_nan_names_the_abscissa(pair, sep, integral):
+def test_a_providers_nan_names_the_abscissa(pair, sep, integral,
+                                            monkeypatch):
     base = FreeSpaceProvider()
 
     class NaNAboveTwo:
         def bind(self, r_a, r_b):
-            blocks = base.bind(r_a, r_b)
+            table, coefficients = base.bind(r_a, r_b)
 
             def poisoned(xis):
-                ab, ba = blocks(xis)
-                ab[:, xis > 2.0] = np.nan
-                return ab, ba
+                coeffs = coefficients(xis).copy()
+                coeffs[:, xis > 2.0] = np.nan
+                return coeffs
 
-            return poisoned
+            return table, poisoned
 
+    # the direct forms bind free space themselves
+    monkeypatch.setattr(potentials, "free_space_provider", NaNAboveTwo)
     with pytest.raises(NonFiniteIntegrandError) as info:
-        integral(*pair, sep, NaNAboveTwo())
+        integral(*pair, sep)
     message = str(info.value)
     assert message.startswith("integrand returned a non-finite value at x=")
     assert float(message.rsplit("=", 1)[1]) > 2.0
@@ -882,21 +913,20 @@ def test_a_providers_nan_names_the_abscissa(pair, sep, integral):
 
 class _ScaledAt:
     """Free space with both block matrices of separation ``p`` of every
-    pass multiplied by ``factor``."""
+    pass multiplied by ``factor``: its coefficients are."""
 
     def __init__(self, p, factor):
         self._base, self._p, self._factor = FreeSpaceProvider(), p, factor
 
     def bind(self, r_a, r_b):
-        blocks = self._base.bind(r_a, r_b)
+        table, coefficients = self._base.bind(r_a, r_b)
 
         def scaled(xis):
-            ab, ba = blocks(xis)
-            ab[self._p] *= self._factor
-            ba[self._p] *= self._factor
-            return ab, ba
+            coeffs = coefficients(xis).copy()
+            coeffs[self._p] *= self._factor
+            return coeffs
 
-        return scaled
+        return table, scaled
 
 
 def test_a_providers_nan_at_one_separation_of_a_curve_names_the_abscissa(
